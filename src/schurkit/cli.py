@@ -53,7 +53,7 @@ from .curves import (
     sinusoidal_curvature,
     tabulated_curvature,
 )
-from .errors import SchurkitError, SpecError
+from .errors import ProfileError, SchurkitError, SpecError
 from .minkowski import (
     embed_timelike_2d,
     reconstruct_timelike_2d,
@@ -61,7 +61,7 @@ from .minkowski import (
     reversed_chord_inequality,
     timelike_monotonicity,
 )
-from .numerics import SampledFunction, StepControl, unit
+from .numerics import StepControl, unit
 from .reports import Census, _json_float
 from .schur import (
     chord_inequality,
@@ -108,7 +108,13 @@ def _require_keys(d: dict, allowed: dict[str, bool], where: str) -> None:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SpecError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecError(f"{where}: expected a finite number, got {value!r}")
+    return x
 
 
 def _vector(value, n: int, where: str) -> np.ndarray:
@@ -128,7 +134,14 @@ def curvature_from_spec(d, where: str):
     if "samples" in d:
         if "preset" in d:
             raise SpecError(f"{where}: give either a preset or samples, not both")
-        return tabulated_curvature(d["samples"])
+        rows = d["samples"]
+        if not isinstance(rows, list):
+            raise SpecError(f"{where}.samples: expected a list of [s, k] pairs")
+        points = [_vector(row, 2, f"{where}.samples[{i}]") for i, row in enumerate(rows)]
+        try:
+            return tabulated_curvature(points)
+        except ProfileError as e:
+            raise SpecError(f"{where}.samples: {e}") from e
     preset = d.get("preset")
     if preset == "constant":
         return constant_curvature(_number(d.get("value", 0.0), f"{where}.value"))
@@ -322,18 +335,6 @@ def write_report(report: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _expand_collapsed(curve, sf: SampledFunction) -> np.ndarray:
-    """Map collapsed-grid samples back onto curve rows (NaN on both jump rows)."""
-    out = np.empty(len(curve.s))
-    keep = np.ones(len(curve.s), dtype=bool)
-    for i in curve.jump_marks:
-        keep[i + 1] = False
-    out[keep] = sf.values
-    for i in curve.jump_marks:
-        out[i + 1] = out[i]
-    return out
-
-
 def _census_dicts(census: Census) -> list[dict]:
     return census.to_list()
 
@@ -372,20 +373,26 @@ def _finish_verify(report: dict, checks: list[tuple], args, label: str) -> int:
 # subcommand: reconstruct
 # ---------------------------------------------------------------------------
 
+def _control(args) -> StepControl:
+    """Grid policy from --step and --tol, both finite and positive."""
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise SpecError(f"{flag} must be a finite positive number, got {value!r}")
+    return StepControl(step_h=args.step, tol=args.tol)
+
+
 def cmd_reconstruct(args) -> int:
-    control = StepControl(step_h=args.step, tol=args.tol)
+    control = _control(args)
     built = build_curve(load_spec(args.spec), control, args.spec)
     curve = built.curve
     jump_flags = np.zeros(len(curve.s), dtype=int)
-    if hasattr(curve, "jump_marks"):
-        for i in curve.jump_marks:
-            jump_flags[i] = 1
+    jump_flags[curve.jump_marks] = 1
 
     if built.geometry in ("plane", "space3"):
-        kappa = _expand_collapsed(curve, curvature_magnitude(curve))
+        kappa = curve.expand(curvature_magnitude(curve).values)
         dims = "xy" if built.geometry == "plane" else "xyz"
     elif built.geometry == "sphere":
-        kappa = _expand_collapsed(curve, geodesic_curvature_of(curve))
+        kappa = curve.expand(geodesic_curvature_of(curve).values)
         dims = "xyz"
     else:
         kappa = curve.curvature.values
@@ -414,7 +421,7 @@ def _parse_plane(text: str) -> ProjectionConfig:
 
 
 def cmd_project(args) -> int:
-    control = StepControl(step_h=args.step, tol=args.tol)
+    control = _control(args)
     built = build_curve(load_spec(args.spec), control, args.spec)
     if built.geometry != "sphere":
         raise SpecError("project requires a sphere-geometry spec")
@@ -447,13 +454,13 @@ def cmd_project(args) -> int:
     else:
         pair = project_pair(curve, curve, config)
 
-    r_rows = _expand_collapsed(curve, pair.R)
-    tau_rows = _expand_collapsed(curve, pair.tau)
-    k_rows = _expand_collapsed(curve, pair.plane_curvature)
+    r_rows = curve.expand(pair.R.values)
+    tau_rows = curve.expand(pair.tau.values)
+    k_rows = curve.expand(pair.plane_curvature.values)
     header = ["s", "R", "tau", "px", "py", "pz", "k_projected"]
     cols = [curve.s, r_rows, tau_rows, *pair.plane_curve.position.T, k_rows]
     if companion is not None:
-        kq_rows = _expand_collapsed(curve, pair.space_curvature)
+        kq_rows = curve.expand(pair.space_curvature.values)
         header += ["qx", "qy", "qz", "k_companion"]
         cols += [*pair.space_curve.position.T, kq_rows]
     rows = ([c[i] for c in cols] for i in range(len(curve.s)))
@@ -536,7 +543,9 @@ def _comparison_curves(built_c, built_t):
 
 
 def cmd_verify(args) -> int:
-    control = StepControl(step_h=args.step, tol=args.tol)
+    control = _control(args)
+    if args.pairs < 1:
+        raise SpecError(f"--pairs must be at least 1, got {args.pairs}")
     theorem = args.theorem
     seed = int(os.environ.get("SCHURKIT_SEED", "0"))
     built_c, built_t = _build_pair(args, control, theorem)
@@ -574,85 +583,85 @@ def cmd_verify(args) -> int:
 
     c, ct = _comparison_curves(built_c, built_t)
 
+    # each branch censuses the hypotheses; ``conclusion`` runs only when they hold
     if theorem == "spherical":
         config = _parse_plane(args.plane) if args.plane else "auto"
         verification = spherical_schur_verify(c, ct, config, control, args.tol)
-        report["hypotheses"] = _census_dicts(verification.census)
+        census = verification.census
         report["config"]["plane"] = {
             "u": [float(v) for v in verification.config.normal],
             "d": verification.config.d,
             "auto": verification.auto_plane,
         }
-        if not verification.census.all_passed:
-            report["conclusion"] = _conclusion_dict([], False)
-            report["notes"].append("hypotheses violated; conclusion not evaluated")
-            write_report(report, args.report)
-            return 0
-        checks = [
-            ("plane_monotonicity", verification.monotonicity.conclusion_passed,
-             verification.monotonicity.min_slack, verification.monotonicity.argmin_s),
-            ("plane_chord", verification.chords.chord_slack >= -args.tol,
-             verification.chords.chord_slack, None),
-            ("spherical_chord", verification.conclusion_passed,
-             verification.conclusion_slack, None),
-        ]
-        report["notes"].append(
-            f"hinge apex angles: {verification.hinge.angle_first:.12g} <= "
-            f"{verification.hinge.angle_second:.12g}"
-        )
-        return _finish_verify(report, checks, args, theorem)
 
-    if theorem == "minkowski":
+        def conclusion():
+            report["notes"].append(
+                f"hinge apex angles: {verification.hinge.angle_first:.12g} <= "
+                f"{verification.hinge.angle_second:.12g}"
+            )
+            return [
+                ("plane_monotonicity", verification.monotonicity.conclusion_passed,
+                 verification.monotonicity.min_slack, verification.monotonicity.argmin_s),
+                ("plane_chord", verification.chords.chord_slack >= -args.tol,
+                 verification.chords.chord_slack, None),
+                ("spherical_chord", verification.conclusion_passed,
+                 verification.conclusion_slack, None),
+            ]
+
+    elif theorem == "minkowski":
         s_star = built_c.length / 2 if args.s_star is None else float(args.s_star)
         mono = timelike_monotonicity(c, ct, s_star, args.tol)
-        report["hypotheses"] = _census_dicts(mono.census)
-        if not mono.census.all_passed:
-            report["conclusion"] = _conclusion_dict([], False)
-            report["notes"].append("hypotheses violated; conclusion not evaluated")
-            write_report(report, args.report)
-            return 0
-        chord = reversed_chord_inequality(c, ct, args.tol)
-        checks = [
-            ("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s),
-            ("reversed_chord", chord.slack >= -args.tol, chord.slack, None),
-            ("reversed_cauchy_schwarz", chord.cauchy_schwarz_slack >= -1e-9,
-             chord.cauchy_schwarz_slack, None),
-        ]
-        return _finish_verify(report, checks, args, theorem)
+        census = mono.census
 
-    # plane-versus-space family
-    if theorem == "global-monotonicity":
-        pivot = "auto" if args.s_star is None else float(args.s_star)
-        mono = full_range_monotonicity(c, ct, pivot, args.tol)
-    else:
-        mono = monotonicity_profile(c, ct, s_range, args.tol)
-    report["hypotheses"] = _census_dicts(mono.census)
-    if mono.note:
-        report["notes"].append(mono.note)
-    if not mono.census.all_passed:
+        def conclusion():
+            chord = reversed_chord_inequality(c, ct, args.tol)
+            return [
+                ("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s),
+                ("reversed_chord", chord.slack >= -args.tol, chord.slack, None),
+                ("reversed_cauchy_schwarz", chord.cauchy_schwarz_slack >= -1e-9,
+                 chord.cauchy_schwarz_slack, None),
+            ]
+
+    else:  # plane-versus-space family
+        if theorem == "global-monotonicity":
+            pivot = "auto" if args.s_star is None else float(args.s_star)
+            mono = full_range_monotonicity(c, ct, pivot, args.tol)
+        else:
+            mono = monotonicity_profile(c, ct, s_range, args.tol)
+        census = mono.census
+        if mono.note:
+            report["notes"].append(mono.note)
+
+        def conclusion():
+            checks = [("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s)]
+            if theorem in ("monotonicity", "chord"):
+                chord = chord_inequality(c, ct, s_range, args.tol)
+                checks.append(("chord", chord.chord_slack >= -args.tol, chord.chord_slack, None))
+                checks.append(
+                    ("chord_bound", chord.bound_slack >= -args.tol * max(chord.plane_chord, 1.0),
+                     chord.bound_slack, None)
+                )
+            if theorem == "chord":
+                lo, hi = s_range if s_range else (0.0, built_c.length)
+                quarter = (hi - lo) / 4.0
+                nested = nested_chord_inequality(
+                    c, ct, lo, hi, lo + quarter, hi - quarter, args.tol
+                )
+                checks.append(("nested_chord", nested.passed, nested.slack, None))
+                expansion = expansion_module_check(c, ct, args.pairs, seed, args.tol)
+                checks.append(
+                    ("expansion_bound", expansion.passed, expansion.min_slack,
+                     expansion.worst_pair[0])
+                )
+            return checks
+
+    report["hypotheses"] = _census_dicts(census)
+    if not census.all_passed:
         report["conclusion"] = _conclusion_dict([], False)
         report["notes"].append("hypotheses violated; conclusion not evaluated")
         write_report(report, args.report)
         return 0
-
-    checks = [("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s)]
-    if theorem in ("monotonicity", "chord"):
-        chord = chord_inequality(c, ct, s_range, args.tol)
-        checks.append(("chord", chord.chord_slack >= -args.tol, chord.chord_slack, None))
-        checks.append(
-            ("chord_bound", chord.bound_slack >= -args.tol * max(chord.plane_chord, 1.0),
-             chord.bound_slack, None)
-        )
-    if theorem == "chord":
-        lo, hi = s_range if s_range else (0.0, built_c.length)
-        quarter = (hi - lo) / 4.0
-        nested = nested_chord_inequality(c, ct, lo, hi, lo + quarter, hi - quarter, args.tol)
-        checks.append(("nested_chord", nested.passed, nested.slack, None))
-        expansion = expansion_module_check(c, ct, args.pairs, seed, args.tol)
-        checks.append(
-            ("expansion_bound", expansion.passed, expansion.min_slack, expansion.worst_pair[0])
-        )
-    return _finish_verify(report, checks, args, theorem)
+    return _finish_verify(report, conclusion(), args, theorem)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +673,7 @@ def cmd_sweep(args) -> int:
         raise SpecError("sweep supports the windowed checks: monotonicity, chord")
     if args.grid < 2:
         raise SpecError("--grid must be at least 2")
-    control = StepControl(step_h=args.step, tol=args.tol)
+    control = _control(args)
     built_c, built_t = _build_pair(args, control, args.theorem)
     c, ct = _comparison_curves(built_c, built_t)
 

@@ -30,6 +30,7 @@ from .numerics import (
     finite_diff_array,
     grid_step,
     integrate_sampled,
+    nearest_index,
     rk4_integrate,
     unit,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "linear_curvature",
     "sinusoidal_curvature",
     "tabulated_curvature",
+    "reconstruct_piecewise",
     "reconstruct_plane",
     "reconstruct_space_frenet",
     "reconstruct_space_profile",
@@ -190,6 +192,30 @@ class SampledCurve:
         out.append(slice(start, len(self.s)))
         return out
 
+    @property
+    def single_rows(self) -> np.ndarray:
+        """Row mask keeping one row per grid point: each plus-side jump row is dropped."""
+        keep = np.ones(len(self.s), dtype=bool)
+        keep[self.jump_marks + 1] = False
+        return keep
+
+    def expand(self, collapsed: np.ndarray) -> np.ndarray:
+        """Inverse of ``values[single_rows]``: the plus-side row copies the minus side."""
+        out = np.empty(len(self.s))
+        out[self.single_rows] = collapsed
+        out[self.jump_marks + 1] = out[self.jump_marks]
+        return out
+
+    def segment_derivatives(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+        """Finite differences of per-row ``values`` within each smooth segment.
+
+        Jump rows get one-sided values; every segment needs at least 5 rows.
+        """
+        out = np.empty_like(values, dtype=float)
+        for seg in self.segments():
+            out[seg] = finite_diff_array(values[seg], grid_step(self.s[seg]), order)
+        return out
+
     def nearest_row(self, value: float, side: str = "minus") -> int:
         """Row index of the sample closest to arc length ``value``.
 
@@ -197,13 +223,7 @@ class SampledCurve:
         carrying the incoming tangent, "plus" the outgoing one.
         """
         s = self.s
-        i = int(np.searchsorted(s, value))
-        best, err = 0, math.inf
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(s):
-                e = abs(s[j] - value)
-                if e < err:
-                    best, err = j, e
+        best = nearest_index(s, value)
         if side == "plus":
             while best + 1 < len(s) and s[best + 1] == s[best]:
                 best += 1
@@ -342,10 +362,33 @@ def apply_jump(
 # reconstruction
 # ---------------------------------------------------------------------------
 
-def _stack_segments(parts, jump_rows):
-    s = np.concatenate([p[0] for p in parts])
-    arrays = [np.concatenate([p[i] for p in parts]) for i in range(1, len(parts[0]))]
-    return s, arrays, np.asarray(jump_rows, dtype=int)
+def reconstruct_piecewise(
+    field: Callable[[float, np.ndarray], np.ndarray],
+    state0,
+    intervals: Sequence[tuple[float, float]],
+    jump_map: Callable[[int, np.ndarray], np.ndarray],
+    control: StepControl = DEFAULT_CONTROL,
+    post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate ``field`` over consecutive smooth segments joined by jumps.
+
+    Each interval is integrated by ``rk4_integrate``; between segments ``idx``
+    and ``idx + 1`` the end state (a copy the map may modify) passes through
+    ``jump_map(idx, state)``. The jump point is stored twice: the last row of
+    one segment and the first row of the next. Returns the stacked grid, the
+    stacked states and the minus-side row of each jump.
+    """
+    state = np.asarray(state0, dtype=float)
+    grids, values, jump_marks = [], [], []
+    for idx, span in enumerate(intervals):
+        if idx:
+            jump_marks.append(sum(len(g) for g in grids) - 1)
+            state = jump_map(idx - 1, state)
+        traj = rk4_integrate(field, state, span, control, post_step)
+        grids.append(traj.s_grid)
+        values.append(traj.values)
+        state = traj.values[-1].copy()
+    return np.concatenate(grids), np.concatenate(values), np.asarray(jump_marks, dtype=int)
 
 
 def reconstruct_plane(
@@ -360,26 +403,21 @@ def reconstruct_plane(
     angle gains alpha_j and the grid point is duplicated.
     """
     k = profile.curvature
-    state = np.array([float(start[0]), float(start[1]), float(theta0)])
 
     def fld(s, y):
         return np.array([math.cos(y[2]), math.sin(y[2]), float(k(s))])
 
-    parts, jump_rows, offset = [], [], 0
-    for idx, (a, b) in enumerate(profile.segment_intervals()):
-        traj = rk4_integrate(fld, state, (a, b), control)
-        vals = traj.values
-        parts.append((traj.s_grid, vals[:, 0:2], vals[:, 2]))
-        offset += len(traj.s_grid)
-        state = vals[-1].copy()
-        if idx < len(profile.jumps):
-            # the plus-side duplicate row arrives as the next segment's start
-            jump_rows.append(offset - 1)
-            state[2] += profile.jumps[idx].angle
+    def turn(idx, state):
+        state[2] += profile.jumps[idx].angle
+        return state
 
-    s, (pos, th), marks = _stack_segments(parts, jump_rows)
+    state0 = [float(start[0]), float(start[1]), float(theta0)]
+    s, vals, marks = reconstruct_piecewise(
+        fld, state0, profile.segment_intervals(), turn, control
+    )
+    th = vals[:, 2]
     tang = np.column_stack([np.cos(th), np.sin(th)])
-    return SampledCurve(s, pos, tang, marks, th)
+    return SampledCurve(s, vals[:, 0:2], tang, marks, th)
 
 
 _FRAME3 = (
@@ -416,27 +454,15 @@ def reconstruct_space_frenet(
 ) -> SampledCurve:
     """Smooth space curve from curvature k(s) >= 0 and torsion via the Frenet system.
 
-    The moving frame is re-orthonormalized after every step. Serves as the
+    The jump-free case of ``reconstruct_space_profile``. Serves as the
     generator of comparison space curves with a prescribed |T'|.
     """
-    t0, n0, b0 = _check_frame3(*(frame0 if frame0 is not None else _FRAME3))
     probe = np.asarray(k(np.linspace(0.0, length, 257)), dtype=float)
     if np.min(probe) < -1e-12:
         raise ProfileError("space-curve curvature magnitude must be non-negative")
-
-    def fld(s, y):
-        kk, tt = float(k(s)), float(torsion(s))
-        dy = np.empty(12)
-        dy[0:3] = y[3:6]
-        dy[3:6] = kk * y[6:9]
-        dy[6:9] = -kk * y[3:6] + tt * y[9:12]
-        dy[9:12] = -tt * y[6:9]
-        return dy
-
-    y0 = np.concatenate([np.asarray(start, dtype=float), t0, n0, b0])
-    traj = rk4_integrate(fld, y0, (0.0, length), control, post_step=_frenet_post_step)
-    vals = traj.values
-    return SampledCurve(traj.s_grid, vals[:, 0:3], vals[:, 3:6])
+    return reconstruct_space_profile(
+        CurvatureProfile(length, k), torsion, start, frame0, control
+    )
 
 
 def reconstruct_space_profile(
@@ -446,9 +472,13 @@ def reconstruct_space_profile(
     frame0: tuple | None = None,
     control: StepControl = DEFAULT_CONTROL,
 ) -> SampledCurve:
-    """Space curve from a profile with jumps; each jump needs its rotation direction."""
-    t, n, b = _check_frame3(*(frame0 if frame0 is not None else _FRAME3))
-    k, pos = profile.curvature, np.asarray(start, dtype=float)
+    """Space curve from a profile with jumps; each jump needs its rotation direction.
+
+    State (position, T, N, B) follows the Frenet system with the frame
+    re-orthonormalized after every step; a jump rotates the whole frame.
+    """
+    frame = _check_frame3(*(frame0 if frame0 is not None else _FRAME3))
+    k = profile.curvature
 
     def fld(s, y):
         kk, tt = float(k(s)), float(torsion(s))
@@ -459,28 +489,24 @@ def reconstruct_space_profile(
         dy[9:12] = -tt * y[6:9]
         return dy
 
-    parts, jump_rows, offset = [], [], 0
-    for idx, (a0, b0_) in enumerate(profile.segment_intervals()):
-        y0 = np.concatenate([pos, t, n, b])
-        traj = rk4_integrate(fld, y0, (a0, b0_), control, post_step=_frenet_post_step)
-        vals = traj.values
-        parts.append((traj.s_grid, vals[:, 0:3], vals[:, 3:6]))
-        offset += len(traj.s_grid)
-        pos, t, n, b = vals[-1, 0:3], vals[-1, 3:6], vals[-1, 6:9], vals[-1, 9:12]
-        if idx < len(profile.jumps):
-            j = profile.jumps[idx]
-            if j.angle > 1e-15:
-                if j.direction is None:
-                    raise ProfileError(
-                        f"jump at s={j.location} needs a rotation direction for a space curve"
-                    )
-                rot = jump_rotation(t, j.angle, np.asarray(j.direction, dtype=float))
-                t, n, b = unit(rot @ t), unit(rot @ n), unit(rot @ b)
-                b = np.cross(t, n)
-            jump_rows.append(offset - 1)
+    def rotate(idx, state):
+        j = profile.jumps[idx]
+        if j.angle > 1e-15:
+            if j.direction is None:
+                raise ProfileError(
+                    f"jump at s={j.location} needs a rotation direction for a space curve"
+                )
+            t, n = state[3:6], state[6:9]
+            rot = jump_rotation(t, j.angle, np.asarray(j.direction, dtype=float))
+            t, n = unit(rot @ t), unit(rot @ n)
+            state[3:6], state[6:9], state[9:12] = t, n, np.cross(t, n)
+        return state
 
-    s, (p, tang), marks = _stack_segments(parts, jump_rows)
-    return SampledCurve(s, p, tang, marks)
+    state0 = np.concatenate([np.asarray(start, dtype=float), *frame])
+    s, vals, marks = reconstruct_piecewise(
+        fld, state0, profile.segment_intervals(), rotate, control, _frenet_post_step
+    )
+    return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks)
 
 
 def embed_plane_curve(curve: SampledCurve, matrix: np.ndarray | None = None) -> SampledCurve:
@@ -536,20 +562,13 @@ def check_convex_budget(
 
 def _collapse_jump_rows(curve: SampledCurve, values: np.ndarray) -> SampledFunction:
     """Collapse duplicated jump rows to single NaN-masked samples."""
-    n = len(curve.s)
-    keep = np.ones(n, dtype=bool)
-    vals = values.astype(float).copy()
-    for i in curve.jump_marks:
-        keep[i + 1] = False
-        vals[i] = np.nan
+    vals = np.array(values, dtype=float)
+    vals[curve.jump_marks] = np.nan
+    keep = curve.single_rows
     return SampledFunction(curve.s[keep], vals[keep])
 
 
 def curvature_magnitude(curve: SampledCurve) -> SampledFunction:
     """|T'|(s) by per-segment finite differences, masked (NaN) at jumps."""
-    out = np.empty(len(curve.s))
-    for seg in curve.segments():
-        h = grid_step(curve.s[seg])
-        dT = finite_diff_array(curve.tangent[seg], h, 1)
-        out[seg] = np.linalg.norm(dT, axis=1)
-    return _collapse_jump_rows(curve, out)
+    dT = curve.segment_derivatives(curve.tangent)
+    return _collapse_jump_rows(curve, np.linalg.norm(dT, axis=1))

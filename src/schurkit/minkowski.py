@@ -17,8 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .curves import SampledCurve, _require_aligned
 from .errors import AlignmentError, CausalError, NormalizationError, ProfileError
 from .numerics import (
+    CURVATURE_TOL,
     DEFAULT_CONTROL,
     SampledFunction,
     StepControl,
@@ -120,49 +122,30 @@ def hyperbolic_tangent_distance(t1, t2) -> float:
 # curves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TimelikeCurve:
-    """Arc-length samples of a time-like curve with unit tangents <T, T> = 1."""
+class TimelikeCurve(SampledCurve):
+    """Jump-free arc-length samples of a time-like curve with <T, T> = 1.
 
-    s: np.ndarray
-    position: np.ndarray
-    tangent: np.ndarray
-    curvature: SampledFunction
-    rapidity: np.ndarray | None = None
+    Adds the measured curvature and, for plane curves, the rapidity to the
+    sampled position and tangent.
+    """
 
-    def __post_init__(self) -> None:
-        self.s = np.asarray(self.s, dtype=float)
-        self.position = np.asarray(self.position, dtype=float)
-        self.tangent = np.asarray(self.tangent, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.position.shape[1]
-
-    @property
-    def length(self) -> float:
-        return float(self.s[-1] - self.s[0])
+    def __init__(
+        self,
+        s,
+        position,
+        tangent,
+        curvature: SampledFunction,
+        rapidity: np.ndarray | None = None,
+    ) -> None:
+        super().__init__(s, position, tangent)
+        self.curvature = curvature
+        self.rapidity = rapidity
 
     def tangent_norm_drift(self) -> float:
         return float(np.max(np.abs(minkowski_dot(self.tangent, self.tangent) - 1.0)))
 
     def future_directed(self) -> bool:
         return bool(np.all(self.tangent[:, 0] > 0))
-
-    def nearest_row(self, value: float) -> int:
-        i = int(np.searchsorted(self.s, value))
-        best, err = 0, math.inf
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.s):
-                e = abs(self.s[j] - value)
-                if e < err:
-                    best, err = j, e
-        return best
-
-
-def _require_same_grid(a: TimelikeCurve, b: TimelikeCurve) -> None:
-    if len(a.s) != len(b.s) or np.max(np.abs(a.s - b.s)) > 1e-12 * max(1.0, a.length):
-        raise AlignmentError("curves are sampled on different grids")
 
 
 def reconstruct_timelike_2d(
@@ -412,7 +395,7 @@ def build_lorentz_inclusion(t_plane, t_space) -> np.ndarray:
 # verification
 # ---------------------------------------------------------------------------
 
-def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve, tol: float) -> Census:
+def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve) -> Census:
     census = Census()
     census.add("unit_tangent_c", c.tangent_norm_drift() <= 1e-9, 1e-9 - c.tangent_norm_drift())
     census.add(
@@ -425,8 +408,10 @@ def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve, tol: float) -> Ce
     k_t = np.abs(c_tilde.curvature.values)
     diff = k_c - k_t
     w = int(np.argmin(diff))
-    census.add("curvature_dominance", float(diff[w]) >= -1e-4, float(diff[w]), float(c.s[w]))
-    census.add("convexity", float(np.min(k_c)) >= -1e-4, float(np.min(k_c)))
+    census.add(
+        "curvature_dominance", float(diff[w]) >= -CURVATURE_TOL, float(diff[w]), float(c.s[w])
+    )
+    census.add("convexity", float(np.min(k_c)) >= -CURVATURE_TOL, float(np.min(k_c)))
     return census
 
 
@@ -465,10 +450,10 @@ def timelike_monotonicity(
     tol: float = DEFAULT_TOL,
 ) -> TimelikeMonotonicityReport:
     """Monotonicity of the pivot-aligned displacement, any pivot allowed."""
-    _require_same_grid(c, c_tilde)
+    _require_aligned(c, c_tilde)
     if c.dim != 2:
         raise ProfileError("the convex-side curve must live in the Minkowski plane")
-    census = _timelike_census(c, c_tilde, tol)
+    census = _timelike_census(c, c_tilde)
     row = c.nearest_row(float(s_star))
     n2, n3 = c.tangent[row], c_tilde.tangent[row]
     slack = minkowski_dot(c.tangent, np.broadcast_to(n2, c.tangent.shape)) - minkowski_dot(
@@ -514,7 +499,7 @@ class ReversedChordReport:
 def reversed_chord_inequality(
     c: TimelikeCurve, c_tilde: TimelikeCurve, tol: float = DEFAULT_TOL
 ) -> ReversedChordReport:
-    _require_same_grid(c, c_tilde)
+    _require_aligned(c, c_tilde)
     u = c.position[-1] - c.position[0]
     v = c_tilde.position[-1] - c_tilde.position[0]
     if minkowski_dot(u, u) <= 0 or minkowski_dot(v, v) <= 0:

@@ -59,6 +59,22 @@ class StepControl:
 
 DEFAULT_CONTROL = StepControl()
 
+# Default tolerance of the measured-curvature comparisons; finite differences
+# of sampled curves carry O(h^2) noise that the 1e-6 slack tolerance does not.
+CURVATURE_TOL = 1e-4
+
+
+def nearest_index(grid: np.ndarray, value: float) -> int:
+    """Index of the grid point closest to ``value``; ties go to the lower index.
+
+    ``grid`` must be non-decreasing. Raises DomainError for an empty grid.
+    """
+    if len(grid) == 0:
+        raise DomainError("cannot look up a row of an empty grid")
+    i = int(np.searchsorted(grid, value))
+    lo = max(i - 1, 0)
+    return lo + int(np.argmin(np.abs(grid[lo : i + 2] - value)))
+
 
 @dataclass
 class SampledFunction:
@@ -100,14 +116,8 @@ class SampledFunction:
 
     def index_of(self, s: float, atol: float = 1e-9) -> int:
         """Index of the grid point equal to ``s`` (within ``atol``)."""
-        i = int(np.searchsorted(self.s_grid, s))
-        best, err = -1, math.inf
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.s_grid):
-                e = abs(self.s_grid[j] - s)
-                if e < err:
-                    best, err = j, e
-        if best < 0 or err > atol * max(1.0, abs(s)):
+        best = nearest_index(self.s_grid, s)
+        if not abs(self.s_grid[best] - s) <= atol * max(1.0, abs(s)):
             raise DomainError(f"s={s!r} is not a grid point of this sampled function")
         return best
 

@@ -19,10 +19,12 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .curves import (
+    CurvatureProfile,
     Jump,
     SampledCurve,
     _require_aligned,
     _collapse_jump_rows,
+    reconstruct_piecewise,
     theta_from_tangent,
 )
 from .errors import (
@@ -35,6 +37,7 @@ from .errors import (
     ProjectionError,
 )
 from .numerics import (
+    CURVATURE_TOL,
     DEFAULT_CONTROL,
     SampledFunction,
     StepControl,
@@ -42,7 +45,6 @@ from .numerics import (
     finite_diff_array,
     grid_step,
     orthonormal_complement,
-    rk4_integrate,
     unit,
 )
 from .reports import Census
@@ -69,10 +71,6 @@ __all__ = [
     "reparametrize_projected_pair",
     "rotate_spherical",
 ]
-
-# Default projected-curvature comparison tolerance; finite differences of the
-# projected curves carry O(h^2) noise that the 1e-6 slack tolerance does not.
-CURVATURE_TOL = 1e-4
 
 
 @dataclass
@@ -134,14 +132,11 @@ def reconstruct_spherical(
     """
     if length > math.pi + 1e-9:
         raise ProfileError(f"spherical curves are limited to length <= pi, got {length}")
-    jump_objs = tuple(
-        j if isinstance(j, Jump) else Jump(float(j[0]), float(j[1])) for j in jumps
+    profile = CurvatureProfile(
+        length,
+        kg,
+        tuple(j if isinstance(j, Jump) else Jump(float(j[0]), float(j[1])) for j in jumps),
     )
-    locs = [j.location for j in jump_objs]
-    if any(not 0.0 < x < length for x in locs) or any(
-        b <= a for a, b in zip(locs, locs[1:])
-    ):
-        raise ProfileError("jump locations must be strictly increasing inside (0, L)")
 
     c0, t0 = (
         (np.asarray(frame0[0], dtype=float), np.asarray(frame0[1], dtype=float))
@@ -163,33 +158,26 @@ def reconstruct_spherical(
         dy[6:9] = -k * y[3:6]
         return dy
 
-    bounds = [0.0, *locs, length]
-    state = np.concatenate([c0, t0, np.cross(c0, t0)])
-    parts, jump_rows, offset = [], [], 0
-    for idx in range(len(bounds) - 1):
-        traj = rk4_integrate(
-            fld, state, (bounds[idx], bounds[idx + 1]), control, post_step=_sphere_post_step
-        )
-        vals = traj.values
-        parts.append((traj.s_grid, vals))
-        offset += len(traj.s_grid)
-        state = vals[-1].copy()
-        if idx < len(jump_objs):
-            # rotate T toward V in the tangent plane; the plus-side duplicate
-            # row arrives as the next segment's start
-            alpha = jump_objs[idx].angle
-            c, t, v = state[0:3], state[3:6], state[6:9]
-            t_new = math.cos(alpha) * t + math.sin(alpha) * v
-            state[3:6] = unit(t_new - (t_new @ c) * c)
-            state[6:9] = np.cross(c, state[3:6])
-            jump_rows.append(offset - 1)
+    def turn(idx, state):
+        # rotate T toward V in the tangent plane at c
+        alpha = profile.jumps[idx].angle
+        c, t, v = state[0:3], state[3:6], state[6:9]
+        t_new = math.cos(alpha) * t + math.sin(alpha) * v
+        state[3:6] = unit(t_new - (t_new @ c) * c)
+        state[6:9] = np.cross(c, state[3:6])
+        return state
 
-    s = np.concatenate([p[0] for p in parts])
-    vals = np.concatenate([p[1] for p in parts])
-    marks = np.asarray(jump_rows, dtype=int)
+    s, vals, marks = reconstruct_piecewise(
+        fld,
+        np.concatenate([c0, t0, np.cross(c0, t0)]),
+        profile.segment_intervals(),
+        turn,
+        control,
+        _sphere_post_step,
+    )
     curve = SphericalCurve(
         s, vals[:, 0:3], vals[:, 3:6], marks,
-        normal=vals[:, 6:9], jumps=jump_objs,
+        normal=vals[:, 6:9], jumps=profile.jumps,
     )
     kg_vals = np.asarray(kg(s), dtype=float)
     curve.geodesic_curvature = _collapse_jump_rows(curve, kg_vals)
@@ -198,12 +186,8 @@ def reconstruct_spherical(
 
 def geodesic_curvature_of(curve: SphericalCurve) -> SampledFunction:
     """<T', V> by per-segment finite differences, masked at jumps."""
-    out = np.empty(len(curve.s))
-    for seg in curve.segments():
-        h = grid_step(curve.s[seg])
-        dT = finite_diff_array(curve.tangent[seg], h, 1)
-        out[seg] = np.einsum("ij,ij->i", dT, curve.normal[seg])
-    return _collapse_jump_rows(curve, out)
+    dT = curve.segment_derivatives(curve.tangent)
+    return _collapse_jump_rows(curve, np.einsum("ij,ij->i", dT, curve.normal))
 
 
 def rotate_spherical(curve: SphericalCurve, rotation: np.ndarray) -> SphericalCurve:
@@ -262,9 +246,7 @@ def _projection_radius(curve: SphericalCurve, config: ProjectionConfig) -> np.nd
     return config.d / heights
 
 
-def _projection_scalars(
-    curve: SampledCurve, config: ProjectionConfig, r_rows: np.ndarray
-) -> np.ndarray:
+def _projection_scalars(curve: SampledCurve, config: ProjectionConfig) -> np.ndarray:
     """One-sided-exact derivative of R along the curve: R' = -d <T,u> / <c,u>^2.
 
     Differentiating R = d/<c,u> uses only the sampled frame, so jump rows get
@@ -273,14 +255,6 @@ def _projection_scalars(
     """
     heights = curve.position @ config.normal
     return -config.d * (curve.tangent @ config.normal) / heights**2
-
-
-def _segment_derivatives(curve: SampledCurve, values: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty_like(values, dtype=float)
-    for seg in curve.segments():
-        h = grid_step(curve.s[seg])
-        out[seg] = finite_diff_array(values[seg], h, order)
-    return out
 
 
 def cone_project(
@@ -293,7 +267,7 @@ def cone_project(
     """
     r_rows = _projection_radius(curve, config)
     pos = r_rows[:, None] * curve.position
-    dr = _projection_scalars(curve, config, r_rows)
+    dr = _projection_scalars(curve, config)
     velocity = dr[:, None] * curve.position + r_rows[:, None] * curve.tangent
     speed = np.linalg.norm(velocity, axis=1)
     if float(np.min(speed)) < 1e-9:
@@ -301,9 +275,7 @@ def cone_project(
     projected = SampledCurve(
         curve.s.copy(), pos, velocity / speed[:, None], curve.jump_marks.copy()
     )
-    keep = np.ones(len(curve.s), dtype=bool)
-    for i in curve.jump_marks:
-        keep[i + 1] = False  # R is continuous across jumps; keep one row
+    keep = curve.single_rows  # R is continuous across jumps; keep one row
     r_sf = SampledFunction(curve.s[keep], r_rows[keep])
     return r_sf, projected
 
@@ -319,19 +291,14 @@ def companion_project(
     the caller knows R' exactly; finite differences of the R samples are the
     fallback.
     """
-    keep = np.ones(len(c_tilde.s), dtype=bool)
-    for i in c_tilde.jump_marks:
-        keep[i + 1] = False
+    keep = c_tilde.single_rows
     if len(r.s_grid) != int(keep.sum()) or np.max(
         np.abs(r.s_grid - c_tilde.s[keep])
     ) > 1e-12 * max(1.0, float(c_tilde.s[-1])):
         raise AlignmentError("R(s) grid does not match the companion curve grid")
-    r_rows = np.empty(len(c_tilde.s))
-    r_rows[keep] = r.values
-    for i in c_tilde.jump_marks:
-        r_rows[i + 1] = r_rows[i]
+    r_rows = c_tilde.expand(r.values)
     pos = r_rows[:, None] * c_tilde.position
-    dr = r_prime_rows if r_prime_rows is not None else _segment_derivatives(c_tilde, r_rows, 1)
+    dr = r_prime_rows if r_prime_rows is not None else c_tilde.segment_derivatives(r_rows)
     velocity = dr[:, None] * c_tilde.position + r_rows[:, None] * c_tilde.tangent
     speed = np.linalg.norm(velocity, axis=1)
     if float(np.min(speed)) < 1e-9:
@@ -377,19 +344,14 @@ def space_curvature(p: SampledCurve) -> SampledFunction:
     """Curvature |P' x P''| / |P'|^3 of a 3D sampled curve, masked at jumps."""
     if p.dim != 3:
         raise ProfileError("space_curvature expects a 3D curve")
-    out = np.empty(len(p.s))
-    for seg in p.segments():
-        if seg.stop - seg.start < 5:
-            raise ProfileError("need at least 5 samples per segment for curvature")
-        h = grid_step(p.s[seg])
-        d1 = finite_diff_array(p.position[seg], h, 1)
-        d2 = finite_diff_array(p.position[seg], h, 2)
-        speed = np.linalg.norm(d1, axis=1)
-        if float(np.min(speed)) < 1e-9:
-            raise DegenerateSpeedError("vanishing speed in curvature computation")
-        cross = np.cross(d1, d2)
-        out[seg] = np.linalg.norm(cross, axis=1) / speed**3
-    return _collapse_jump_rows(p, out)
+    if any(seg.stop - seg.start < 5 for seg in p.segments()):
+        raise ProfileError("need at least 5 samples per segment for curvature")
+    d1 = p.segment_derivatives(p.position, 1)
+    d2 = p.segment_derivatives(p.position, 2)
+    speed = np.linalg.norm(d1, axis=1)
+    if float(np.min(speed)) < 1e-9:
+        raise DegenerateSpeedError("vanishing speed in curvature computation")
+    return _collapse_jump_rows(p, np.linalg.norm(np.cross(d1, d2), axis=1) / speed**3)
 
 
 def closed_form_cross_norm(r, r_prime, r_double_prime, k):
@@ -471,7 +433,7 @@ def project_pair(
     """Project both curves of a spherical pair with c's scaling R(s)."""
     _require_aligned(c, c_tilde)
     r_rows = _projection_radius(c, config)
-    dr = _projection_scalars(c, config, r_rows)
+    dr = _projection_scalars(c, config)
     r_sf, plane = cone_project(c, config)
     space = companion_project(c_tilde, r_sf, r_prime_rows=dr)
     boundaries = [j.location for j in c.jumps]
@@ -576,13 +538,7 @@ def reparametrize_projected_pair(
     if float(np.sum(d)) < 0.0:
         e2, xy[:, 1], txy[:, 1] = -e2, -xy[:, 1], -txy[:, 1]
 
-    keep = np.ones(len(plane.s), dtype=bool)
-    for i in plane.jump_marks:
-        keep[i + 1] = False
-    tau_rows = np.empty(len(plane.s))
-    tau_rows[keep] = pair.tau.values
-    for i in plane.jump_marks:
-        tau_rows[i + 1] = tau_rows[i]
+    tau_rows = plane.expand(pair.tau.values)
 
     parts_s, parts_2d, parts_t2d, parts_3d, parts_t3d = [], [], [], [], []
     jump_rows, offset = [], 0

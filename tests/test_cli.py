@@ -206,6 +206,48 @@ def test_verify_malformed_json_exit_2(tmp_path):
     assert main(["verify", "--theorem", "budget", str(bad)]) == 2
 
 
+CIRCLE = {"geometry": "plane", "length": math.pi, "curvature": {"preset": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "command, patch, flags",
+    [
+        ("verify", {}, ["--step", "0"]),
+        ("verify", {}, ["--step", "nan"]),
+        ("verify", {}, ["--tol", "-1"]),
+        ("reconstruct", {}, ["--step", "inf"]),
+        ("project", {}, ["--tol", "nan"]),
+        ("sweep", {}, ["--step", "-0.001"]),
+        ("verify", {"length": math.inf}, []),
+        ("verify", {"curvature": {"preset": "constant", "value": math.nan}}, []),
+        ("verify", {"curvature": {"samples": [[0.0, 1.0]]}}, []),
+        ("verify", {"curvature": {"samples": [[0.0, 1.0], [1.0, math.nan], [4.0, 1.0]]}}, []),
+        ("verify", {"curvature": {"samples": [[0.0, 1.0], [0.0, 1.0]]}}, []),
+    ],
+)
+def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
+    spec = write_spec(tmp_path / "c.json", {**CIRCLE, **patch})
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "verify": ["verify", "--theorem", "budget", spec],
+        "reconstruct": ["reconstruct", spec, "-o", out],
+        "project": ["project", spec, "-o", out],
+        "sweep": ["sweep", "--theorem", "chord", spec, spec, "-o", out],
+    }[command]
+    assert main([*argv, *flags]) == 2
+    assert "schurkit: input error" in capsys.readouterr().err
+
+
+def test_verify_pairs_below_one_exit_2(tmp_path, specs):
+    rep = tmp_path / "rep.json"
+    code = main([
+        "verify", "--theorem", "chord", specs["circle"], specs["helix"],
+        "--report", str(rep), "--pairs", "0", *STEP,
+    ])
+    assert code == 2
+    assert not rep.exists()
+
+
 def test_verify_geometry_mismatch_exit_2(specs):
     assert main(["verify", "--theorem", "spherical", specs["circle"], specs["line"]]) == 2
 

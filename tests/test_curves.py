@@ -109,6 +109,14 @@ def test_frenet_zero_curvature_is_straight():
     assert abs(np.linalg.norm(c.position[-1] - c.position[0]) - length) < 1e-9
 
 
+def test_frenet_is_jump_free_profile():
+    k, tau = sinusoidal_curvature(0.8, 0.5, 2.0), sinusoidal_curvature(0.2, 0.4, 3.0)
+    a = reconstruct_space_frenet(k, tau, 2.5)
+    b = reconstruct_space_profile(CurvatureProfile(2.5, k), tau)
+    for name in ("s", "position", "tangent", "jump_marks"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_frenet_rejects_negative_curvature():
     with pytest.raises(ProfileError):
         reconstruct_space_frenet(constant_curvature(-0.1), constant_curvature(0.0), 1.0)
@@ -301,6 +309,23 @@ def test_segments_and_grid_shape(corner_pair):
     segs = c.segments()
     assert len(segs) == 2
     assert segs[0].stop == segs[1].start
+
+
+def test_single_rows_expand_roundtrip(corner_pair):
+    c, _ = corner_pair
+    keep = c.single_rows
+    assert int(keep.sum()) == len(c.s) - len(c.jump_marks)
+    assert not keep[c.jump_marks + 1].any()
+    for values in c.position.T:
+        assert np.array_equal(c.expand(values[keep]), values)
+
+
+def test_nearest_row_resolves_jump_rows(corner_pair):
+    c, _ = corner_pair
+    i = int(c.jump_marks[0])
+    assert c.nearest_row(1.0, side="minus") == i
+    assert c.nearest_row(1.0, side="plus") == i + 1
+    assert c.nearest_row(1.0 + 1e-7, side="plus") == i + 1
 
 
 def test_coarse_control_still_valid():

@@ -13,6 +13,7 @@ from schurkit.numerics import (
     finite_diff,
     grid_step,
     integrate_sampled,
+    nearest_index,
     rk4_integrate,
     simpson_quadrature,
 )
@@ -247,3 +248,15 @@ def test_sampled_function_validation():
 def test_grid_step_tolerates_representation_noise():
     s = 1.0 + 1e-3 * np.arange(1001)
     assert abs(grid_step(s) - 1e-3) < 1e-15
+
+
+def test_nearest_index_ties_go_to_lower_row():
+    grid = np.array([0.0, 1.0, 2.0, 2.0, 4.0])
+    assert nearest_index(grid, 0.5) == 0
+    assert nearest_index(grid, 1.5) == 1
+    assert nearest_index(grid, 2.0) == 2  # duplicated row: the first copy
+    assert nearest_index(grid, 3.0) == 3
+    assert nearest_index(grid, -4.0) == 0
+    assert nearest_index(grid, 9.0) == 4
+    with pytest.raises(DomainError):
+        nearest_index(np.empty(0), 0.0)
