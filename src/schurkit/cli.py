@@ -235,7 +235,8 @@ def _merge_jumps(jumps: tuple[Jump, ...], extra_locs, length: float) -> tuple[Ju
     return tuple(locs[k] for k in sorted(locs))
 
 
-def build_curve(spec: dict, control: StepControl, path: str, extra_jump_locs=()) -> BuiltCurve:
+def _spec_jumps(spec: dict, path: str) -> tuple[str, float, tuple[Jump, ...]]:
+    """Geometry, length and validated jumps of a spec, top-level keys checked."""
     geometry = spec.get("geometry")
     if geometry not in GEOMETRIES:
         raise SpecError(f"{path}: geometry must be one of {list(GEOMETRIES)}, got {geometry!r}")
@@ -243,8 +244,12 @@ def build_curve(spec: dict, control: StepControl, path: str, extra_jump_locs=())
     length = _number(spec["length"], f"{path}.length")
     if not length > 0:
         raise SpecError(f"{path}.length must be positive")
+    return geometry, length, _jumps_from_spec(spec.get("jumps"), length, geometry, f"{path}.jumps")
+
+
+def build_curve(spec: dict, control: StepControl, path: str, extra_jump_locs=()) -> BuiltCurve:
+    geometry, length, jumps = _spec_jumps(spec, path)
     k = curvature_from_spec(spec["curvature"], f"{path}.curvature")
-    jumps = _jumps_from_spec(spec.get("jumps"), length, geometry, f"{path}.jumps")
     jumps = _merge_jumps(jumps, extra_jump_locs, length)
     initial = spec.get("initial", {})
 
@@ -307,6 +312,17 @@ def build_curve(spec: dict, control: StepControl, path: str, extra_jump_locs=())
     return BuiltCurve(geometry, length, curve)
 
 
+def _build_aligned(spec_a, path_a, spec_b, path_b, control) -> tuple[BuiltCurve, BuiltCurve]:
+    """Build two curves once each, each also breaking at the other's jumps (shared grid)."""
+    locs_a = [j.location for j in _spec_jumps(spec_a, path_a)[2]]
+    locs_b = [j.location for j in _spec_jumps(spec_b, path_b)[2]]
+    built_a = build_curve(spec_a, control, path_a, extra_jump_locs=locs_b)
+    built_b = build_curve(spec_b, control, path_b, extra_jump_locs=locs_a)
+    if abs(built_a.length - built_b.length) > 1e-12:
+        raise SpecError(f"curves must have equal length: {built_a.length} vs {built_b.length}")
+    return built_a, built_b
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -335,10 +351,6 @@ def write_report(report: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _census_dicts(census: Census) -> list[dict]:
-    return census.to_list()
-
-
 def _conclusion_dict(checks: list[tuple], evaluated: bool) -> dict:
     entries = [
         {"name": n, "passed": bool(p), "slack": _json_float(s), "location": _json_float(loc)}
@@ -346,27 +358,6 @@ def _conclusion_dict(checks: list[tuple], evaluated: bool) -> dict:
     ]
     passed = all(e["passed"] for e in entries) if evaluated and entries else None
     return {"evaluated": evaluated, "checks": entries, "passed": passed}
-
-
-def _finish_verify(report: dict, checks: list[tuple], args, label: str) -> int:
-    """Write the report and map the conclusion onto the exit code.
-
-    A failing conclusion under satisfied hypotheses is exit 1 and announced
-    on stderr: it means either a toolkit defect or a genuine counterexample
-    candidate, and should never pass silently.
-    """
-    report["conclusion"] = _conclusion_dict(checks, True)
-    write_report(report, args.report)
-    failing = [(n, s) for (n, p, s, _) in checks if not p]
-    if failing:
-        detail = ", ".join(f"{n} (slack {s:.3e})" for n, s in failing)
-        print(
-            f"schurkit: CONCLUSION FAILED for {label} with hypotheses satisfied: "
-            f"{detail}; toolkit defect or counterexample candidate",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -415,51 +406,41 @@ def _parse_plane(text: str) -> ProjectionConfig:
     try:
         upart, dpart = text.split(":")
         ux, uy, uz = (float(v) for v in upart.split(","))
-        return ProjectionConfig(tuple(unit(np.array([ux, uy, uz]))), float(dpart))
+        normal, d = np.array([ux, uy, uz]), float(dpart)
+        if not (np.all(np.isfinite(normal)) and math.isfinite(d)):
+            raise ValueError("components and offset must be finite")
+        return ProjectionConfig(tuple(unit(normal)), d)
     except (ValueError, SchurkitError) as e:
         raise SpecError(f"--plane must look like ux,uy,uz:d ({e})") from e
 
 
 def cmd_project(args) -> int:
     control = _control(args)
-    built = build_curve(load_spec(args.spec), control, args.spec)
+    spec = load_spec(args.spec)
+    if args.companion:
+        built, built_t = _build_aligned(
+            spec, args.spec, load_spec(args.companion), args.companion, control
+        )
+    else:
+        built, built_t = build_curve(spec, control, args.spec), None
     if built.geometry != "sphere":
         raise SpecError("project requires a sphere-geometry spec")
+    if built_t is not None and built_t.geometry != "sphere":
+        raise SpecError("companion spec must also be sphere geometry")
     curve = built.curve
-
-    companion = None
-    if args.companion:
-        built_t = build_curve(
-            load_spec(args.companion), control, args.companion,
-            extra_jump_locs=[j.location for j in curve.jumps],
-        )
-        if built_t.geometry != "sphere":
-            raise SpecError("companion spec must also be sphere geometry")
-        if abs(built_t.length - built.length) > 1e-12:
-            raise SpecError("curves must have equal length")
-        # rebuild the primary with the companion's jump locations merged in
-        built = build_curve(
-            load_spec(args.spec), control, args.spec,
-            extra_jump_locs=[j.location for j in built_t.curve.jumps],
-        )
-        curve, companion = built.curve, built_t.curve
 
     if args.plane:
         config = _parse_plane(args.plane)
     else:
         config, _ = auto_projection_config(curve)
-
-    if companion is not None:
-        pair = project_pair(curve, companion, config)
-    else:
-        pair = project_pair(curve, curve, config)
+    pair = project_pair(curve, curve if built_t is None else built_t.curve, config)
 
     r_rows = curve.expand(pair.R.values)
     tau_rows = curve.expand(pair.tau.values)
     k_rows = curve.expand(pair.plane_curvature.values)
     header = ["s", "R", "tau", "px", "py", "pz", "k_projected"]
     cols = [curve.s, r_rows, tau_rows, *pair.plane_curve.position.T, k_rows]
-    if companion is not None:
+    if built_t is not None:
         kq_rows = curve.expand(pair.space_curvature.values)
         header += ["qx", "qy", "qz", "k_companion"]
         cols += [*pair.space_curve.position.T, kq_rows]
@@ -487,6 +468,18 @@ _TILDE_GEOMETRY = {
     "spherical": ("sphere",),
     "minkowski": ("minkowski2", "minkowski3"),
 }
+
+
+def _parse_s_star(text: str | None, length: float) -> float | None:
+    if text is None:
+        return None
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0.0 <= x <= length + 1e-12:
+        raise SpecError(f"--s-star must be a finite number in [0, L={length}], got {text!r}")
+    return x
 
 
 def _parse_range(text: str | None, length: float):
@@ -519,21 +512,13 @@ def _build_pair(args, control, theorem):
         raise SpecError(
             f"theorem {theorem!r} accepts {_TILDE_GEOMETRY[theorem]} comparison curves, got {geo_t!r}"
         )
-    jumps_c = spec_c.get("jumps") or []
-    jumps_t = spec_t.get("jumps") or []
-    locs_c = [float(j[0]) for j in jumps_c if isinstance(j, list) and len(j) >= 2]
-    locs_t = [float(j[0]) for j in jumps_t if isinstance(j, list) and len(j) >= 2]
-    built_c = build_curve(spec_c, control, args.spec_c, extra_jump_locs=locs_t)
-    built_t = build_curve(spec_t, control, args.spec_c_tilde, extra_jump_locs=locs_c)
-    if abs(built_c.length - built_t.length) > 1e-12:
-        raise SpecError(
-            f"curves must have equal length: {built_c.length} vs {built_t.length}"
-        )
-    return built_c, built_t
+    return _build_aligned(spec_c, args.spec_c, spec_t, args.spec_c_tilde, control)
 
 
 def _comparison_curves(built_c, built_t):
     c = built_c.curve
+    if built_t is None:
+        return c, None
     ct = built_t.curve
     if built_t.geometry == "plane":
         ct = embed_plane_curve(ct)
@@ -550,6 +535,7 @@ def cmd_verify(args) -> int:
     seed = int(os.environ.get("SCHURKIT_SEED", "0"))
     built_c, built_t = _build_pair(args, control, theorem)
     s_range = _parse_range(args.range, built_c.length)
+    s_star = _parse_s_star(args.s_star, built_c.length)
 
     config_echo = {
         "step": args.step,
@@ -570,21 +556,19 @@ def cmd_verify(args) -> int:
         "notes": [],
     }
 
-    if theorem == "budget":
-        profile = built_c.profile
-        census = Census()
-        census.add("convex_flag", profile.convex)
-        budget = check_convex_budget(profile, args.tol, control)
-        report["hypotheses"] = _census_dicts(census)
-        report["notes"].append(f"total turning = {budget.total:.12g}")
-        return _finish_verify(
-            report, [("turning_budget", budget.passed, budget.slack, None)], args, theorem
-        )
-
     c, ct = _comparison_curves(built_c, built_t)
 
     # each branch censuses the hypotheses; ``conclusion`` runs only when they hold
-    if theorem == "spherical":
+    if theorem == "budget":
+        census = Census()
+        census.add("convex_flag", built_c.profile.convex)
+
+        def conclusion():
+            budget = check_convex_budget(built_c.profile, args.tol, control)
+            report["notes"].append(f"total turning = {budget.total:.12g}")
+            return [("turning_budget", budget.passed, budget.slack, None)]
+
+    elif theorem == "spherical":
         config = _parse_plane(args.plane) if args.plane else "auto"
         verification = spherical_schur_verify(c, ct, config, control, args.tol)
         census = verification.census
@@ -609,8 +593,8 @@ def cmd_verify(args) -> int:
             ]
 
     elif theorem == "minkowski":
-        s_star = built_c.length / 2 if args.s_star is None else float(args.s_star)
-        mono = timelike_monotonicity(c, ct, s_star, args.tol)
+        pivot = built_c.length / 2 if s_star is None else s_star
+        mono = timelike_monotonicity(c, ct, pivot, args.tol)
         census = mono.census
 
         def conclusion():
@@ -624,7 +608,7 @@ def cmd_verify(args) -> int:
 
     else:  # plane-versus-space family
         if theorem == "global-monotonicity":
-            pivot = "auto" if args.s_star is None else float(args.s_star)
+            pivot = "auto" if s_star is None else s_star
             mono = full_range_monotonicity(c, ct, pivot, args.tol)
         else:
             mono = monotonicity_profile(c, ct, s_range, args.tol)
@@ -655,13 +639,24 @@ def cmd_verify(args) -> int:
                 )
             return checks
 
-    report["hypotheses"] = _census_dicts(census)
+    report["hypotheses"] = census.to_list()
     if not census.all_passed:
-        report["conclusion"] = _conclusion_dict([], False)
         report["notes"].append("hypotheses violated; conclusion not evaluated")
-        write_report(report, args.report)
-        return 0
-    return _finish_verify(report, conclusion(), args, theorem)
+    checks = conclusion() if census.all_passed else []
+    report["conclusion"] = _conclusion_dict(checks, census.all_passed)
+    write_report(report, args.report)
+    # a failing conclusion under satisfied hypotheses means either a toolkit
+    # defect or a genuine counterexample candidate: exit 1, never silently
+    failing = [(n, s) for (n, p, s, _) in checks if not p]
+    if failing:
+        detail = ", ".join(f"{n} (slack {s:.3e})" for n, s in failing)
+        print(
+            f"schurkit: CONCLUSION FAILED for {theorem} with hypotheses satisfied: "
+            f"{detail}; toolkit defect or counterexample candidate",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +704,7 @@ def cmd_sweep(args) -> int:
             "step": args.step, "tol": args.tol, "grid": args.grid,
             "spec_c": args.spec_c, "spec_c_tilde": args.spec_c_tilde,
         },
-        "hypotheses": _census_dicts(census) if census is not None else [],
+        "hypotheses": census.to_list() if census is not None else [],
         "conclusion": _conclusion_dict(
             [
                 ("worst_monotonicity_slack", worst_mono >= -args.tol, worst_mono, None),

@@ -31,6 +31,7 @@ from .numerics import (
     grid_step,
     integrate_sampled,
     nearest_index,
+    pchip,
     rk4_integrate,
     unit,
 )
@@ -215,6 +216,17 @@ class SampledCurve:
         for seg in self.segments():
             out[seg] = finite_diff_array(values[seg], grid_step(self.s[seg]), order)
         return out
+
+    def cell_interpolant(self, values: np.ndarray, row: int) -> Callable:
+        """Monotone cubic (``numerics.pchip``) of per-row ``values`` on cell [row, row+1].
+
+        Only the knots ``row-1 .. row+2`` of the smooth segment holding the
+        cell are read. PCHIP slopes are local, so on that cell the cubic is
+        the one fitted to the whole segment.
+        """
+        seg = self.segments()[int(np.searchsorted(self.jump_marks, row))]
+        lo, hi = max(row - 1, seg.start), min(row + 3, seg.stop)
+        return pchip(self.s[lo:hi], values[lo:hi])
 
     def nearest_row(self, value: float, side: str = "minus") -> int:
         """Row index of the sample closest to arc length ``value``.

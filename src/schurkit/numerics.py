@@ -1,8 +1,8 @@
 """Deterministic numerical kernel shared by every curve module.
 
 Fixed-step RK4 with an optional per-step state repair hook, composite
-Simpson quadrature on sampled grids, monotone bisection, and
-finite-difference derivatives. All routines are pure functions of their
+Simpson quadrature on sampled grids, monotone bisection, a monotone cubic
+interpolant, and finite-difference derivatives. All routines are pure functions of their
 inputs: two runs (and the two curves of a comparison pair) see
 bit-identical grids, so pointwise inequality checks never incur
 interpolation error.
@@ -345,6 +345,58 @@ def bisect_monotone(
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# monotone cubic interpolation
+# ---------------------------------------------------------------------------
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the end cell's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Monotone piecewise-cubic Hermite interpolant of ``y`` (rows) over ``x``.
+
+    Interior slopes are the Fritsch-Butland weighted harmonic means of the
+    neighbouring secants (zero at a local extremum or a flat secant), end
+    slopes are Moler's one-sided estimates. ``y`` may be (n,) or (n, d);
+    queries off ``[x[0], x[-1]]`` extrapolate the end cubics. The slopes, the
+    coefficients and the power-sum evaluation on left-closed cells repeat
+    SciPy's ``PchipInterpolator`` operation for operation, so values agree
+    bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 2 or not np.all(np.diff(x) > 0):
+        raise ValueError("pchip needs at least 2 strictly increasing abscissae")
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[0] = d[1] = m[0]
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        d[1:-1] = np.divide(1.0, whmean, out=np.zeros_like(whmean), where=same)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c2, c3 = (m - d[:-1]) / h - t, t / h
+
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        i = np.minimum(np.maximum(np.searchsorted(x, q, side="right") - 1, 0), len(x) - 2)
+        u = (q - x[i]).reshape(q.shape + (1,) * (y.ndim - 1))
+        # the accumulator starts at 0.0 as in PPoly, which turns -0.0 into 0.0
+        return 0.0 + y[i] + d[i] * u + c2[i] * (u * u) + c3[i] * (u * u * u)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .curves import SampledCurve, _require_aligned, curvature_magnitude
 from .errors import (
@@ -138,16 +137,11 @@ def _window_rows(c: SampledCurve, s_range) -> tuple[int, int]:
     return c.nearest_row(a, side="plus"), c.nearest_row(b, side="minus")
 
 
-def find_s_star(
-    c: SampledCurve,
-    s_range: tuple[float, float] | None = None,
-    angle_tol: float = 1e-9,
-) -> SStarResult:
-    """Locate s* in the window with tangent direction parallel to the chord.
+def _pivot_window(c: SampledCurve, s_range, c_tilde: SampledCurve | None = None,
+                  angle_tol: float = 1e-9):
+    """(rows, chord length, s*, N, N~) of one window, each derived once.
 
-    Requires the cumulative tangent angle of a convex plane curve. The chord
-    angle is lifted into the window's angular range [theta(s'), theta(s'')];
-    failure to lift means the input violates convexity and raises.
+    The pivots N and N~ are None when no comparison curve c~ is given.
     """
     if c.theta is None:
         raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
@@ -175,21 +169,38 @@ def find_s_star(
 
     if th[j] - phi_star <= angle_tol:
         # lands on (or within tolerance of) a sample row
-        return SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
-    if j > 0 and s_loc[j] == s_loc[j - 1]:
+        star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
+    elif j > 0 and s_loc[j] == s_loc[j - 1]:
         # strictly inside a jump's angular gap
         beta_minus = phi_star - th[j - 1]
-        return SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
+        star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
+    else:
+        # smooth crossing between rows j-1 and j: invert the segment-wise
+        # running maximum of theta on that cell
+        theta = np.concatenate([np.maximum.accumulate(c.theta[sl]) for sl in c.segments()])
+        interp = c.cell_interpolant(theta, i0 + j - 1)
+        root = bisect_monotone(
+            lambda x: float(interp(x)) - phi_star,
+            (float(s_loc[j - 1]), float(s_loc[j])),
+            tol=1e-13,
+        )
+        star = SStarResult(float(root), i0 + j - 1, False, phi_star, None, window)
+    pivots = (None, None) if c_tilde is None else _pivots(c, c_tilde, star)
+    return (i0, i1), clen, star, *pivots
 
-    # smooth crossing between rows j-1 and j: invert theta on its segment
-    seg = next(sl for sl in c.segments() if sl.start <= i0 + j - 1 and i0 + j <= sl.stop - 1)
-    interp = PchipInterpolator(c.s[seg], np.maximum.accumulate(c.theta[seg]))
-    root = bisect_monotone(
-        lambda x: float(interp(x)) - phi_star,
-        (float(s_loc[j - 1]), float(s_loc[j])),
-        tol=1e-13,
-    )
-    return SStarResult(float(root), i0 + j - 1, False, phi_star, None, window)
+
+def find_s_star(
+    c: SampledCurve,
+    s_range: tuple[float, float] | None = None,
+    angle_tol: float = 1e-9,
+) -> SStarResult:
+    """Locate s* in the window with tangent direction parallel to the chord.
+
+    Requires the cumulative tangent angle of a convex plane curve. The chord
+    angle is lifted into the window's angular range [theta(s'), theta(s'')];
+    failure to lift means the input violates convexity and raises.
+    """
+    return _pivot_window(c, s_range, angle_tol=angle_tol)[2]
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
@@ -199,13 +210,6 @@ def _slerp(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
         return u.copy()
     t = min(angle / full, 1.0)
     return (math.sin((1.0 - t) * full) * u + math.sin(t * full) * v) / math.sin(full)
-
-
-def _interp_tangent(c: SampledCurve, index: int, s_value: float) -> np.ndarray:
-    """Unit tangent at an off-grid parameter, interpolated within its segment."""
-    seg = next(sl for sl in c.segments() if sl.start <= index < sl.stop)
-    interp = PchipInterpolator(c.s[seg], c.tangent[seg], axis=0)
-    return unit(np.asarray(interp(s_value), dtype=float))
 
 
 def _pivots(
@@ -229,7 +233,8 @@ def _pivots(
     s_row = float(c.s[star.index])
     if abs(star.s_star - s_row) <= 1e-12 * max(1.0, abs(star.s_star)):
         return n_plane, unit(c_tilde.tangent[star.index])
-    return n_plane, _interp_tangent(c_tilde, star.index, star.s_star)
+    # off-grid pivot: the tangent interpolated on its cell
+    return n_plane, unit(c_tilde.cell_interpolant(c_tilde.tangent, star.index)(star.s_star))
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +371,9 @@ class MonotonicityReport:
         return self.census.all_passed and self.conclusion_passed
 
 
-def _monotonicity_core(c, c_tilde, rows, n_plane, n_space, star_s, interior, window,
+def _monotonicity_core(c, c_tilde, rows, clen, n_plane, n_space, star_s, interior, window,
                        census, tol, note="") -> MonotonicityReport:
-    i0, i1 = rows
-    sl = slice(i0, i1 + 1)
-    chord = c.position[i1] - c.position[i0]
-    clen = float(np.linalg.norm(chord))
+    sl = slice(rows[0], rows[1] + 1)
     slack = clen * (c_tilde.tangent[sl] @ n_space - c.tangent[sl] @ n_plane)
     inclusion = build_inclusion(n_plane, n_space)
     iota_pos = inclusion.apply(c.position[sl])
@@ -410,11 +412,9 @@ def monotonicity_profile(
     """
     _require_aligned(c, c_tilde)
     census = hypothesis_census(c, c_tilde, tol, curvature_tol)
-    star = find_s_star(c, s_range)
-    n_plane, n_space = _pivots(c, c_tilde, star)
-    rows = _window_rows(c, s_range)
+    rows, clen, star, n_plane, n_space = _pivot_window(c, s_range, c_tilde)
     return _monotonicity_core(
-        c, c_tilde, rows, n_plane, n_space,
+        c, c_tilde, rows, clen, n_plane, n_space,
         star.s_star, star.jump_interior, star.window, census, tol,
     )
 
@@ -456,8 +456,9 @@ def full_range_monotonicity(
             )
     n_plane = unit(c.tangent[row])
     n_space = unit(c_tilde.tangent[row])
+    clen = float(np.linalg.norm(c.position[-1] - c.position[0]))
     return _monotonicity_core(
-        c, c_tilde, (0, len(c.s) - 1), n_plane, n_space,
+        c, c_tilde, (0, len(c.s) - 1), clen, n_plane, n_space,
         float(c.s[row]), False, (float(c.s[0]), float(c.s[-1])), census, tol, note,
     )
 
@@ -550,11 +551,7 @@ def chord_inequality(
     tol: float = DEFAULT_TOL,
 ) -> ChordReport:
     _require_aligned(c, c_tilde)
-    star = find_s_star(c, s_range)
-    _, n_space = _pivots(c, c_tilde, star)
-    i0, i1 = _window_rows(c, s_range)
-    chord = c.position[i1] - c.position[i0]
-    clen = float(np.linalg.norm(chord))
+    (i0, i1), clen, star, _, n_space = _pivot_window(c, s_range, c_tilde)
     delta_t = c_tilde.position[i1] - c_tilde.position[i0]
     p2 = float(delta_t @ n_space)
     bound = p2 * clen
@@ -599,11 +596,7 @@ def nested_chord_inequality(
     _require_aligned(c, c_tilde)
     if not (s_first <= s_inner_first < s_inner_second <= s_second):
         raise ValueError("inner window must nest inside the outer window")
-    star = find_s_star(c, (s_first, s_second))
-    n_plane, n_space = _pivots(c, c_tilde, star)
-    i0, i1 = _window_rows(c, (s_first, s_second))
-    chord = c.position[i1] - c.position[i0]
-    clen = float(np.linalg.norm(chord))
+    _, clen, star, n_plane, n_space = _pivot_window(c, (s_first, s_second), c_tilde)
     j0 = c.nearest_row(s_inner_first, side="plus")
     j1 = c.nearest_row(s_inner_second, side="minus")
     lhs = float((c.position[j1] - c.position[j0]) @ (clen * n_plane))
@@ -652,10 +645,7 @@ def expansion_module_check(
         a, b = float(c.s[i]), float(c.s[j])
         if b - a <= 0:
             continue
-        star = find_s_star(c, (a, b))
-        _, n_space = _pivots(c, c_tilde, star)
-        i0, i1 = _window_rows(c, (a, b))
-        clen = float(np.linalg.norm(c.position[i1] - c.position[i0]))
+        (i0, i1), clen, _, _, n_space = _pivot_window(c, (a, b), c_tilde)
         proj = float((c_tilde.position[i1] - c_tilde.position[i0]) @ n_space)
         slack = proj - clen
         if slack < worst:

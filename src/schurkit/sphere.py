@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .curves import (
     CurvatureProfile,
@@ -45,6 +44,7 @@ from .numerics import (
     finite_diff_array,
     grid_step,
     orthonormal_complement,
+    pchip,
     unit,
 )
 from .reports import Census
@@ -507,13 +507,6 @@ def curvature_dominance_check(
 # reparametrization to projected arc length
 # ---------------------------------------------------------------------------
 
-def _plane_basis(config: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
-    u = config.normal
-    e1 = orthonormal_complement(u)
-    e2 = np.cross(u, e1)
-    return e1, e2
-
-
 def reparametrize_projected_pair(
     pair: ProjectedPair, control: StepControl = DEFAULT_CONTROL
 ) -> tuple[SampledCurve, SampledCurve]:
@@ -525,7 +518,8 @@ def reparametrize_projected_pair(
     each smooth segment onto a uniform tau sub-grid.
     """
     plane, space = pair.plane_curve, pair.space_curve
-    e1, e2 = _plane_basis(pair.config)
+    e1 = orthonormal_complement(pair.config.normal)
+    e2 = np.cross(pair.config.normal, e1)
     origin = pair.config.d * pair.config.normal
     xy = np.column_stack(
         [(plane.position - origin) @ e1, (plane.position - origin) @ e2]
@@ -539,45 +533,29 @@ def reparametrize_projected_pair(
         e2, xy[:, 1], txy[:, 1] = -e2, -xy[:, 1], -txy[:, 1]
 
     tau_rows = plane.expand(pair.tau.values)
+    # every per-row column of both curves, resampled by one cubic per segment
+    table = np.column_stack([xy, txy, space.position, space.tangent])
 
-    parts_s, parts_2d, parts_t2d, parts_3d, parts_t3d = [], [], [], [], []
-    jump_rows, offset = [], 0
-    segs = plane.segments()
-    for si, seg in enumerate(segs):
+    parts_tau, parts = [], []
+    for seg in plane.segments():
         t_seg = tau_rows[seg]
         s_seg = plane.s[seg]
         n = control.segment_steps(float(t_seg[-1] - t_seg[0]))
         tau_new = t_seg[0] + (t_seg[-1] - t_seg[0]) * np.arange(n + 1) / n
         tau_new[-1] = t_seg[-1]
-        s_of_tau = PchipInterpolator(t_seg, s_seg)
-        s_new = np.asarray(s_of_tau(tau_new), dtype=float)
+        s_new = pchip(t_seg, s_seg)(tau_new)
         s_new[0], s_new[-1] = s_seg[0], s_seg[-1]
+        parts_tau.append(tau_new)
+        parts.append(pchip(s_seg, table[seg])(s_new))
 
-        def interp(rows):
-            return np.asarray(PchipInterpolator(s_seg, rows, axis=0)(s_new), dtype=float)
-
-        p2d, t2d = interp(xy[seg]), interp(txy[seg])
-        p3d, t3d = interp(space.position[seg]), interp(space.tangent[seg])
-        t2d /= np.linalg.norm(t2d, axis=1)[:, None]
-        t3d /= np.linalg.norm(t3d, axis=1)[:, None]
-        parts_s.append(tau_new)
-        parts_2d.append(p2d)
-        parts_t2d.append(t2d)
-        parts_3d.append(p3d)
-        parts_t3d.append(t3d)
-        offset += n + 1
-        if si < len(segs) - 1:
-            jump_rows.append(offset - 1)
-
-    tau_grid = np.concatenate(parts_s)
-    marks = np.asarray(jump_rows, dtype=int)
-    plane2d = SampledCurve(
-        tau_grid, np.concatenate(parts_2d), np.concatenate(parts_t2d), marks
-    )
+    tau_grid = np.concatenate(parts_tau)
+    marks = np.cumsum([len(t) for t in parts_tau[:-1]], dtype=int) - 1
+    p2d, t2d, p3d, t3d = (a.copy() for a in np.split(np.concatenate(parts), [2, 4, 7], axis=1))
+    t2d /= np.linalg.norm(t2d, axis=1)[:, None]
+    t3d /= np.linalg.norm(t3d, axis=1)[:, None]
+    plane2d = SampledCurve(tau_grid, p2d, t2d, marks)
     plane2d.theta = theta_from_tangent(plane2d)
-    space3d = SampledCurve(
-        tau_grid.copy(), np.concatenate(parts_3d), np.concatenate(parts_t3d), marks.copy()
-    )
+    space3d = SampledCurve(tau_grid.copy(), p3d, t3d, marks.copy())
     return plane2d, space3d
 
 

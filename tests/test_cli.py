@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import schurkit
 from schurkit.cli import main
 
 STEP = ["--step", "2e-3"]  # coarser grid keeps the CLI suite quick
@@ -223,6 +225,13 @@ CIRCLE = {"geometry": "plane", "length": math.pi, "curvature": {"preset": "const
         ("verify", {"curvature": {"samples": [[0.0, 1.0]]}}, []),
         ("verify", {"curvature": {"samples": [[0.0, 1.0], [1.0, math.nan], [4.0, 1.0]]}}, []),
         ("verify", {"curvature": {"samples": [[0.0, 1.0], [0.0, 1.0]]}}, []),
+        ("global", {}, ["--s-star", "abc"]),
+        ("global", {}, ["--s-star", "nan"]),
+        ("global", {}, ["--s-star", "99"]),
+        ("spherical", {"geometry": "sphere"}, ["--plane", "nan,0,1:1"]),
+        ("project", {"geometry": "sphere"}, ["--plane", "1,0,0:inf"]),
+        ("chord", {"jumps": [["x", 0.1]]}, []),
+        ("chord", {"jumps": [[None, 0.1]]}, []),
     ],
 )
 def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
@@ -233,6 +242,9 @@ def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
         "reconstruct": ["reconstruct", spec, "-o", out],
         "project": ["project", spec, "-o", out],
         "sweep": ["sweep", "--theorem", "chord", spec, spec, "-o", out],
+        "global": ["verify", "--theorem", "global-monotonicity", spec, spec],
+        "spherical": ["verify", "--theorem", "spherical", spec, spec],
+        "chord": ["verify", "--theorem", "chord", spec, spec],
     }[command]
     assert main([*argv, *flags]) == 2
     assert "schurkit: input error" in capsys.readouterr().err
@@ -259,6 +271,15 @@ def test_verify_budget_overturned_exit_1(tmp_path, specs):
     data = json.loads(rep.read_text())
     assert data["conclusion"]["passed"] is False
     assert data["conclusion"]["checks"][0]["slack"] < -math.pi + 1e-6
+
+
+def test_verify_budget_non_convex_is_censused(tmp_path):
+    spec = write_spec(tmp_path / "c.json", {**CIRCLE, "convex": False})
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "budget", spec, "--report", str(rep), *STEP]) == 0
+    data = json.loads(rep.read_text())
+    assert data["conclusion"]["evaluated"] is False
+    assert [h["name"] for h in data["hypotheses"] if not h["passed"]] == ["convex_flag"]
 
 
 def test_verify_budget_square_exact(tmp_path, specs):
@@ -394,6 +415,15 @@ def test_module_entry_point(tmp_path, specs):
     )
     assert proc.returncode == 0
     assert json.loads(rep.read_text())["check"] == "budget"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, schurkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(schurkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_seed_env_echoed(tmp_path, specs, monkeypatch):

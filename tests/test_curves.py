@@ -22,7 +22,7 @@ from schurkit.curves import (
     total_turning,
 )
 from schurkit.errors import JumpAngleError, ProfileError
-from schurkit.numerics import StepControl
+from schurkit.numerics import StepControl, pchip
 
 TWO_PI = 2.0 * math.pi
 
@@ -341,3 +341,14 @@ def test_tangent_angle_total_matches_profile():
     ta = tangent_angle(c)
     assert abs(ta.total_turning - total_turning(profile)) < 1e-6
     assert ta.non_decreasing
+
+
+def test_cell_interpolant_matches_whole_segment_fit():
+    profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
+    c = reconstruct_plane(profile, control=StepControl(step_h=1e-2))
+    for seg in c.segments():
+        for row in (seg.start, (seg.start + seg.stop) // 2, seg.stop - 2):
+            q = np.linspace(c.s[row], c.s[row + 1], 9)
+            for values in (c.theta, c.tangent):
+                whole = pchip(c.s[seg], values[seg])(q)
+                assert np.array_equal(c.cell_interpolant(values, row)(q), whole)
