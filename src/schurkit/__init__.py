@@ -35,6 +35,7 @@ from .curves import (
 )
 from .schur import (
     ChordReport,
+    ComparisonPair,
     IsometricInclusion,
     MonotonicityReport,
     arc_length_budget_check,

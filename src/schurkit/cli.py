@@ -63,13 +63,7 @@ from .minkowski import (
 )
 from .numerics import StepControl, unit
 from .reports import Census, _json_float
-from .schur import (
-    chord_inequality,
-    expansion_module_check,
-    full_range_monotonicity,
-    monotonicity_profile,
-    nested_chord_inequality,
-)
+from .schur import ComparisonPair
 from .sphere import (
     ProjectionConfig,
     auto_projection_config,
@@ -80,6 +74,7 @@ from .sphere import (
 )
 
 GEOMETRIES = ("plane", "space3", "sphere", "minkowski2", "minkowski3")
+MAX_ROWS = 10_000_000  # grid rows per curve; a finer --step is refused before allocating
 THEOREMS = (
     "budget",
     "monotonicity",
@@ -249,6 +244,9 @@ def _spec_jumps(spec: dict, path: str) -> tuple[str, float, tuple[Jump, ...]]:
 
 def build_curve(spec: dict, control: StepControl, path: str, extra_jump_locs=()) -> BuiltCurve:
     geometry, length, jumps = _spec_jumps(spec, path)
+    if length / control.step_h > MAX_ROWS:
+        raise SpecError(f"{path}: --step {control.step_h:g} over length {length:g} "
+                        f"needs more than the budget of {MAX_ROWS} grid rows")
     k = curvature_from_spec(spec["curvature"], f"{path}.curvature")
     jumps = _merge_jumps(jumps, extra_jump_locs, length)
     initial = spec.get("initial", {})
@@ -606,20 +604,21 @@ def cmd_verify(args) -> int:
                  chord.cauchy_schwarz_slack, None),
             ]
 
-    else:  # plane-versus-space family
+    else:  # plane-versus-space family: one pair, and one window for every windowed check
+        pair = ComparisonPair(c, ct, args.tol)
         if theorem == "global-monotonicity":
-            pivot = "auto" if s_star is None else s_star
-            mono = full_range_monotonicity(c, ct, pivot, args.tol)
+            mono = pair.full_range("auto" if s_star is None else s_star)
         else:
-            mono = monotonicity_profile(c, ct, s_range, args.tol)
-        census = mono.census
+            window = pair.window(s_range)
+            mono = pair.monotonicity(window)
+        census = pair.census
         if mono.note:
             report["notes"].append(mono.note)
 
         def conclusion():
             checks = [("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s)]
             if theorem in ("monotonicity", "chord"):
-                chord = chord_inequality(c, ct, s_range, args.tol)
+                chord = pair.chord(window)
                 checks.append(("chord", chord.chord_slack >= -args.tol, chord.chord_slack, None))
                 checks.append(
                     ("chord_bound", chord.bound_slack >= -args.tol * max(chord.plane_chord, 1.0),
@@ -628,11 +627,9 @@ def cmd_verify(args) -> int:
             if theorem == "chord":
                 lo, hi = s_range if s_range else (0.0, built_c.length)
                 quarter = (hi - lo) / 4.0
-                nested = nested_chord_inequality(
-                    c, ct, lo, hi, lo + quarter, hi - quarter, args.tol
-                )
+                nested = pair.nested_chord(window, lo + quarter, hi - quarter)
                 checks.append(("nested_chord", nested.passed, nested.slack, None))
-                expansion = expansion_module_check(c, ct, args.pairs, seed, args.tol)
+                expansion = pair.expansion(args.pairs, seed, None)
                 checks.append(
                     ("expansion_bound", expansion.passed, expansion.min_slack,
                      expansion.worst_pair[0])
@@ -672,16 +669,14 @@ def cmd_sweep(args) -> int:
     built_c, built_t = _build_pair(args, control, args.theorem)
     c, ct = _comparison_curves(built_c, built_t)
 
+    pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
     snapped = sorted({float(c.s[c.nearest_row(a, side="minus")]) for a in anchors})
     rows, worst_mono, worst_chord, all_passed = [], math.inf, math.inf, True
-    census = None
     for i, s1 in enumerate(snapped):
         for s2 in snapped[i + 1 :]:
-            mono = monotonicity_profile(c, ct, (s1, s2), args.tol)
-            chord = chord_inequality(c, ct, (s1, s2), args.tol)
-            if census is None:
-                census = mono.census
+            window = pair.window((s1, s2))
+            mono, chord = pair.monotonicity(window), pair.chord(window)
             ok = mono.conclusion_passed and chord.passed
             all_passed &= ok
             worst_mono = min(worst_mono, mono.min_slack)
@@ -696,7 +691,7 @@ def cmd_sweep(args) -> int:
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
     write_csv(args.out, header, rows)
 
-    hypotheses_ok = census.all_passed if census is not None else True
+    hypotheses_ok = pair.census.all_passed
     report = {
         "check": f"sweep:{args.theorem}",
         "tool": {"name": "schurkit", "version": __version__},
@@ -704,7 +699,7 @@ def cmd_sweep(args) -> int:
             "step": args.step, "tol": args.tol, "grid": args.grid,
             "spec_c": args.spec_c, "spec_c_tilde": args.spec_c_tilde,
         },
-        "hypotheses": census.to_list() if census is not None else [],
+        "hypotheses": pair.census.to_list(),
         "conclusion": _conclusion_dict(
             [
                 ("worst_monotonicity_slack", worst_mono >= -args.tol, worst_mono, None),

@@ -378,7 +378,7 @@ def reconstruct_piecewise(
     field: Callable[[float, np.ndarray], np.ndarray],
     state0,
     intervals: Sequence[tuple[float, float]],
-    jump_map: Callable[[int, np.ndarray], np.ndarray],
+    jump_map: Callable[[int, np.ndarray], np.ndarray] | None,
     control: StepControl = DEFAULT_CONTROL,
     post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,9 +386,9 @@ def reconstruct_piecewise(
 
     Each interval is integrated by ``rk4_integrate``; between segments ``idx``
     and ``idx + 1`` the end state (a copy the map may modify) passes through
-    ``jump_map(idx, state)``. The jump point is stored twice: the last row of
-    one segment and the first row of the next. Returns the stacked grid, the
-    stacked states and the minus-side row of each jump.
+    ``jump_map(idx, state)`` (None for one interval). The jump point is stored
+    twice: the last row of one segment and the first row of the next. Returns
+    the stacked grid, the stacked states and the minus-side row of each jump.
     """
     state = np.asarray(state0, dtype=float)
     grids, values, jump_marks = [], [], []

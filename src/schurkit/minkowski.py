@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve, _require_aligned
+from .curves import SampledCurve, _require_aligned, reconstruct_piecewise
 from .errors import AlignmentError, CausalError, NormalizationError, ProfileError
 from .numerics import (
     CURVATURE_TOL,
@@ -26,9 +26,8 @@ from .numerics import (
     StepControl,
     finite_diff_array,
     grid_step,
-    rk4_integrate,
 )
-from .reports import Census
+from .reports import Census, worst_dominance
 
 __all__ = [
     "LorentzVec",
@@ -160,16 +159,11 @@ def reconstruct_timelike_2d(
         return np.array([math.cosh(y[2]), math.sinh(y[2]), float(k(s))])
 
     y0 = np.array([float(start[0]), float(start[1]), float(rapidity0)])
-    traj = rk4_integrate(fld, y0, (0.0, length), control)
-    vals = traj.values
+    s, vals, _ = reconstruct_piecewise(fld, y0, [(0.0, length)], None, control)
     phi = vals[:, 2]
     tangent = np.column_stack([np.cosh(phi), np.sinh(phi)])
-    h = grid_step(traj.s_grid)
-    measured = finite_diff_array(phi, h, 1)
-    return TimelikeCurve(
-        traj.s_grid, vals[:, 0:2], tangent,
-        SampledFunction(traj.s_grid, measured), rapidity=phi,
-    )
+    measured = finite_diff_array(phi, grid_step(s), 1)
+    return TimelikeCurve(s, vals[:, 0:2], tangent, SampledFunction(s, measured), rapidity=phi)
 
 
 def _lorentz_orthonormalize(s: float, y: np.ndarray) -> np.ndarray:
@@ -237,15 +231,13 @@ def reconstruct_timelike_3d(
         return dy
 
     y0 = np.concatenate([np.asarray(start, dtype=float), t0, e10, e20])
-    traj = rk4_integrate(fld, y0, (0.0, length), control, post_step=_lorentz_orthonormalize)
-    vals = traj.values
-    tangent = vals[:, 3:6]
-    h = grid_step(traj.s_grid)
-    dT = finite_diff_array(tangent, h, 1)
-    measured = np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))
-    return TimelikeCurve(
-        traj.s_grid, vals[:, 0:3], tangent, SampledFunction(traj.s_grid, measured)
+    s, vals, _ = reconstruct_piecewise(
+        fld, y0, [(0.0, length)], None, control, _lorentz_orthonormalize
     )
+    tangent = vals[:, 3:6]
+    dT = finite_diff_array(tangent, grid_step(s), 1)
+    measured = np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))
+    return TimelikeCurve(s, vals[:, 0:3], tangent, SampledFunction(s, measured))
 
 
 def embed_timelike_2d(curve: TimelikeCurve) -> TimelikeCurve:
@@ -397,21 +389,13 @@ def build_lorentz_inclusion(t_plane, t_space) -> np.ndarray:
 
 def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve) -> Census:
     census = Census()
-    census.add("unit_tangent_c", c.tangent_norm_drift() <= 1e-9, 1e-9 - c.tangent_norm_drift())
-    census.add(
-        "unit_tangent_c_tilde",
-        c_tilde.tangent_norm_drift() <= 1e-9,
-        1e-9 - c_tilde.tangent_norm_drift(),
-    )
+    for name, curve in (("unit_tangent_c", c), ("unit_tangent_c_tilde", c_tilde)):
+        drift = curve.tangent_norm_drift()
+        census.add(name, drift <= 1e-9, 1e-9 - drift)
     census.add("future_directed", c.future_directed() and c_tilde.future_directed())
-    k_c = c.curvature.values
-    k_t = np.abs(c_tilde.curvature.values)
-    diff = k_c - k_t
-    w = int(np.argmin(diff))
-    census.add(
-        "curvature_dominance", float(diff[w]) >= -CURVATURE_TOL, float(diff[w]), float(c.s[w])
-    )
-    census.add("convexity", float(np.min(k_c)) >= -CURVATURE_TOL, float(np.min(k_c)))
+    slack, location, k_min = worst_dominance(c.curvature.values, c_tilde.curvature.values, c.s)
+    census.add("curvature_dominance", slack >= -CURVATURE_TOL, slack, location)
+    census.add("convexity", k_min >= -CURVATURE_TOL, k_min)
     return census
 
 

@@ -121,12 +121,6 @@ class SampledFunction:
             raise DomainError(f"s={s!r} is not a grid point of this sampled function")
         return best
 
-    def restrict(self, a: float, b: float) -> "SampledFunction":
-        i0, i1 = self.index_of(a), self.index_of(b)
-        if i1 <= i0:
-            raise DomainError(f"empty restriction [{a}, {b}]")
-        return SampledFunction(self.s_grid[i0 : i1 + 1], self.values[i0 : i1 + 1])
-
 
 # ---------------------------------------------------------------------------
 # small vector helpers
@@ -138,12 +132,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-14:
         raise NormalizationError("cannot normalize a (near-)zero vector")
     return v / n
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two vectors (normalized internally)."""
-    uu, vv = unit(u), unit(v)
-    return float(np.arccos(np.clip(np.dot(uu, vv), -1.0, 1.0)))
 
 
 def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class HypothesisCheck:
@@ -59,6 +61,23 @@ class Census:
 
     def to_list(self) -> list[dict]:
         return [c.to_dict() for c in self.checks]
+
+
+def worst_dominance(
+    k: np.ndarray, k_tilde: np.ndarray, s_grid: np.ndarray
+) -> tuple[float, float, float] | None:
+    """The one curvature-dominance rule: ``(slack, location, k_min)`` over finite samples.
+
+    ``slack`` is the smallest ``k - |k~|``, ``location`` its ``s_grid`` value and
+    ``k_min`` the smallest ``k``, all over the samples where both are finite;
+    None when there are none (every row masked).
+    """
+    mask = np.isfinite(k) & np.isfinite(k_tilde)
+    if not mask.any():
+        return None
+    diff = k[mask] - np.abs(k_tilde[mask])
+    w = int(np.argmin(diff))
+    return float(diff[w]), float(s_grid[mask][w]), float(np.min(k[mask]))
 
 
 def _json_float(x) -> float | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,11 @@ from .numerics import (
     orthonormal_complement,
     unit,
 )
-from .reports import Census
+from .reports import Census, worst_dominance
 
 __all__ = [
+    "ComparisonPair",
+    "PivotWindow",
     "IsometricInclusion",
     "SStarResult",
     "MonotonicityReport",
@@ -137,58 +140,6 @@ def _window_rows(c: SampledCurve, s_range) -> tuple[int, int]:
     return c.nearest_row(a, side="plus"), c.nearest_row(b, side="minus")
 
 
-def _pivot_window(c: SampledCurve, s_range, c_tilde: SampledCurve | None = None,
-                  angle_tol: float = 1e-9):
-    """(rows, chord length, s*, N, N~) of one window, each derived once.
-
-    The pivots N and N~ are None when no comparison curve c~ is given.
-    """
-    if c.theta is None:
-        raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
-    i0, i1 = _window_rows(c, s_range)
-    window = (float(c.s[i0]), float(c.s[i1]))
-    chord = c.position[i1] - c.position[i0]
-    clen = float(np.linalg.norm(chord))
-    if clen < 1e-12:
-        raise HypothesisViolationError("degenerate (zero) chord: no direction to match")
-
-    th = np.maximum.accumulate(c.theta[i0 : i1 + 1])
-    phi = math.atan2(chord[1], chord[0])
-    m = math.ceil((th[0] - phi - angle_tol) / TWO_PI)
-    phi_star = phi + TWO_PI * m
-    if phi_star > th[-1] + angle_tol:
-        raise HypothesisViolationError(
-            "chord direction lies outside the tangent angular range; "
-            "the profile is not a valid convex curve"
-        )
-    phi_star = min(max(phi_star, th[0]), th[-1])
-
-    j = int(np.searchsorted(th, phi_star, side="left"))
-    j = min(j, len(th) - 1)
-    s_loc = c.s[i0 : i1 + 1]
-
-    if th[j] - phi_star <= angle_tol:
-        # lands on (or within tolerance of) a sample row
-        star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
-    elif j > 0 and s_loc[j] == s_loc[j - 1]:
-        # strictly inside a jump's angular gap
-        beta_minus = phi_star - th[j - 1]
-        star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
-    else:
-        # smooth crossing between rows j-1 and j: invert the segment-wise
-        # running maximum of theta on that cell
-        theta = np.concatenate([np.maximum.accumulate(c.theta[sl]) for sl in c.segments()])
-        interp = c.cell_interpolant(theta, i0 + j - 1)
-        root = bisect_monotone(
-            lambda x: float(interp(x)) - phi_star,
-            (float(s_loc[j - 1]), float(s_loc[j])),
-            tol=1e-13,
-        )
-        star = SStarResult(float(root), i0 + j - 1, False, phi_star, None, window)
-    pivots = (None, None) if c_tilde is None else _pivots(c, c_tilde, star)
-    return (i0, i1), clen, star, *pivots
-
-
 def find_s_star(
     c: SampledCurve,
     s_range: tuple[float, float] | None = None,
@@ -200,7 +151,12 @@ def find_s_star(
     angle is lifted into the window's angular range [theta(s'), theta(s'')];
     failure to lift means the input violates convexity and raises.
     """
-    return _pivot_window(c, s_range, angle_tol=angle_tol)[2]
+    return ComparisonPair(c, c)._locate(s_range, angle_tol)[2]
+
+
+def _jump_angle(curve: SampledCurve, i: int) -> float:
+    """Turning angle between the one-sided tangents of jump row i."""
+    return math.acos(float(np.clip(np.dot(curve.tangent[i], curve.tangent[i + 1]), -1.0, 1.0)))
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
@@ -226,8 +182,7 @@ def _pivots(
     if star.jump_interior:
         i = star.index
         t_minus, t_plus = c_tilde.tangent[i], c_tilde.tangent[i + 1]
-        alpha = math.acos(float(np.clip(np.dot(c.tangent[i], c.tangent[i + 1]), -1.0, 1.0)))
-        alpha_t = math.acos(float(np.clip(np.dot(t_minus, t_plus), -1.0, 1.0)))
+        alpha, alpha_t = _jump_angle(c, i), _jump_angle(c_tilde, i)
         beta_t = star.beta_minus * (alpha_t / alpha) if alpha > 1e-15 else 0.0
         return n_plane, unit(_slerp(t_minus, t_plus, beta_t))
     s_row = float(c.s[star.index])
@@ -295,29 +250,15 @@ def hypothesis_census(
     census = Census()
 
     k_c = curvature_magnitude(c)
-    k_t = curvature_magnitude(c_tilde)
-    mask = np.isfinite(k_c.values) & np.isfinite(k_t.values)
-    diff = k_c.values[mask] - k_t.values[mask]
-    if diff.size:
-        w = int(np.argmin(diff))
-        census.add(
-            "curvature_dominance",
-            float(diff[w]) >= -curvature_tol,
-            float(diff[w]),
-            float(k_c.s_grid[mask][w]),
-        )
-    else:
+    dominance = worst_dominance(k_c.values, curvature_magnitude(c_tilde).values, k_c.s_grid)
+    if dominance is None:
         census.add("curvature_dominance", True, note="no smooth samples")
+    else:
+        census.add("curvature_dominance", dominance[0] >= -curvature_tol, *dominance[:2])
 
     if len(c.jump_marks):
-        worst, loc = math.inf, None
-        for i in c.jump_marks:
-            a_c = math.acos(float(np.clip(np.dot(c.tangent[i], c.tangent[i + 1]), -1, 1)))
-            a_t = math.acos(
-                float(np.clip(np.dot(c_tilde.tangent[i], c_tilde.tangent[i + 1]), -1, 1))
-            )
-            if a_c - a_t < worst:
-                worst, loc = a_c - a_t, float(c.s[i])
+        gaps = [(_jump_angle(c, i) - _jump_angle(c_tilde, i), float(c.s[i])) for i in c.jump_marks]
+        worst, loc = min(gaps, key=lambda gap: gap[0])
         census.add("jump_dominance", worst >= -tol, worst, loc)
     else:
         census.add("jump_dominance", True, note="no jumps")
@@ -332,6 +273,204 @@ def hypothesis_census(
         census.add("convexity", False, note="no tangent-angle data")
 
     return census
+
+
+# ---------------------------------------------------------------------------
+# comparison pair
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PivotWindow:
+    """One window [s', s''] of a comparison pair, derived once.
+
+    ``rows`` are the snapped grid rows (plus side at s', minus side at s''),
+    ``chord_length`` is |c(s'') - c(s')|, and ``pivot_plane``/``pivot_space``
+    are the directions N and N~ that the inclusion identifies at s*.
+    """
+
+    rows: tuple[int, int]
+    chord_length: float
+    star: SStarResult
+    pivot_plane: np.ndarray
+    pivot_space: np.ndarray
+
+
+class ComparisonPair:
+    """A convex plane curve c and a space curve c~ on one aligned grid.
+
+    The hypotheses of the comparison (curvature and jump dominance,
+    convexity, the turning budget) belong to the pair, not to a window, so
+    the census is taken on first read and kept; a window only fixes the
+    pivot. ``window`` derives a window's rows, chord, s* and pivots once,
+    and every windowed check reads them from it.
+    """
+
+    def __init__(self, c: SampledCurve, c_tilde: SampledCurve, tol: float = DEFAULT_TOL,
+                 curvature_tol: float | None = None) -> None:
+        _require_aligned(c, c_tilde)
+        self.c, self.c_tilde = c, c_tilde
+        self.tol, self.curvature_tol = tol, curvature_tol
+
+    @cached_property
+    def census(self) -> Census:
+        return hypothesis_census(self.c, self.c_tilde, self.tol, self.curvature_tol)
+
+    @cached_property
+    def _theta_max(self) -> np.ndarray:
+        """Segment-wise running maximum of theta: what an off-grid s* inverts."""
+        return np.concatenate([np.maximum.accumulate(self.c.theta[sl]) for sl in self.c.segments()])
+
+    def _locate(self, s_range, angle_tol: float = 1e-9):
+        """(rows, chord length, s*) of one window."""
+        c = self.c
+        if c.theta is None:
+            raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
+        i0, i1 = _window_rows(c, s_range)
+        window = (float(c.s[i0]), float(c.s[i1]))
+        chord = c.position[i1] - c.position[i0]
+        clen = float(np.linalg.norm(chord))
+        if clen < 1e-12:
+            raise HypothesisViolationError("degenerate (zero) chord: no direction to match")
+
+        th = np.maximum.accumulate(c.theta[i0 : i1 + 1])
+        phi = math.atan2(chord[1], chord[0])
+        m = math.ceil((th[0] - phi - angle_tol) / TWO_PI)
+        phi_star = phi + TWO_PI * m
+        if phi_star > th[-1] + angle_tol:
+            raise HypothesisViolationError(
+                "chord direction lies outside the tangent angular range; "
+                "the profile is not a valid convex curve"
+            )
+        phi_star = min(max(phi_star, th[0]), th[-1])
+
+        j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
+        s_loc = c.s[i0 : i1 + 1]
+
+        if th[j] - phi_star <= angle_tol:
+            # lands on (or within tolerance of) a sample row
+            star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
+        elif j > 0 and s_loc[j] == s_loc[j - 1]:
+            # strictly inside a jump's angular gap
+            beta_minus = phi_star - th[j - 1]
+            star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
+        else:
+            # smooth crossing between rows j-1 and j: invert theta on that cell
+            interp = c.cell_interpolant(self._theta_max, i0 + j - 1)
+            root = bisect_monotone(
+                lambda x: float(interp(x)) - phi_star,
+                (float(s_loc[j - 1]), float(s_loc[j])),
+                tol=1e-13,
+            )
+            star = SStarResult(float(root), i0 + j - 1, False, phi_star, None, window)
+        return (i0, i1), clen, star
+
+    def window(self, s_range) -> PivotWindow:
+        rows, clen, star = self._locate(s_range)
+        return PivotWindow(rows, clen, star, *_pivots(self.c, self.c_tilde, star))
+
+    def monotonicity(self, w: PivotWindow) -> MonotonicityReport:
+        """Derivative of I(s) on the window, the inclusion eliminated analytically.
+
+        Pairing iota with its own pivot turns <iota(T), iota(chord)> into a
+        plane inner product, so the slack reduces to |chord| (<T~, N~> - <T, N>).
+        """
+        c, ct, clen = self.c, self.c_tilde, w.chord_length
+        sl = slice(w.rows[0], w.rows[1] + 1)
+        slack = clen * (ct.tangent[sl] @ w.pivot_space - c.tangent[sl] @ w.pivot_plane)
+        inclusion = build_inclusion(w.pivot_plane, w.pivot_space)
+        iota_pos = inclusion.apply(c.position[sl])
+        i_samples = (ct.position[sl] - iota_pos) @ (clen * w.pivot_space)
+        k = int(np.argmin(slack))
+        return MonotonicityReport(
+            s_star=w.star.s_star, jump_interior=w.star.jump_interior, window=w.star.window,
+            s=c.s[sl].copy(), I_samples=i_samples, derivative_slack=slack,
+            min_slack=float(slack[k]), argmin_s=float(c.s[sl][k]), pair=self, inclusion=inclusion,
+            pivot_plane=w.pivot_plane, pivot_space=w.pivot_space, tol=self.tol,
+        )
+
+    def full_range(self, s_star) -> MonotonicityReport:
+        """Whole-curve monotonicity with a freely chosen pivot (see ``full_range_monotonicity``)."""
+        c, ct = self.c, self.c_tilde
+        if c.theta is None:
+            raise ProfileError("full-range monotonicity needs a convex plane curve")
+        note = ""
+        if isinstance(s_star, str) and s_star == "auto":
+            th = c.theta
+            ok = (th - th[0] <= math.pi + 1e-12) & (th[-1] - th <= math.pi + 1e-12)
+            idx = np.flatnonzero(ok)
+            if idx.size == 0:
+                raise ProfileError("no pivot satisfies the half-turn arc budget")
+            row = int(idx[0])
+            note = f"auto pivot: smallest grid parameter with both arcs <= pi (s*={c.s[row]:.9g})"
+        else:
+            row = c.nearest_row(float(s_star), side="minus")
+            budget = arc_length_budget_check(
+                c, float(c.s[0]), float(c.s[-1]), float(s_star), self.tol
+            )
+            if not budget.passed:
+                raise ProfileError(
+                    f"pivot s*={float(s_star):.9g} violates the arc budget: "
+                    f"lengths ({budget.length_first:.6g}, {budget.length_second:.6g}) must be <= pi"
+                )
+        star = SStarResult(float(c.s[row]), row, False, float(c.theta[row]), None,
+                           (float(c.s[0]), float(c.s[-1])))
+        clen = float(np.linalg.norm(c.position[-1] - c.position[0]))
+        report = self.monotonicity(PivotWindow(
+            (0, len(c.s) - 1), clen, star, unit(c.tangent[row]), unit(ct.tangent[row])
+        ))
+        report.note = note
+        return report
+
+    def chord(self, w: PivotWindow) -> ChordReport:
+        """Plane chord against the space displacement paired with the included chord."""
+        (i0, i1), clen = w.rows, w.chord_length
+        delta_t = self.c_tilde.position[i1] - self.c_tilde.position[i0]
+        bound = float(delta_t @ w.pivot_space) * clen
+        space_chord = float(np.linalg.norm(delta_t))
+        bound_slack = bound - clen * clen
+        chord_slack = space_chord - clen
+        return ChordReport(
+            plane_chord=clen, space_chord=space_chord, inner_product_bound=bound,
+            s_star=w.star.s_star,
+            passed=(bound_slack >= -self.tol * max(clen, 1.0)) and (chord_slack >= -self.tol),
+            bound_slack=bound_slack, chord_slack=chord_slack,
+        )
+
+    def nested_chord(self, w: PivotWindow, s_inner_first: float,
+                     s_inner_second: float) -> NestedChordReport:
+        """Inner displacement of both curves against the window's chord."""
+        c, ct, clen = self.c, self.c_tilde, w.chord_length
+        j0 = c.nearest_row(s_inner_first, side="plus")
+        j1 = c.nearest_row(s_inner_second, side="minus")
+        lhs = float((c.position[j1] - c.position[j0]) @ (clen * w.pivot_plane))
+        rhs = float((ct.position[j1] - ct.position[j0]) @ (clen * w.pivot_space))
+        slack = rhs - lhs
+        passed = slack >= -self.tol * max(clen, 1.0)
+        return NestedChordReport(lhs, rhs, slack, w.star.s_star, passed)
+
+    def expansion(self, pair_samples: int, seed: int,
+                  min_separation: float | None) -> ExpansionReport:
+        """Linear expansion bound on seeded random windows (see ``expansion_module_check``)."""
+        c, ct = self.c, self.c_tilde
+        rng = np.random.default_rng(seed)
+        n = len(c.s)
+        sep = max(10, n // 100) if min_separation is None else int(
+            max(2, min_separation / max(np.max(np.diff(c.s)), 1e-12))
+        )
+        worst, worst_pair, made = math.inf, (0.0, 0.0), 0
+        while made < pair_samples:
+            i = int(rng.integers(0, n - sep))
+            j = int(rng.integers(i + sep, n))
+            a, b = float(c.s[i]), float(c.s[j])
+            if b - a <= 0:
+                continue
+            w = self.window((a, b))
+            i0, i1 = w.rows
+            slack = float((ct.position[i1] - ct.position[i0]) @ w.pivot_space) - w.chord_length
+            if slack < worst:
+                worst, worst_pair = slack, (a, b)
+            made += 1
+        return ExpansionReport(pair_samples, worst, worst_pair, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +494,17 @@ class MonotonicityReport:
     derivative_slack: np.ndarray
     min_slack: float
     argmin_s: float
-    census: Census
+    pair: ComparisonPair
     inclusion: IsometricInclusion
     pivot_plane: np.ndarray
     pivot_space: np.ndarray
     tol: float
     note: str = ""
+
+    @property
+    def census(self) -> Census:
+        """The pair's hypothesis census, taken on first read."""
+        return self.pair.census
 
     @property
     def conclusion_passed(self) -> bool:
@@ -371,32 +515,6 @@ class MonotonicityReport:
         return self.census.all_passed and self.conclusion_passed
 
 
-def _monotonicity_core(c, c_tilde, rows, clen, n_plane, n_space, star_s, interior, window,
-                       census, tol, note="") -> MonotonicityReport:
-    sl = slice(rows[0], rows[1] + 1)
-    slack = clen * (c_tilde.tangent[sl] @ n_space - c.tangent[sl] @ n_plane)
-    inclusion = build_inclusion(n_plane, n_space)
-    iota_pos = inclusion.apply(c.position[sl])
-    i_samples = (c_tilde.position[sl] - iota_pos) @ (clen * n_space)
-    w = int(np.argmin(slack))
-    return MonotonicityReport(
-        s_star=star_s,
-        jump_interior=interior,
-        window=window,
-        s=c.s[sl].copy(),
-        I_samples=i_samples,
-        derivative_slack=slack,
-        min_slack=float(slack[w]),
-        argmin_s=float(c.s[sl][w]),
-        census=census,
-        inclusion=inclusion,
-        pivot_plane=n_plane,
-        pivot_space=n_space,
-        tol=tol,
-        note=note,
-    )
-
-
 def monotonicity_profile(
     c: SampledCurve,
     c_tilde: SampledCurve,
@@ -404,19 +522,9 @@ def monotonicity_profile(
     tol: float = DEFAULT_TOL,
     curvature_tol: float | None = None,
 ) -> MonotonicityReport:
-    """Windowed monotonicity check with the pivot fixed by the chord direction.
-
-    The inclusion is eliminated analytically from the derivative: pairing
-    iota with its own pivot turns <iota(T), iota(chord)> into a plane inner
-    product, so the slack reduces to |chord| (<T~, N~> - <T, N>).
-    """
-    _require_aligned(c, c_tilde)
-    census = hypothesis_census(c, c_tilde, tol, curvature_tol)
-    rows, clen, star, n_plane, n_space = _pivot_window(c, s_range, c_tilde)
-    return _monotonicity_core(
-        c, c_tilde, rows, clen, n_plane, n_space,
-        star.s_star, star.jump_interior, star.window, census, tol,
-    )
+    """Windowed monotonicity check with the pivot fixed by the chord direction."""
+    pair = ComparisonPair(c, c_tilde, tol, curvature_tol)
+    return pair.monotonicity(pair.window(s_range))
 
 
 def full_range_monotonicity(
@@ -432,35 +540,7 @@ def full_range_monotonicity(
     works; "auto" picks the smallest grid parameter satisfying that budget
     (the turning budget guarantees one exists) and records the choice.
     """
-    _require_aligned(c, c_tilde)
-    if c.theta is None:
-        raise ProfileError("full-range monotonicity needs a convex plane curve")
-    census = hypothesis_census(c, c_tilde, tol, curvature_tol)
-
-    note = ""
-    if isinstance(s_star, str) and s_star == "auto":
-        th = c.theta
-        ok = (th - th[0] <= math.pi + 1e-12) & (th[-1] - th <= math.pi + 1e-12)
-        idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            raise ProfileError("no pivot satisfies the half-turn arc budget")
-        row = int(idx[0])
-        note = f"auto pivot: smallest grid parameter with both arcs <= pi (s*={c.s[row]:.9g})"
-    else:
-        row = c.nearest_row(float(s_star), side="minus")
-        budget = arc_length_budget_check(c, float(c.s[0]), float(c.s[-1]), float(s_star), tol)
-        if not budget.passed:
-            raise ProfileError(
-                f"pivot s*={float(s_star):.9g} violates the arc budget: "
-                f"lengths ({budget.length_first:.6g}, {budget.length_second:.6g}) must be <= pi"
-            )
-    n_plane = unit(c.tangent[row])
-    n_space = unit(c_tilde.tangent[row])
-    clen = float(np.linalg.norm(c.position[-1] - c.position[0]))
-    return _monotonicity_core(
-        c, c_tilde, (0, len(c.s) - 1), clen, n_plane, n_space,
-        float(c.s[row]), False, (float(c.s[0]), float(c.s[-1])), census, tol, note,
-    )
+    return ComparisonPair(c, c_tilde, tol, curvature_tol).full_range(s_star)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +576,8 @@ def tangent_cosine_comparison(
     """
     _require_aligned(c, c_tilde)
     if isinstance(s_star, SStarResult):
-        star = s_star
-        n_plane, n_space = _pivots(c, c_tilde, star)
-        theta_star = star.chord_angle
+        n_plane, n_space = _pivots(c, c_tilde, s_star)
+        theta_star = s_star.chord_angle
     else:
         row = c.nearest_row(float(s_star), side="minus")
         n_plane, n_space = unit(c.tangent[row]), unit(c_tilde.tangent[row])
@@ -550,23 +629,8 @@ def chord_inequality(
     s_range: tuple[float, float] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ChordReport:
-    _require_aligned(c, c_tilde)
-    (i0, i1), clen, star, _, n_space = _pivot_window(c, s_range, c_tilde)
-    delta_t = c_tilde.position[i1] - c_tilde.position[i0]
-    p2 = float(delta_t @ n_space)
-    bound = p2 * clen
-    space_chord = float(np.linalg.norm(delta_t))
-    bound_slack = bound - clen * clen
-    chord_slack = space_chord - clen
-    return ChordReport(
-        plane_chord=clen,
-        space_chord=space_chord,
-        inner_product_bound=bound,
-        s_star=star.s_star,
-        passed=(bound_slack >= -tol * max(clen, 1.0)) and (chord_slack >= -tol),
-        bound_slack=bound_slack,
-        chord_slack=chord_slack,
-    )
+    pair = ComparisonPair(c, c_tilde, tol)
+    return pair.chord(pair.window(s_range))
 
 
 @dataclass
@@ -593,16 +657,10 @@ def nested_chord_inequality(
     a* < b* inside the outer window; equals the chord inequality when the
     windows coincide.
     """
-    _require_aligned(c, c_tilde)
+    pair = ComparisonPair(c, c_tilde, tol)
     if not (s_first <= s_inner_first < s_inner_second <= s_second):
         raise ValueError("inner window must nest inside the outer window")
-    _, clen, star, n_plane, n_space = _pivot_window(c, (s_first, s_second), c_tilde)
-    j0 = c.nearest_row(s_inner_first, side="plus")
-    j1 = c.nearest_row(s_inner_second, side="minus")
-    lhs = float((c.position[j1] - c.position[j0]) @ (clen * n_plane))
-    rhs = float((c_tilde.position[j1] - c_tilde.position[j0]) @ (clen * n_space))
-    slack = rhs - lhs
-    return NestedChordReport(lhs, rhs, slack, star.s_star, slack >= -tol * max(clen, 1.0))
+    return pair.nested_chord(pair.window((s_first, s_second)), s_inner_first, s_inner_second)
 
 
 @dataclass
@@ -632,26 +690,7 @@ def expansion_module_check(
     tol: float = DEFAULT_TOL,
     min_separation: float | None = None,
 ) -> ExpansionReport:
-    _require_aligned(c, c_tilde)
-    rng = np.random.default_rng(seed)
-    n = len(c.s)
-    sep = max(10, n // 100) if min_separation is None else int(
-        max(2, min_separation / max(np.max(np.diff(c.s)), 1e-12))
-    )
-    worst, worst_pair, made = math.inf, (0.0, 0.0), 0
-    while made < pair_samples:
-        i = int(rng.integers(0, n - sep))
-        j = int(rng.integers(i + sep, n))
-        a, b = float(c.s[i]), float(c.s[j])
-        if b - a <= 0:
-            continue
-        (i0, i1), clen, _, _, n_space = _pivot_window(c, (a, b), c_tilde)
-        proj = float((c_tilde.position[i1] - c_tilde.position[i0]) @ n_space)
-        slack = proj - clen
-        if slack < worst:
-            worst, worst_pair = slack, (a, b)
-        made += 1
-    return ExpansionReport(pair_samples, worst, worst_pair, tol)
+    return ComparisonPair(c, c_tilde, tol).expansion(pair_samples, seed, min_separation)
 
 
 # ---------------------------------------------------------------------------

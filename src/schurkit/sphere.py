@@ -47,8 +47,8 @@ from .numerics import (
     pchip,
     unit,
 )
-from .reports import Census
-from .schur import ChordReport, MonotonicityReport, chord_inequality, monotonicity_profile
+from .reports import Census, worst_dominance
+from .schur import ChordReport, ComparisonPair, MonotonicityReport
 
 __all__ = [
     "SphericalCurve",
@@ -486,21 +486,13 @@ def curvature_dominance_check(
     pair: ProjectedPair, tol: float = CURVATURE_TOL
 ) -> DominanceReport:
     """Sample-wise k >= 0 and k >= |k~| for the projected pair."""
-    kp, kt = pair.plane_curvature.values, pair.space_curvature.values
-    mask = np.isfinite(kp) & np.isfinite(kt)
-    if not np.any(mask):
-        return DominanceReport(True, 0.0, 0.0, None, tol)
-    diff = kp[mask] - np.abs(kt[mask])
-    w = int(np.argmin(diff))
-    min_dom = float(diff[w])
-    min_pos = float(np.min(kp[mask]))
-    return DominanceReport(
-        min_dom >= -tol and min_pos >= -tol,
-        min_pos,
-        min_dom,
-        float(pair.plane_curvature.s_grid[mask][w]),
-        tol,
+    dominance = worst_dominance(
+        pair.plane_curvature.values, pair.space_curvature.values, pair.plane_curvature.s_grid
     )
+    if dominance is None:
+        return DominanceReport(True, 0.0, 0.0, None, tol)
+    min_dom, location, min_pos = dominance
+    return DominanceReport(min_dom >= -tol and min_pos >= -tol, min_pos, min_dom, location, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -664,30 +656,13 @@ def spherical_schur_verify(
         census.add(name, drift <= 1e-9, 1e-9 - drift)
     census.add("length_within_pi", c.length <= math.pi + 1e-9, math.pi - c.length)
 
-    kg_c = (
-        c.geodesic_curvature
-        if c.geodesic_curvature is not None
-        else geodesic_curvature_of(c)
+    kg_c, kg_t = (
+        x.geodesic_curvature if x.geodesic_curvature is not None else geodesic_curvature_of(x)
+        for x in (c, c_tilde)
     )
-    kg_t = (
-        c_tilde.geodesic_curvature
-        if c_tilde.geodesic_curvature is not None
-        else geodesic_curvature_of(c_tilde)
-    )
-    mask = np.isfinite(kg_c.values) & np.isfinite(kg_t.values)
-    diff = kg_c.values[mask] - np.abs(kg_t.values[mask])
-    w = int(np.argmin(diff))
-    census.add(
-        "geodesic_curvature_dominance",
-        float(diff[w]) >= -curvature_tol,
-        float(diff[w]),
-        float(kg_c.s_grid[mask][w]),
-    )
-    census.add(
-        "spherical_convexity",
-        float(np.min(kg_c.values[mask])) >= -curvature_tol,
-        float(np.min(kg_c.values[mask])),
-    )
+    slack, location, kg_min = worst_dominance(kg_c.values, kg_t.values, kg_c.s_grid)
+    census.add("geodesic_curvature_dominance", slack >= -curvature_tol, slack, location)
+    census.add("spherical_convexity", kg_min >= -curvature_tol, kg_min)
     alphas, alphas_t = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
     if alphas:
         gaps = [a - b for a, b in zip(alphas, alphas_t)]
@@ -701,12 +676,8 @@ def spherical_schur_verify(
 
     pair = project_pair(c, c_tilde, config)
     dominance = curvature_dominance_check(pair, curvature_tol)
-    census.add(
-        "projected_curvature_dominance",
-        dominance.passed,
-        min(dominance.min_dominance, dominance.min_positivity),
-        dominance.argmin_s,
-    )
+    census.add("projected_curvature_dominance", dominance.passed, dominance.min_dominance,
+               dominance.argmin_s)
     if pair.jump_angles_plane:
         jump_slack = min(
             tp - ts for tp, ts in zip(pair.jump_angles_plane, pair.jump_angles_space)
@@ -721,8 +692,10 @@ def spherical_schur_verify(
     )
 
     plane2d, space3d = reparametrize_projected_pair(pair, control)
-    mono = monotonicity_profile(plane2d, space3d, tol=tol, curvature_tol=curvature_tol)
-    chords = chord_inequality(plane2d, space3d, tol=tol)
+    # the verification reports the spherical census above; mono.census is taken only if read
+    projected = ComparisonPair(plane2d, space3d, tol, curvature_tol)
+    window = projected.window(None)
+    mono, chords = projected.monotonicity(window), projected.chord(window)
 
     r0, r1 = float(pair.R.values[0]), float(pair.R.values[-1])
     hinge = hinge_compare(r0, r1, chords.plane_chord, chords.space_chord)

@@ -232,6 +232,7 @@ CIRCLE = {"geometry": "plane", "length": math.pi, "curvature": {"preset": "const
         ("project", {"geometry": "sphere"}, ["--plane", "1,0,0:inf"]),
         ("chord", {"jumps": [["x", 0.1]]}, []),
         ("chord", {"jumps": [[None, 0.1]]}, []),
+        ("verify", {}, ["--step", "1e-12"]),  # row budget: refused before allocation
     ],
 )
 def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
@@ -372,6 +373,78 @@ def test_sweep_circle_vs_line(tmp_path, specs):
     assert all(r[passed_col] == "1" for r in rows)
     data = json.loads(rep.read_text())
     assert data["conclusion"]["passed"] is True
+
+
+def test_sweep_takes_census_once(tmp_path, specs, monkeypatch):
+    import schurkit.schur
+
+    calls = []
+    census = schurkit.schur.hypothesis_census
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(schurkit.schur, "hypothesis_census", counting)
+    code = main([
+        "sweep", "--theorem", "chord", specs["circle"], specs["helix"],
+        "--grid", "6", "-o", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"), *STEP,
+    ])
+    assert code == 0
+    assert len(calls) == 1  # one census per pair, not one per window
+
+
+def test_sweep_rows_match_independent_checks(tmp_path):
+    """Each sweep row equals monotonicity_profile and chord_inequality on its window."""
+    from schurkit import (
+        CurvatureProfile, Jump, StepControl, chord_inequality, constant_curvature,
+        monotonicity_profile, reconstruct_plane, reconstruct_space_profile,
+    )
+
+    L = math.pi
+    spec_c = write_spec(tmp_path / "c.json", {
+        "geometry": "plane", "length": L,
+        "curvature": {"preset": "constant", "value": 0.4},
+        "jumps": [[1.0, 0.6], [2.2, 0.5]],
+    })
+    spec_t = write_spec(tmp_path / "t.json", {
+        "geometry": "space3", "length": L,
+        "curvature": {"preset": "constant", "value": 0.2},
+        "torsion": {"preset": "constant", "value": 0.3},
+        "jumps": [[1.0, 0.3, [0.0, 0.0, 1.0]], [2.2, 0.2, [0.0, 1.0, 0.0]]],
+    })
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--theorem", "chord", spec_c, spec_t, "--grid", "9", "-o", str(out), *STEP])
+    assert code == 0
+
+    control = StepControl(step_h=2e-3)
+    c = reconstruct_plane(
+        CurvatureProfile(L, constant_curvature(0.4), (Jump(1.0, 0.6), Jump(2.2, 0.5))),
+        control=control,
+    )
+    ct = reconstruct_space_profile(
+        CurvatureProfile(
+            L, constant_curvature(0.2),
+            (Jump(1.0, 0.3, (0.0, 0.0, 1.0)), Jump(2.2, 0.2, (0.0, 1.0, 0.0))), convex=False,
+        ),
+        constant_curvature(0.3), control=control,
+    )
+    header, rows = read_csv(out)
+    assert len(rows) == 36
+    kinds = set()
+    for row in rows:
+        s1, s2 = float(row[0]), float(row[1])
+        mono = monotonicity_profile(c, ct, (s1, s2))
+        chord = chord_inequality(c, ct, (s1, s2))
+        expected = [
+            s1, s2, mono.s_star, str(int(mono.jump_interior)), mono.min_slack,
+            chord.plane_chord, chord.space_chord, chord.chord_slack, chord.bound_slack,
+            str(int(mono.conclusion_passed and chord.passed)),
+        ]
+        assert row == [v if isinstance(v, str) else f"{v:.17g}" for v in expected]
+        kinds.add("jump" if mono.jump_interior else
+                  "grid" if np.any(c.s == mono.s_star) else "off-grid")
+    assert {"jump", "off-grid"} <= kinds
 
 
 def test_sweep_needs_windowed_theorem(tmp_path, specs):
