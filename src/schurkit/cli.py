@@ -325,20 +325,26 @@ def _build_aligned(spec_a, path_a, spec_b, path_b, control) -> tuple[BuiltCurve,
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+CSV_CHUNK = 4096  # rows formatted per write, so a table never sits in memory as text
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length ``columns`` (float arrays, or sequences of floats or
+    strings) as CSV rows under ``header``.
+
+    Floats print as ``%.17g`` (round-trip exact; ``nan``, ``inf``, ``-0``),
+    strings as they are. Rows are formatted and written a chunk at a time.
+    """
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        n = len(columns[0]) if columns else 0
+        if not n:
+            return
+        fmt = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+        for lo in range(0, n, CSV_CHUNK):
+            chunk = (c[lo : lo + CSV_CHUNK] for c in columns)
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+            f.writelines(fmt % row for row in rows)
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -374,8 +380,9 @@ def cmd_reconstruct(args) -> int:
     control = _control(args)
     built = build_curve(load_spec(args.spec), control, args.spec)
     curve = built.curve
-    jump_flags = np.zeros(len(curve.s), dtype=int)
-    jump_flags[curve.jump_marks] = 1
+    jump = ["0"] * len(curve.s)
+    for i in curve.jump_marks:
+        jump[i] = "1"
 
     if built.geometry in ("plane", "space3"):
         kappa = curve.expand(curvature_magnitude(curve).values)
@@ -388,11 +395,7 @@ def cmd_reconstruct(args) -> int:
         dims = "tx" if built.geometry == "minkowski2" else "txy"
 
     header = ["s", *dims, *(f"t{d}" for d in dims), "curvature", "jump"]
-    rows = (
-        [curve.s[i], *curve.position[i], *curve.tangent[i], kappa[i], str(int(jump_flags[i]))]
-        for i in range(len(curve.s))
-    )
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, [curve.s, *curve.position.T, *curve.tangent.T, kappa, jump])
     return 0
 
 
@@ -442,8 +445,7 @@ def cmd_project(args) -> int:
         kq_rows = curve.expand(pair.space_curvature.values)
         header += ["qx", "qy", "qz", "k_companion"]
         cols += [*pair.space_curve.position.T, kq_rows]
-    rows = ([c[i] for c in cols] for i in range(len(curve.s)))
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, cols)
     return 0
 
 
@@ -689,7 +691,7 @@ def cmd_sweep(args) -> int:
 
     header = ["s1", "s2", "s_star", "jump_interior", "min_slack",
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, list(zip(*rows)))
 
     hypotheses_ok = pair.census.all_passed
     report = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,8 +33,10 @@ from .numerics import (
     integrate_sampled,
     nearest_index,
     pchip,
-    rk4_integrate,
+    rk4_angle,
+    rk4_frames,
     unit,
+    unit_rows,
 )
 
 __all__ = [
@@ -375,20 +378,22 @@ def apply_jump(
 # ---------------------------------------------------------------------------
 
 def reconstruct_piecewise(
-    field: Callable[[float, np.ndarray], np.ndarray],
+    integrate: Callable[[np.ndarray, tuple[float, float], StepControl], SampledFunction],
     state0,
     intervals: Sequence[tuple[float, float]],
     jump_map: Callable[[int, np.ndarray], np.ndarray] | None,
     control: StepControl = DEFAULT_CONTROL,
-    post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate ``field`` over consecutive smooth segments joined by jumps.
+    """Integrate consecutive smooth segments joined by jumps.
 
-    Each interval is integrated by ``rk4_integrate``; between segments ``idx``
-    and ``idx + 1`` the end state (a copy the map may modify) passes through
-    ``jump_map(idx, state)`` (None for one interval). The jump point is stored
-    twice: the last row of one segment and the first row of the next. Returns
-    the stacked grid, the stacked states and the minus-side row of each jump.
+    ``integrate(state, span, control)`` returns one segment's trajectory
+    (through ``numerics.rk4_angle`` or ``numerics.rk4_frames``) starting
+    from the flat ``state``; its rows are flattened to states.
+    Between segments ``idx`` and ``idx + 1`` the end state (a copy the map
+    may modify) passes through ``jump_map(idx, state)`` (None for one
+    interval). The jump point is stored twice: the last row of one segment
+    and the first row of the next. Returns the stacked grid, the stacked
+    states and the minus-side row of each jump.
     """
     state = np.asarray(state0, dtype=float)
     grids, values, jump_marks = [], [], []
@@ -396,10 +401,10 @@ def reconstruct_piecewise(
         if idx:
             jump_marks.append(sum(len(g) for g in grids) - 1)
             state = jump_map(idx - 1, state)
-        traj = rk4_integrate(field, state, span, control, post_step)
+        traj = integrate(state, span, control)
         grids.append(traj.s_grid)
-        values.append(traj.values)
-        state = traj.values[-1].copy()
+        values.append(traj.values.reshape(len(traj.s_grid), -1))
+        state = values[-1][-1].copy()
     return np.concatenate(grids), np.concatenate(values), np.asarray(jump_marks, dtype=int)
 
 
@@ -414,18 +419,13 @@ def reconstruct_plane(
     State (x, y, theta) is integrated per smooth segment; at each jump the
     angle gains alpha_j and the grid point is duplicated.
     """
-    k = profile.curvature
-
-    def fld(s, y):
-        return np.array([math.cos(y[2]), math.sin(y[2]), float(k(s))])
-
     def turn(idx, state):
         state[2] += profile.jumps[idx].angle
         return state
 
     state0 = [float(start[0]), float(start[1]), float(theta0)]
     s, vals, marks = reconstruct_piecewise(
-        fld, state0, profile.segment_intervals(), turn, control
+        partial(rk4_angle, profile.curvature), state0, profile.segment_intervals(), turn, control
     )
     th = vals[:, 2]
     tang = np.column_stack([np.cos(th), np.sin(th)])
@@ -447,13 +447,13 @@ def _check_frame3(tangent, normal, binormal) -> tuple[np.ndarray, np.ndarray, np
     return t, n, b
 
 
-def _frenet_post_step(s, y):
-    t = unit(y[3:6])
-    n = y[6:9] - np.dot(y[6:9], t) * t
-    n = unit(n)
-    b = np.cross(t, n)
-    y[3:6], y[6:9], y[9:12] = t, n, b
-    return y
+def _frenet_project(s: np.ndarray, frames: np.ndarray) -> None:
+    """Re-orthonormalize (x, T, N, B) frame rows in place: unit T, N made unit
+    and orthogonal to T, B = T x N."""
+    t = unit_rows(frames[:, 1])
+    n = frames[:, 2] - np.einsum("ij,ij->i", frames[:, 2], t)[:, None] * t
+    n = unit_rows(n)
+    frames[:, 1], frames[:, 2], frames[:, 3] = t, n, np.cross(t, n)
 
 
 def reconstruct_space_frenet(
@@ -486,20 +486,23 @@ def reconstruct_space_profile(
 ) -> SampledCurve:
     """Space curve from a profile with jumps; each jump needs its rotation direction.
 
-    State (position, T, N, B) follows the Frenet system with the frame
-    re-orthonormalized after every step; a jump rotates the whole frame.
+    The frame rows (position, T, N, B) follow the Frenet system and every
+    sampled frame is re-orthonormalized; a jump rotates the whole frame.
     """
     frame = _check_frame3(*(frame0 if frame0 is not None else _FRAME3))
     k = profile.curvature
 
-    def fld(s, y):
-        kk, tt = float(k(s)), float(torsion(s))
-        dy = np.empty(12)
-        dy[0:3] = y[3:6]
-        dy[3:6] = kk * y[6:9]
-        dy[6:9] = -kk * y[3:6] + tt * y[9:12]
-        dy[9:12] = -tt * y[6:9]
-        return dy
+    def generator(s):
+        a = np.zeros((len(s), 4, 4))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 2] = k(s)
+        a[:, 2, 1] = -a[:, 1, 2]
+        a[:, 2, 3] = torsion(s)
+        a[:, 3, 2] = -a[:, 2, 3]
+        return a
+
+    def segment(state, span, control):
+        return rk4_frames(generator, state.reshape(4, 3), span, control, project=_frenet_project)
 
     def rotate(idx, state):
         j = profile.jumps[idx]
@@ -516,7 +519,7 @@ def reconstruct_space_profile(
 
     state0 = np.concatenate([np.asarray(start, dtype=float), *frame])
     s, vals, marks = reconstruct_piecewise(
-        fld, state0, profile.segment_intervals(), rotate, control, _frenet_post_step
+        segment, state0, profile.segment_intervals(), rotate, control
     )
     return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .numerics import (
     StepControl,
     finite_diff_array,
     grid_step,
+    rk4_angle,
+    rk4_frames,
 )
 from .reports import Census, worst_dominance
 
@@ -155,31 +158,32 @@ def reconstruct_timelike_2d(
     control: StepControl = DEFAULT_CONTROL,
 ) -> TimelikeCurve:
     """Plane time-like curve with rapidity phi' = k and T = (cosh phi, sinh phi)."""
-    def fld(s, y):
-        return np.array([math.cosh(y[2]), math.sinh(y[2]), float(k(s))])
-
     y0 = np.array([float(start[0]), float(start[1]), float(rapidity0)])
-    s, vals, _ = reconstruct_piecewise(fld, y0, [(0.0, length)], None, control)
+    integrate = partial(rk4_angle, k, trig=(np.cosh, np.sinh))
+    s, vals, _ = reconstruct_piecewise(integrate, y0, [(0.0, length)], None, control)
     phi = vals[:, 2]
     tangent = np.column_stack([np.cosh(phi), np.sinh(phi)])
     measured = finite_diff_array(phi, grid_step(s), 1)
     return TimelikeCurve(s, vals[:, 0:2], tangent, SampledFunction(s, measured), rapidity=phi)
 
 
-def _lorentz_orthonormalize(s: float, y: np.ndarray) -> np.ndarray:
-    t = y[3:6]
-    q = minkowski_dot(t, t)
-    if q <= 0:
-        raise CausalError(f"tangent left the time-like cone at s={s:.6g}")
-    t = t / math.sqrt(q)
-    e1 = y[6:9] - minkowski_dot(y[6:9], t) * t
-    q1 = -minkowski_dot(e1, e1)
-    e1 = e1 / math.sqrt(q1)
-    e2 = y[9:12] - minkowski_dot(y[9:12], t) * t + minkowski_dot(y[9:12], e1) * e1
-    q2 = -minkowski_dot(e2, e2)
-    e2 = e2 / math.sqrt(q2)
-    y[3:6], y[6:9], y[9:12] = t, e1, e2
-    return y
+def _lorentz_project(s: np.ndarray, frames: np.ndarray) -> None:
+    """Lorentz-orthonormalize (x, T, E1, E2) frame rows in place.
+
+    CausalError names the first ``s`` whose T left the time-like cone.
+    """
+    q = minkowski_dot(frames[:, 1], frames[:, 1])
+    outside = q <= 0
+    if outside.any():
+        where = s[int(np.argmax(outside))]
+        raise CausalError(f"tangent left the time-like cone at s={where:.6g}")
+    t = frames[:, 1] / np.sqrt(q)[:, None]
+    e1 = frames[:, 2] - minkowski_dot(frames[:, 2], t)[:, None] * t
+    e1 = e1 / np.sqrt(-minkowski_dot(e1, e1))[:, None]
+    e2 = (frames[:, 3] - minkowski_dot(frames[:, 3], t)[:, None] * t
+          + minkowski_dot(frames[:, 3], e1)[:, None] * e1)
+    e2 = e2 / np.sqrt(-minkowski_dot(e2, e2))[:, None]
+    frames[:, 1], frames[:, 2], frames[:, 3] = t, e1, e2
 
 
 _L3_FRAME = (
@@ -219,21 +223,19 @@ def reconstruct_timelike_3d(
     if gram_err > 1e-9:
         raise NormalizationError("initial companion frame is not Lorentz-orthonormal")
 
-    def fld(s, y):
-        kk, psi = float(k(s)), float(spin(s))
-        cpsi, spsi = math.cos(psi), math.sin(psi)
-        direction = cpsi * y[6:9] + spsi * y[9:12]
-        dy = np.empty(12)
-        dy[0:3] = y[3:6]
-        dy[3:6] = kk * direction
-        dy[6:9] = kk * cpsi * y[3:6]
-        dy[9:12] = kk * spsi * y[3:6]
-        return dy
+    def generator(s):
+        kk, psi = k(s), spin(s)
+        a = np.zeros((len(s), 4, 4))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 2] = a[:, 2, 1] = kk * np.cos(psi)
+        a[:, 1, 3] = a[:, 3, 1] = kk * np.sin(psi)
+        return a
+
+    def segment(state, span, control):
+        return rk4_frames(generator, state.reshape(4, 3), span, control, project=_lorentz_project)
 
     y0 = np.concatenate([np.asarray(start, dtype=float), t0, e10, e20])
-    s, vals, _ = reconstruct_piecewise(
-        fld, y0, [(0.0, length)], None, control, _lorentz_orthonormalize
-    )
+    s, vals, _ = reconstruct_piecewise(segment, y0, [(0.0, length)], None, control)
     tangent = vals[:, 3:6]
     dT = finite_diff_array(tangent, grid_step(s), 1)
     measured = np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))

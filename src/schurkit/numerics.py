@@ -1,8 +1,9 @@
 """Deterministic numerical kernel shared by every curve module.
 
-Fixed-step RK4 with an optional per-step state repair hook, composite
-Simpson quadrature on sampled grids, monotone bisection, a monotone cubic
-interpolant, and finite-difference derivatives. All routines are pure functions of their
+Fixed-step RK4 (a per-step reference loop and two array drivers that take
+all steps of a segment at once), composite Simpson quadrature on sampled
+grids, monotone bisection, a monotone cubic interpolant, and
+finite-difference derivatives. All routines are pure functions of their
 inputs: two runs (and the two curves of a comparison pair) see
 bit-identical grids, so pointwise inequality checks never incur
 interpolation error.
@@ -134,6 +135,14 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """``unit`` applied to each row of an (n, d) array."""
+    n = np.sqrt(np.einsum("ij,ij->i", v, v))
+    if np.any(n < 1e-14):
+        raise NormalizationError("cannot normalize a (near-)zero vector")
+    return v / n[:, None]
+
+
 def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
     """Deterministic unit vector orthogonal to ``v``.
 
@@ -162,6 +171,30 @@ def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -
 # RK4 integration
 # ---------------------------------------------------------------------------
 
+# Steps per block of the prefix scan in ``rk4_frames``. The scan's temporaries
+# grow with the block, so the block bounds its memory whatever the segment.
+SCAN_BLOCK = 256
+
+
+def _rk4_grid(span: tuple[float, float], control: StepControl) -> tuple[np.ndarray, float]:
+    """Step points (both endpoints included) and step of the control's grid on ``span``."""
+    a, b = float(span[0]), float(span[1])
+    if not b > a:
+        raise ValueError(f"span must satisfy b > a, got [{a}, {b}]")
+    n = control.segment_steps(b - a)
+    h = (b - a) / n
+    s_grid = a + h * np.arange(n + 1)
+    s_grid[-1] = b
+    return s_grid, h
+
+
+def _require_finite(s_grid: np.ndarray, states: np.ndarray, what: str = "state") -> None:
+    """IntegrationError naming the first step point whose state is not finite."""
+    bad = ~np.isfinite(states.reshape(len(states), -1)).all(axis=1)
+    if bad.any():
+        raise IntegrationError(f"non-finite {what} at s={s_grid[int(np.argmax(bad))]:.9g}")
+
+
 def rk4_integrate(
     field: Callable[[float, np.ndarray], np.ndarray],
     y0,
@@ -174,20 +207,14 @@ def rk4_integrate(
     ``post_step(s, y)`` (when given) may repair the state after every step,
     e.g. re-orthonormalize a moving frame; its return value replaces ``y``.
     The trajectory is sampled at every step point, both endpoints included.
-    Raises IntegrationError the moment the state stops being finite.
+    Raises IntegrationError the moment the state stops being finite. This
+    per-step loop is the reference the array drivers below are tested against.
     """
-    a, b = float(span[0]), float(span[1])
-    if not b > a:
-        raise ValueError(f"span must satisfy b > a, got [{a}, {b}]")
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     scalar = np.ndim(y0) == 0
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError(f"non-finite initial state at s={a:.9g}")
-
-    n = control.segment_steps(b - a)
-    h = (b - a) / n
-    s_grid = a + h * np.arange(n + 1)
-    s_grid[-1] = b
+    s_grid, h = _rk4_grid(span, control)
+    _require_finite(s_grid[:1], y[None], "initial state")
+    n = len(s_grid) - 1
     out = np.empty((n + 1, y.size))
     out[0] = y
 
@@ -206,6 +233,93 @@ def rk4_integrate(
 
     values = out[:, 0] if scalar else out
     return SampledFunction(s_grid, values)
+
+
+def rk4_angle(
+    rate: Callable,
+    y0,
+    span: tuple[float, float],
+    control: StepControl = DEFAULT_CONTROL,
+    trig: tuple[Callable, Callable] = (np.cos, np.sin),
+) -> SampledFunction:
+    """RK4 for (x, y, a)' = (cos a, sin a, rate(s)) with all steps at once.
+
+    The angle's derivative does not depend on the state, so the angle is a
+    running sum of the RK4 increments and the position a running sum of the
+    matching combination of the four stage tangents, each summed in the
+    per-step loop's operation order. ``rate`` must accept arrays; ``trig``
+    swaps (cos, sin) for (cosh, sinh) in the Minkowski plane. The grid is
+    ``rk4_integrate``'s, and so is the non-finite-state error.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    s_grid, h = _rk4_grid(span, control)
+    _require_finite(s_grid[:1], y0[None], "initial state")
+    s0 = s_grid[:-1]
+    # the two midpoint stages evaluate the rate at the same point
+    k1, k2, k4 = (np.asarray(rate(s), dtype=float) for s in (s0, s0 + 0.5 * h, s0 + h))
+    out = np.empty((len(s_grid), 3))
+    out[0] = y0
+    out[1:, 2] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+    np.cumsum(out[:, 2], out=out[:, 2])
+    a = out[:-1, 2]
+    stages = (a, a + 0.5 * h * k1, a + 0.5 * h * k2, a + h * k2)
+    for col, f in enumerate(trig):
+        t1, t2, t3, t4 = (f(x) for x in stages)
+        out[1:, col] = (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+        np.cumsum(out[:, col], out=out[:, col])
+    _require_finite(s_grid, out)
+    return SampledFunction(s_grid, out)
+
+
+def rk4_frames(
+    generator: Callable[[np.ndarray], np.ndarray],
+    frame0,
+    span: tuple[float, float],
+    control: StepControl = DEFAULT_CONTROL,
+    check: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    project: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> SampledFunction:
+    """RK4 for a linear frame system Y' = A(s) Y with all steps at once.
+
+    ``frame0`` is the (m, d) initial frame and ``generator(s)`` returns the
+    (len(s), m, m) matrices A at the given points. One RK4 step is
+    Y_{n+1} = P_n Y_n with P_n = I + h/6 (A1 + 2 K2 + 2 K3 + A3 (I + h K3)),
+    K2 = Am (I + h/2 A1) and K3 = Am (I + h/2 K2). Blocks of ``SCAN_BLOCK``
+    propagators are built by batched products, multiplied into prefix
+    products by a log-depth scan, and applied to the last state of the
+    previous block. Per block, ``check(s_end, P)`` sees the propagators
+    (labelled by their step ends) before the scan, and ``project(s, Y)``
+    repairs the new states in place after it (explicit RK4 does not keep a
+    frame orthonormal); either may raise. Returns the (n+1, m, d) frames on
+    ``rk4_integrate``'s grid; raises IntegrationError at the first
+    non-finite state.
+    """
+    y0 = np.asarray(frame0, dtype=float)
+    s_grid, h = _rk4_grid(span, control)
+    _require_finite(s_grid[:1], y0[None], "initial state")
+    n = len(s_grid) - 1
+    eye = np.eye(len(y0))
+    out = np.empty((n + 1,) + y0.shape)
+    out[0] = y0
+    for lo in range(0, n, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, n)
+        s0 = s_grid[lo:hi]
+        a1, am, a3 = generator(s0), generator(s0 + 0.5 * h), generator(s0 + h)
+        k2 = am @ (eye + 0.5 * h * a1)
+        k3 = am @ (eye + 0.5 * h * k2)
+        p = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + a3 @ (eye + h * k3))
+        if check is not None:
+            check(s_grid[lo + 1 : hi + 1], p)
+        shift = 1
+        while shift < len(p):
+            p[shift:] = p[shift:] @ p[:-shift]
+            shift *= 2
+        rows = out[lo + 1 : hi + 1]
+        rows[...] = p @ out[lo]
+        if project is not None:
+            project(s_grid[lo + 1 : hi + 1], rows)
+        _require_finite(s_grid[lo + 1 : hi + 1], rows)
+    return SampledFunction(s_grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ expansion-bound inequalities sample-wise.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -452,15 +453,15 @@ class ComparisonPair:
                   min_separation: float | None) -> ExpansionReport:
         """Linear expansion bound on seeded random windows (see ``expansion_module_check``)."""
         c, ct = self.c, self.c_tilde
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         n = len(c.s)
         sep = max(10, n // 100) if min_separation is None else int(
             max(2, min_separation / max(np.max(np.diff(c.s)), 1e-12))
         )
         worst, worst_pair, made = math.inf, (0.0, 0.0), 0
         while made < pair_samples:
-            i = int(rng.integers(0, n - sep))
-            j = int(rng.integers(i + sep, n))
+            i = rng.randrange(0, n - sep)
+            j = rng.randrange(i + sep, n)
             a, b = float(c.s[i]), float(c.s[j])
             if b - a <= 0:
                 continue

@@ -45,7 +45,9 @@ from .numerics import (
     grid_step,
     orthonormal_complement,
     pchip,
+    rk4_frames,
     unit,
+    unit_rows,
 )
 from .reports import Census, worst_dominance
 from .schur import ChordReport, ComparisonPair, MonotonicityReport
@@ -99,21 +101,31 @@ class SphericalCurve(SampledCurve):
 _SPHERE_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
 
-def _sphere_post_step(s: float, y: np.ndarray) -> np.ndarray:
-    c, t = y[0:3], y[3:6]
-    drift = max(
-        abs(float(c @ c) - 1.0),
-        abs(float(t @ t) - 1.0),
-        abs(float(c @ t)),
-    )
-    if drift > 1e-6:
+def _sphere_step_drift(s_end: np.ndarray, p: np.ndarray) -> None:
+    """Refuse RK4 steps that move an orthonormal {c, T, V} frame off it by over 1e-6.
+
+    From an orthonormal frame Y the step gives P Y, whose |c|^2, |T|^2 and
+    <c, T> are the entries (0,0), (1,1) and (0,1) of P P^T.
+    """
+    cc = np.einsum("ij,ij->i", p[:, 0], p[:, 0])
+    tt = np.einsum("ij,ij->i", p[:, 1], p[:, 1])
+    ct = np.einsum("ij,ij->i", p[:, 0], p[:, 1])
+    drift = np.maximum(np.maximum(np.abs(cc - 1.0), np.abs(tt - 1.0)), np.abs(ct))
+    bad = drift > 1e-6
+    if bad.any():
+        i = int(np.argmax(bad))
         raise IntegrationError(
-            f"frame drift {drift:.3g} at s={s:.6g} exceeds 1e-6; reduce step_h"
+            f"frame drift {drift[i]:.3g} at s={s_end[i]:.6g} exceeds 1e-6; reduce step_h"
         )
-    c = unit(c)
-    t = unit(t - (t @ c) * c)
-    y[0:3], y[3:6], y[6:9] = c, t, np.cross(c, t)
-    return y
+
+
+def _sphere_project(s: np.ndarray, frames: np.ndarray) -> None:
+    """Re-orthonormalize {c, T, V} frame rows in place: unit c, T made unit and
+    orthogonal to c, V = c x T."""
+    c = unit_rows(frames[:, 0])
+    t = frames[:, 1] - np.einsum("ij,ij->i", frames[:, 1], c)[:, None] * c
+    t = unit_rows(t)
+    frames[:, 0], frames[:, 1], frames[:, 2] = c, t, np.cross(c, t)
 
 
 def reconstruct_spherical(
@@ -125,8 +137,9 @@ def reconstruct_spherical(
 ) -> SphericalCurve:
     """Spherical curve from geodesic curvature kg(s) and tangent jumps.
 
-    The frame system is integrated per smooth segment with the position
-    renormalized and the frame re-orthonormalized after every step. A jump
+    The frame system is integrated per smooth segment, every sampled frame
+    is re-orthonormalized, and a step that would move an orthonormal frame
+    by more than 1e-6 raises IntegrationError. A jump
     rotates T by alpha within the tangent plane at c (toward V, the convex
     turning sense); L must not exceed pi.
     """
@@ -150,13 +163,18 @@ def reconstruct_spherical(
     ):
         raise NormalizationError("initial spherical frame must satisfy |c|=|T|=1, c.T=0")
 
-    def fld(s, y):
-        k = float(kg(s))
-        dy = np.empty(9)
-        dy[0:3] = y[3:6]
-        dy[3:6] = k * y[6:9] - y[0:3]
-        dy[6:9] = -k * y[3:6]
-        return dy
+    def generator(s):
+        a = np.zeros((len(s), 3, 3))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -1.0
+        a[:, 1, 2] = kg(s)
+        a[:, 2, 1] = -a[:, 1, 2]
+        return a
+
+    def segment(state, span, control):
+        return rk4_frames(
+            generator, state.reshape(3, 3), span, control, _sphere_step_drift, _sphere_project
+        )
 
     def turn(idx, state):
         # rotate T toward V in the tangent plane at c
@@ -168,12 +186,11 @@ def reconstruct_spherical(
         return state
 
     s, vals, marks = reconstruct_piecewise(
-        fld,
+        segment,
         np.concatenate([c0, t0, np.cross(c0, t0)]),
         profile.segment_intervals(),
         turn,
         control,
-        _sphere_post_step,
     )
     curve = SphericalCurve(
         s, vals[:, 0:3], vals[:, 3:6], marks,
@@ -265,9 +282,16 @@ def cone_project(
     Returns the scaling R (on the collapsed grid, continuous across jumps)
     and the projected plane curve R(s) c(s) sampled on the curve grid.
     """
-    r_rows = _projection_radius(curve, config)
+    return _cone_section(
+        curve, _projection_radius(curve, config), _projection_scalars(curve, config)
+    )
+
+
+def _cone_section(
+    curve: SphericalCurve, r_rows: np.ndarray, dr: np.ndarray
+) -> tuple[SampledFunction, SampledCurve]:
+    """``cone_project`` from the per-row R and R' it has already computed."""
     pos = r_rows[:, None] * curve.position
-    dr = _projection_scalars(curve, config)
     velocity = dr[:, None] * curve.position + r_rows[:, None] * curve.tangent
     speed = np.linalg.norm(velocity, axis=1)
     if float(np.min(speed)) < 1e-9:
@@ -434,7 +458,7 @@ def project_pair(
     _require_aligned(c, c_tilde)
     r_rows = _projection_radius(c, config)
     dr = _projection_scalars(c, config)
-    r_sf, plane = cone_project(c, config)
+    r_sf, plane = _cone_section(c, r_rows, dr)
     space = companion_project(c_tilde, r_sf, r_prime_rows=dr)
     boundaries = [j.location for j in c.jumps]
     tau = projected_arclength(r_sf, boundaries)
@@ -525,8 +549,9 @@ def reparametrize_projected_pair(
         e2, xy[:, 1], txy[:, 1] = -e2, -xy[:, 1], -txy[:, 1]
 
     tau_rows = plane.expand(pair.tau.values)
-    # every per-row column of both curves, resampled by one cubic per segment
-    table = np.column_stack([xy, txy, space.position, space.tangent])
+    # every per-row column of both curves is resampled per segment; one cubic
+    # per column block keeps only that block's slopes and coefficients alive
+    blocks = (xy, txy, space.position, space.tangent)
 
     parts_tau, parts = [], []
     for seg in plane.segments():
@@ -538,11 +563,11 @@ def reparametrize_projected_pair(
         s_new = pchip(t_seg, s_seg)(tau_new)
         s_new[0], s_new[-1] = s_seg[0], s_seg[-1]
         parts_tau.append(tau_new)
-        parts.append(pchip(s_seg, table[seg])(s_new))
+        parts.append([pchip(s_seg, block[seg])(s_new) for block in blocks])
 
     tau_grid = np.concatenate(parts_tau)
     marks = np.cumsum([len(t) for t in parts_tau[:-1]], dtype=int) - 1
-    p2d, t2d, p3d, t3d = (a.copy() for a in np.split(np.concatenate(parts), [2, 4, 7], axis=1))
+    p2d, t2d, p3d, t3d = (np.concatenate(cols) for cols in zip(*parts))
     t2d /= np.linalg.norm(t2d, axis=1)[:, None]
     t3d /= np.linalg.norm(t3d, axis=1)[:, None]
     plane2d = SampledCurve(tau_grid, p2d, t2d, marks)

@@ -499,6 +499,36 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_chord_verify_leaves_numpy_random_unloaded(tmp_path, specs):
+    argv = ["verify", "--theorem", "chord", specs["circle"], specs["helix"],
+            "--report", str(tmp_path / "rep.json"), "--pairs", "10", *STEP]
+    code = (
+        "import sys; from schurkit.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    src = os.path.dirname(os.path.dirname(schurkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def test_write_csv_matches_row_format_across_chunks(tmp_path, monkeypatch):
+    import schurkit.cli as cli
+
+    monkeypatch.setattr(cli, "CSV_CHUNK", 3)
+    a = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e-300, 2.0])
+    b = a[::-1].copy()
+    flags = [str(i % 2) for i in range(len(a))]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), ["a", "b", "flag"], [a, b, flags])
+    expected = "a,b,flag\n" + "".join(
+        f"{x:.17g},{y:.17g},{f}\n" for x, y, f in zip(a.tolist(), b.tolist(), flags)
+    )
+    assert path.read_text() == expected
+
+
 def test_verify_seed_env_echoed(tmp_path, specs, monkeypatch):
     monkeypatch.setenv("SCHURKIT_SEED", "7")
     rep = tmp_path / "rep.json"

@@ -125,32 +125,21 @@ def test_frenet_rejects_negative_curvature():
 def test_frenet_frame_stays_orthonormal():
     k = sinusoidal_curvature(0.8, 0.5, 2.0)
     tau = sinusoidal_curvature(0.2, 0.4, 3.0)
-    state = {}
 
-    def probe(s, y):
-        t, n, b = y[3:6], y[6:9], y[9:12]
-        drift = max(
-            abs(t @ t - 1.0), abs(n @ n - 1.0), abs(b @ b - 1.0),
-            abs(t @ n), abs(t @ b), abs(n @ b),
-        )
-        state["worst"] = max(state.get("worst", 0.0), drift)
-        return y
+    from schurkit.numerics import rk4_frames
+    from schurkit.curves import _frenet_project
 
-    from schurkit.numerics import rk4_integrate
-    from schurkit.curves import _frenet_post_step
+    def generator(s):
+        a = np.zeros((len(s), 4, 4))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 2], a[:, 2, 1] = k(s), -k(s)
+        a[:, 2, 3], a[:, 3, 2] = tau(s), -tau(s)
+        return a
 
-    def fld(s, y):
-        kk, tt = float(k(s)), float(tau(s))
-        dy = np.empty(12)
-        dy[0:3] = y[3:6]
-        dy[3:6] = kk * y[6:9]
-        dy[6:9] = -kk * y[3:6] + tt * y[9:12]
-        dy[9:12] = -tt * y[6:9]
-        return dy
-
-    y0 = np.concatenate([np.zeros(3), np.eye(3).ravel()])
-    rk4_integrate(fld, y0, (0.0, 3.0), post_step=lambda s, y: probe(s, _frenet_post_step(s, y)))
-    assert state["worst"] <= 1e-9
+    y0 = np.concatenate([np.zeros((1, 3)), np.eye(3)])
+    frames = rk4_frames(generator, y0, (0.0, 3.0), project=_frenet_project).values
+    gram = np.einsum("nij,nkj->nik", frames[:, 1:], frames[:, 1:])
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
 
 
 def test_space_profile_jump_needs_direction():

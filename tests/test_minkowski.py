@@ -366,3 +366,13 @@ def test_reversed_chord_rejects_spacelike_chord():
     bogus = TimelikeCurve(s, pos, tan, SampledFunction(s, np.zeros(64)))
     with pytest.raises(CausalError):
         reversed_chord_inequality(bogus, bogus)
+
+
+def test_lorentz_projection_names_first_row_outside_cone():
+    from schurkit.minkowski import _lorentz_project
+
+    frames = np.tile(np.concatenate([np.zeros((1, 3)), np.eye(3)]), (4, 1, 1))
+    frames[2, 1] = [0.5, 1.0, 0.0]
+    frames[3, 1] = [0.1, 1.0, 0.0]
+    with pytest.raises(CausalError, match="s=0.25"):
+        _lorentz_project(np.array([0.0, 0.125, 0.25, 0.375]), frames)
