@@ -107,10 +107,8 @@ def _sphere_step_drift(s_end: np.ndarray, p: np.ndarray) -> None:
     From an orthonormal frame Y the step gives P Y, whose |c|^2, |T|^2 and
     <c, T> are the entries (0,0), (1,1) and (0,1) of P P^T.
     """
-    cc = np.einsum("ij,ij->i", p[:, 0], p[:, 0])
-    tt = np.einsum("ij,ij->i", p[:, 1], p[:, 1])
-    ct = np.einsum("ij,ij->i", p[:, 0], p[:, 1])
-    drift = np.maximum(np.maximum(np.abs(cc - 1.0), np.abs(tt - 1.0)), np.abs(ct))
+    gram = np.einsum("nij,nkj->nik", p[:, :2], p[:, :2])
+    drift = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
     bad = drift > 1e-6
     if bad.any():
         i = int(np.argmax(bad))
