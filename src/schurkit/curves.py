@@ -32,11 +32,11 @@ from .numerics import (
     grid_step,
     integrate_sampled,
     nearest_index,
+    orthonormal_rows,
     pchip,
     rk4_angle,
     rk4_frames,
     unit,
-    unit_rows,
 )
 
 __all__ = [
@@ -450,10 +450,7 @@ def _check_frame3(tangent, normal, binormal) -> tuple[np.ndarray, np.ndarray, np
 def _frenet_project(s: np.ndarray, frames: np.ndarray) -> None:
     """Re-orthonormalize (x, T, N, B) frame rows in place: unit T, N made unit
     and orthogonal to T, B = T x N."""
-    t = unit_rows(frames[:, 1])
-    n = frames[:, 2] - np.einsum("ij,ij->i", frames[:, 2], t)[:, None] * t
-    n = unit_rows(n)
-    frames[:, 1], frames[:, 2], frames[:, 3] = t, n, np.cross(t, n)
+    frames[:, 1], frames[:, 2], frames[:, 3] = orthonormal_rows(frames[:, 1], frames[:, 2])
 
 
 def reconstruct_space_frenet(
@@ -502,7 +499,7 @@ def reconstruct_space_profile(
         return a
 
     def segment(state, span, control):
-        return rk4_frames(generator, state.reshape(4, 3), span, control, project=_frenet_project)
+        return rk4_frames(generator, _frenet_project, state.reshape(4, 3), span, control)
 
     def rotate(idx, state):
         j = profile.jumps[idx]

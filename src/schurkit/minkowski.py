@@ -232,7 +232,7 @@ def reconstruct_timelike_3d(
         return a
 
     def segment(state, span, control):
-        return rk4_frames(generator, state.reshape(4, 3), span, control, project=_lorentz_project)
+        return rk4_frames(generator, _lorentz_project, state.reshape(4, 3), span, control)
 
     y0 = np.concatenate([np.asarray(start, dtype=float), t0, e10, e20])
     s, vals, _ = reconstruct_piecewise(segment, y0, [(0.0, length)], None, control)

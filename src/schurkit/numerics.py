@@ -135,12 +135,20 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def unit_rows(v: np.ndarray) -> np.ndarray:
+def _unit_rows(v: np.ndarray) -> np.ndarray:
     """``unit`` applied to each row of an (n, d) array."""
     n = np.sqrt(np.einsum("ij,ij->i", v, v))
     if np.any(n < 1e-14):
         raise NormalizationError("cannot normalize a (near-)zero vector")
     return v / n[:, None]
+
+
+def orthonormal_rows(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise Gram-Schmidt of (n, 3) arrays: unit u, v made unit and
+    orthogonal to u, and their cross product completing a right-handed frame."""
+    u = _unit_rows(u)
+    v = _unit_rows(v - np.einsum("ij,ij->i", v, u)[:, None] * u)
+    return u, v, np.cross(u, v)
 
 
 def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
@@ -171,8 +179,10 @@ def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -
 # RK4 integration
 # ---------------------------------------------------------------------------
 
-# Steps per block of the prefix scan in ``rk4_frames``. The scan's temporaries
-# grow with the block, so the block bounds its memory whatever the segment.
+# Steps per block of the array drivers. Their temporaries grow with the block,
+# so the block bounds their memory whatever the segment. The frame driver's
+# log-depth scan does log2(block) passes per step, hence its smaller block.
+ANGLE_BLOCK = 4096
 SCAN_BLOCK = 256
 
 
@@ -247,37 +257,43 @@ def rk4_angle(
     The angle's derivative does not depend on the state, so the angle is a
     running sum of the RK4 increments and the position a running sum of the
     matching combination of the four stage tangents, each summed in the
-    per-step loop's operation order. ``rate`` must accept arrays; ``trig``
-    swaps (cos, sin) for (cosh, sinh) in the Minkowski plane. The grid is
-    ``rk4_integrate``'s, and so is the non-finite-state error.
+    per-step loop's operation order. Blocks of ``ANGLE_BLOCK`` steps continue
+    the sums from the previous block's last row, which leaves them
+    unchanged. ``rate`` must accept arrays; ``trig`` swaps (cos, sin) for
+    (cosh, sinh) in the Minkowski plane. The grid is ``rk4_integrate``'s, and
+    so is the non-finite-state error.
     """
     y0 = np.asarray(y0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
     _require_finite(s_grid[:1], y0[None], "initial state")
-    s0 = s_grid[:-1]
-    # the two midpoint stages evaluate the rate at the same point
-    k1, k2, k4 = (np.asarray(rate(s), dtype=float) for s in (s0, s0 + 0.5 * h, s0 + h))
-    out = np.empty((len(s_grid), 3))
+    n = len(s_grid) - 1
+    out = np.empty((n + 1, 3))
     out[0] = y0
-    out[1:, 2] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
-    np.cumsum(out[:, 2], out=out[:, 2])
-    a = out[:-1, 2]
-    stages = (a, a + 0.5 * h * k1, a + 0.5 * h * k2, a + h * k2)
-    for col, f in enumerate(trig):
-        t1, t2, t3, t4 = (f(x) for x in stages)
-        out[1:, col] = (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-        np.cumsum(out[:, col], out=out[:, col])
-    _require_finite(s_grid, out)
+    for lo in range(0, n, ANGLE_BLOCK):
+        hi = min(lo + ANGLE_BLOCK, n)
+        s0 = s_grid[lo:hi]
+        # the two midpoint stages evaluate the rate at the same point
+        k1, k2, k4 = (np.asarray(rate(s), dtype=float) for s in (s0, s0 + 0.5 * h, s0 + h))
+        rows = out[lo : hi + 1]
+        rows[1:, 2] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+        np.cumsum(rows[:, 2], out=rows[:, 2])
+        a = rows[:-1, 2]
+        stages = (a, a + 0.5 * h * k1, a + 0.5 * h * k2, a + h * k2)
+        for col, f in enumerate(trig):
+            t1, t2, t3, t4 = (f(x) for x in stages)
+            rows[1:, col] = (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+            np.cumsum(rows[:, col], out=rows[:, col])
+        _require_finite(s_grid[lo + 1 : hi + 1], rows[1:])
     return SampledFunction(s_grid, out)
 
 
 def rk4_frames(
     generator: Callable[[np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray, np.ndarray], None],
     frame0,
     span: tuple[float, float],
     control: StepControl = DEFAULT_CONTROL,
     check: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    project: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> SampledFunction:
     """RK4 for a linear frame system Y' = A(s) Y with all steps at once.
 
@@ -287,12 +303,12 @@ def rk4_frames(
     K2 = Am (I + h/2 A1) and K3 = Am (I + h/2 K2). Blocks of ``SCAN_BLOCK``
     propagators are built by batched products, multiplied into prefix
     products by a log-depth scan, and applied to the last state of the
-    previous block. Per block, ``check(s_end, P)`` sees the propagators
-    (labelled by their step ends) before the scan, and ``project(s, Y)``
-    repairs the new states in place after it (explicit RK4 does not keep a
-    frame orthonormal); either may raise. Returns the (n+1, m, d) frames on
-    ``rk4_integrate``'s grid; raises IntegrationError at the first
-    non-finite state.
+    previous block. Per block, ``project(s, Y)`` repairs the new states in
+    place after the scan (explicit RK4 does not keep a frame orthonormal, so
+    every frame system needs one), and ``check(s_end, P)``, when given, sees
+    the propagators (labelled by their step ends) before it; either may
+    raise. Returns the (n+1, m, d) frames on ``rk4_integrate``'s grid;
+    raises IntegrationError at the first non-finite state.
     """
     y0 = np.asarray(frame0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
@@ -316,8 +332,7 @@ def rk4_frames(
             shift *= 2
         rows = out[lo + 1 : hi + 1]
         rows[...] = p @ out[lo]
-        if project is not None:
-            project(s_grid[lo + 1 : hi + 1], rows)
+        project(s_grid[lo + 1 : hi + 1], rows)
         _require_finite(s_grid[lo + 1 : hi + 1], rows)
     return SampledFunction(s_grid, out)
 

@@ -44,10 +44,10 @@ from .numerics import (
     finite_diff_array,
     grid_step,
     orthonormal_complement,
+    orthonormal_rows,
     pchip,
     rk4_frames,
     unit,
-    unit_rows,
 )
 from .reports import Census, worst_dominance
 from .schur import ChordReport, ComparisonPair, MonotonicityReport
@@ -120,10 +120,7 @@ def _sphere_step_drift(s_end: np.ndarray, p: np.ndarray) -> None:
 def _sphere_project(s: np.ndarray, frames: np.ndarray) -> None:
     """Re-orthonormalize {c, T, V} frame rows in place: unit c, T made unit and
     orthogonal to c, V = c x T."""
-    c = unit_rows(frames[:, 0])
-    t = frames[:, 1] - np.einsum("ij,ij->i", frames[:, 1], c)[:, None] * c
-    t = unit_rows(t)
-    frames[:, 0], frames[:, 1], frames[:, 2] = c, t, np.cross(c, t)
+    frames[:, 0], frames[:, 1], frames[:, 2] = orthonormal_rows(frames[:, 0], frames[:, 1])
 
 
 def reconstruct_spherical(
@@ -171,7 +168,7 @@ def reconstruct_spherical(
 
     def segment(state, span, control):
         return rk4_frames(
-            generator, state.reshape(3, 3), span, control, _sphere_step_drift, _sphere_project
+            generator, _sphere_project, state.reshape(3, 3), span, control, _sphere_step_drift
         )
 
     def turn(idx, state):

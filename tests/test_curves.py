@@ -137,7 +137,7 @@ def test_frenet_frame_stays_orthonormal():
         return a
 
     y0 = np.concatenate([np.zeros((1, 3)), np.eye(3)])
-    frames = rk4_frames(generator, y0, (0.0, 3.0), project=_frenet_project).values
+    frames = rk4_frames(generator, _frenet_project, y0, (0.0, 3.0)).values
     gram = np.einsum("nij,nkj->nik", frames[:, 1:], frames[:, 1:])
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
 

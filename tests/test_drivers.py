@@ -10,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from schurkit import numerics
 from schurkit.curves import (
     constant_curvature,
     linear_curvature,
@@ -55,6 +56,15 @@ def test_angle_driver_matches_loop(family, geometry):
     s, y, marks = reconstruct_piecewise(driver, [0.3, -0.2, 0.1], intervals, _turn)
     assert np.array_equal(s, s_ref) and np.array_equal(marks, marks_ref)
     assert np.max(np.abs(y - y_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("geometry", sorted(TRIG))
+def test_angle_blocks_continue_the_running_sums(geometry, monkeypatch):
+    args = (FAMILIES["sinusoidal"], [0.3, -0.2, 0.1], (0.0, 3.0))
+    whole = rk4_angle(*args, trig=NP_TRIG[geometry]).values
+    assert len(whole) - 1 <= numerics.ANGLE_BLOCK
+    monkeypatch.setattr(numerics, "ANGLE_BLOCK", 7)
+    assert np.array_equal(rk4_angle(*args, trig=NP_TRIG[geometry]).values, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +218,10 @@ def _message(call):
     return str(err.value)
 
 
+def _no_projection(s, frames):
+    return None
+
+
 def test_drivers_name_first_non_finite_state():
     span = (0.0, 1.0)
     loop_angle = _message(lambda: rk4_integrate(
@@ -222,4 +236,4 @@ def test_drivers_name_first_non_finite_state():
 
     loop_frame = _message(lambda: rk4_integrate(
         lambda s, y: float(_blows_up(s)) * np.array([y[1], -y[0]]), [1.0, 0.0], span))
-    assert _message(lambda: rk4_frames(generator, np.eye(2)[:, :1], span)) == loop_frame
+    assert _message(lambda: rk4_frames(generator, _no_projection, np.eye(2)[:, :1], span)) == loop_frame
