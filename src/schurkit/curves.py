@@ -254,11 +254,11 @@ class SampledCurve:
             raise DomainError(f"s={value!r} is not on this curve's grid")
         return best
 
-    def validate(self, tol_unit: float = 1e-9, tol_tangent: float = 1e-5) -> None:
-        """Check unit tangents and position'/tangent agreement off the jumps."""
+    def validate(self, tol_tangent: float = 1e-5) -> None:
+        """Check unit tangents (to 1e-9) and position'/tangent agreement off the jumps."""
         norms = np.linalg.norm(self.tangent, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > tol_unit:
+        if worst > 1e-9:
             raise NormalizationError(f"tangent norm drifts by {worst:.3g}")
         for seg in self.segments():
             s_seg = self.s[seg]
@@ -521,15 +521,9 @@ def reconstruct_space_profile(
     return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks)
 
 
-def embed_plane_curve(curve: SampledCurve, matrix: np.ndarray | None = None) -> SampledCurve:
-    """Image of a plane curve under a linear isometry into 3-space.
-
-    Default embedding pads a zero third coordinate; a custom (3, 2) matrix
-    with orthonormal columns may be supplied.
-    """
-    if matrix is None:
-        matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    m = np.asarray(matrix, dtype=float)
+def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
+    """Image of a plane curve in 3-space: a zero third coordinate is padded."""
+    m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     return SampledCurve(
         curve.s.copy(),
         curve.position @ m.T,

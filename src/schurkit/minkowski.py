@@ -478,8 +478,16 @@ class ReversedChordReport:
     tol: float
 
     @property
+    def chord_passed(self) -> bool:
+        return self.slack >= -self.tol
+
+    @property
+    def cauchy_schwarz_passed(self) -> bool:
+        return self.cauchy_schwarz_slack >= -1e-9
+
+    @property
     def passed(self) -> bool:
-        return self.slack >= -self.tol and self.cauchy_schwarz_slack >= -1e-9
+        return self.chord_passed and self.cauchy_schwarz_passed
 
 
 def reversed_chord_inequality(

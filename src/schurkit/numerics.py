@@ -151,23 +151,17 @@ def orthonormal_rows(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, v, np.cross(u, v)
 
 
-def orthonormal_complement(v: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
+def orthonormal_complement(v: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to ``v``.
 
     Gram-Schmidt against a fixed reference axis (the last coordinate axis),
-    falling back to the previous axis when nearly parallel. A caller-supplied
-    reference wins when usable.
+    falling back to the previous axis when nearly parallel.
     """
     v = unit(v)
     dim = v.shape[0]
-    candidates: list[np.ndarray] = []
-    if reference is not None:
-        candidates.append(np.asarray(reference, dtype=float))
     for k in range(dim - 1, -1, -1):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        candidates.append(e)
-    for r in candidates:
+        r = np.zeros(dim)
+        r[k] = 1.0
         w = r - np.dot(r, v) * v
         n = float(np.linalg.norm(w))
         if n > 1e-6:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
+ANGLE_TOL = 1e-9  # angular slack of the s* search: lifting the chord angle, landing on a row
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,6 @@ def _window_rows(c: SampledCurve, s_range) -> tuple[int, int]:
 def find_s_star(
     c: SampledCurve,
     s_range: tuple[float, float] | None = None,
-    angle_tol: float = 1e-9,
 ) -> SStarResult:
     """Locate s* in the window with tangent direction parallel to the chord.
 
@@ -152,7 +152,7 @@ def find_s_star(
     angle is lifted into the window's angular range [theta(s'), theta(s'')];
     failure to lift means the input violates convexity and raises.
     """
-    return ComparisonPair(c, c)._locate(s_range, angle_tol)[2]
+    return ComparisonPair(c, c)._locate(s_range)[2]
 
 
 def _jump_angle(curve: SampledCurve, i: int) -> float:
@@ -321,7 +321,7 @@ class ComparisonPair:
         """Segment-wise running maximum of theta: what an off-grid s* inverts."""
         return np.concatenate([np.maximum.accumulate(self.c.theta[sl]) for sl in self.c.segments()])
 
-    def _locate(self, s_range, angle_tol: float = 1e-9):
+    def _locate(self, s_range):
         """(rows, chord length, s*) of one window."""
         c = self.c
         if c.theta is None:
@@ -335,9 +335,9 @@ class ComparisonPair:
 
         th = np.maximum.accumulate(c.theta[i0 : i1 + 1])
         phi = math.atan2(chord[1], chord[0])
-        m = math.ceil((th[0] - phi - angle_tol) / TWO_PI)
+        m = math.ceil((th[0] - phi - ANGLE_TOL) / TWO_PI)
         phi_star = phi + TWO_PI * m
-        if phi_star > th[-1] + angle_tol:
+        if phi_star > th[-1] + ANGLE_TOL:
             raise HypothesisViolationError(
                 "chord direction lies outside the tangent angular range; "
                 "the profile is not a valid convex curve"
@@ -347,7 +347,7 @@ class ComparisonPair:
         j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
         s_loc = c.s[i0 : i1 + 1]
 
-        if th[j] - phi_star <= angle_tol:
+        if th[j] - phi_star <= ANGLE_TOL:
             # lands on (or within tolerance of) a sample row
             star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
         elif j > 0 and s_loc[j] == s_loc[j - 1]:
@@ -432,9 +432,8 @@ class ComparisonPair:
         chord_slack = space_chord - clen
         return ChordReport(
             plane_chord=clen, space_chord=space_chord, inner_product_bound=bound,
-            s_star=w.star.s_star,
-            passed=(bound_slack >= -self.tol * max(clen, 1.0)) and (chord_slack >= -self.tol),
-            bound_slack=bound_slack, chord_slack=chord_slack,
+            s_star=w.star.s_star, bound_slack=bound_slack, chord_slack=chord_slack,
+            tol=self.tol,
         )
 
     def nested_chord(self, w: PivotWindow, s_inner_first: float,
@@ -449,15 +448,12 @@ class ComparisonPair:
         passed = slack >= -self.tol * max(clen, 1.0)
         return NestedChordReport(lhs, rhs, slack, w.star.s_star, passed)
 
-    def expansion(self, pair_samples: int, seed: int,
-                  min_separation: float | None) -> ExpansionReport:
+    def expansion(self, pair_samples: int, seed: int) -> ExpansionReport:
         """Linear expansion bound on seeded random windows (see ``expansion_module_check``)."""
         c, ct = self.c, self.c_tilde
         rng = random.Random(seed)
         n = len(c.s)
-        sep = max(10, n // 100) if min_separation is None else int(
-            max(2, min_separation / max(np.max(np.diff(c.s)), 1e-12))
-        )
+        sep = max(10, n // 100)  # fewest rows between a sampled window's two ends
         worst, worst_pair, made = math.inf, (0.0, 0.0), 0
         while made < pair_samples:
             i = rng.randrange(0, n - sep)
@@ -615,9 +611,22 @@ class ChordReport:
     space_chord: float
     inner_product_bound: float
     s_star: float
-    passed: bool
     bound_slack: float
     chord_slack: float
+    tol: float
+
+    @property
+    def chord_passed(self) -> bool:
+        return self.chord_slack >= -self.tol
+
+    @property
+    def bound_passed(self) -> bool:
+        """``bound_slack`` is a squared length: its tolerance scales with the chord (at least 1)."""
+        return self.bound_slack >= -self.tol * max(self.plane_chord, 1.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.bound_passed and self.chord_passed
 
     @property
     def slack(self) -> float:
@@ -689,9 +698,8 @@ def expansion_module_check(
     pair_samples: int = 50,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    min_separation: float | None = None,
 ) -> ExpansionReport:
-    return ComparisonPair(c, c_tilde, tol).expansion(pair_samples, seed, min_separation)
+    return ComparisonPair(c, c_tilde, tol).expansion(pair_samples, seed)
 
 
 # ---------------------------------------------------------------------------

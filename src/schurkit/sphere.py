@@ -247,7 +247,15 @@ class ProjectionConfig:
         return np.asarray(self.u, dtype=float)
 
 
-def _projection_radius(curve: SphericalCurve, config: ProjectionConfig) -> np.ndarray:
+def _projection_scalars(
+    curve: SphericalCurve, config: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row R = d/<c,u> and its one-sided-exact derivative R' = -d <T,u> / <c,u>^2.
+
+    Differentiating R uses only the sampled frame, so jump rows get their
+    true one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
+    frame-maintenance accuracy rather than finite-difference order.
+    """
     heights = curve.position @ config.normal
     worst = int(np.argmin(heights))
     if heights[worst] < config.epsilon_min:
@@ -255,18 +263,21 @@ def _projection_radius(curve: SphericalCurve, config: ProjectionConfig) -> np.nd
             f"<c(s), u> = {heights[worst]:.6g} < epsilon_min at s={curve.s[worst]:.6g}; "
             "choose a different plane"
         )
-    return config.d / heights
+    return config.d / heights, -config.d * (curve.tangent @ config.normal) / heights**2
 
 
-def _projection_scalars(curve: SampledCurve, config: ProjectionConfig) -> np.ndarray:
-    """One-sided-exact derivative of R along the curve: R' = -d <T,u> / <c,u>^2.
-
-    Differentiating R = d/<c,u> uses only the sampled frame, so jump rows get
-    their true one-sided values and the speed identity |P'|^2 = R'^2 + R^2
-    holds to frame-maintenance accuracy rather than finite-difference order.
-    """
-    heights = curve.position @ config.normal
-    return -config.d * (curve.tangent @ config.normal) / heights**2
+def _scaled_curve(
+    curve: SphericalCurve, r_rows: np.ndarray, dr: np.ndarray, name: str
+) -> tuple[SampledCurve, float]:
+    """R(s) c(s) from per-row R and R', and its worst | |P'|^2 - (R'^2 + R^2) |."""
+    velocity = dr[:, None] * curve.position + r_rows[:, None] * curve.tangent
+    speed = np.linalg.norm(velocity, axis=1)
+    if float(np.min(speed)) < 1e-9:
+        raise DegenerateSpeedError(f"{name} has vanishing speed")
+    scaled = SampledCurve(curve.s.copy(), r_rows[:, None] * curve.position,
+                          velocity / speed[:, None], curve.jump_marks.copy())
+    speed_sq = np.einsum("ij,ij->i", velocity, velocity)
+    return scaled, float(np.max(np.abs(speed_sq - (dr**2 + r_rows**2))))
 
 
 def cone_project(
@@ -277,26 +288,10 @@ def cone_project(
     Returns the scaling R (on the collapsed grid, continuous across jumps)
     and the projected plane curve R(s) c(s) sampled on the curve grid.
     """
-    return _cone_section(
-        curve, _projection_radius(curve, config), _projection_scalars(curve, config)
-    )
-
-
-def _cone_section(
-    curve: SphericalCurve, r_rows: np.ndarray, dr: np.ndarray
-) -> tuple[SampledFunction, SampledCurve]:
-    """``cone_project`` from the per-row R and R' it has already computed."""
-    pos = r_rows[:, None] * curve.position
-    velocity = dr[:, None] * curve.position + r_rows[:, None] * curve.tangent
-    speed = np.linalg.norm(velocity, axis=1)
-    if float(np.min(speed)) < 1e-9:
-        raise DegenerateSpeedError("projected curve has vanishing speed")
-    projected = SampledCurve(
-        curve.s.copy(), pos, velocity / speed[:, None], curve.jump_marks.copy()
-    )
+    r_rows, dr = _projection_scalars(curve, config)
+    plane = _scaled_curve(curve, r_rows, dr, "projected curve")[0]
     keep = curve.single_rows  # R is continuous across jumps; keep one row
-    r_sf = SampledFunction(curve.s[keep], r_rows[keep])
-    return r_sf, projected
+    return SampledFunction(curve.s[keep], r_rows[keep]), plane
 
 
 def companion_project(
@@ -316,15 +311,8 @@ def companion_project(
     ) > 1e-12 * max(1.0, float(c_tilde.s[-1])):
         raise AlignmentError("R(s) grid does not match the companion curve grid")
     r_rows = c_tilde.expand(r.values)
-    pos = r_rows[:, None] * c_tilde.position
     dr = r_prime_rows if r_prime_rows is not None else c_tilde.segment_derivatives(r_rows)
-    velocity = dr[:, None] * c_tilde.position + r_rows[:, None] * c_tilde.tangent
-    speed = np.linalg.norm(velocity, axis=1)
-    if float(np.min(speed)) < 1e-9:
-        raise DegenerateSpeedError("companion projection has vanishing speed")
-    return SampledCurve(
-        c_tilde.s.copy(), pos, velocity / speed[:, None], c_tilde.jump_marks.copy()
-    )
+    return _scaled_curve(c_tilde, r_rows, dr, "companion projection")[0]
 
 
 def projected_arclength(
@@ -451,32 +439,21 @@ def project_pair(
 ) -> ProjectedPair:
     """Project both curves of a spherical pair with c's scaling R(s)."""
     _require_aligned(c, c_tilde)
-    r_rows = _projection_radius(c, config)
-    dr = _projection_scalars(c, config)
-    r_sf, plane = _cone_section(c, r_rows, dr)
-    space = companion_project(c_tilde, r_sf, r_prime_rows=dr)
-    boundaries = [j.location for j in c.jumps]
-    tau = projected_arclength(r_sf, boundaries)
+    r_rows, dr = _projection_scalars(c, config)
+    plane, plane_err = _scaled_curve(c, r_rows, dr, "projected curve")
+    # both jump rows of c hold one position, so c's per-row R is already
+    # what expanding the collapsed R onto c~'s (aligned) rows would give
+    space, space_err = _scaled_curve(c_tilde, r_rows, dr, "companion projection")
+    keep = c.single_rows
+    r_sf = SampledFunction(c.s[keep], r_rows[keep])
+    tau = projected_arclength(r_sf, [j.location for j in c.jumps])
 
-    speed_sq = dr**2 + r_rows**2
-    err = 0.0
-    for curve, base in ((plane, c), (space, c_tilde)):
-        vel = (
-            dr[:, None] * base.position + r_rows[:, None] * base.tangent
-        )
-        err = max(err, float(np.max(np.abs(np.einsum("ij,ij->i", vel, vel) - speed_sq))))
-
-    alphas = _measured_jump_angles(c)
-    alphas_t = _measured_jump_angles(c_tilde)
-    sides = tuple((float(dr[i]), float(dr[i + 1])) for i in c.jump_marks)
-    theta_plane = tuple(
-        jump_angle_transform(m, p, float(r_rows[i]), a)
-        for (m, p), i, a in zip(sides, c.jump_marks, alphas)
-    )
-    theta_space = tuple(
-        jump_angle_transform(m, p, float(r_rows[i]), a)
-        for (m, p), i, a in zip(sides, c.jump_marks, alphas_t)
-    )
+    sides, theta_plane, theta_space = [], [], []
+    for i, a, a_t in zip(c.jump_marks, _measured_jump_angles(c), _measured_jump_angles(c_tilde)):
+        m, p, r = float(dr[i]), float(dr[i + 1]), float(r_rows[i])
+        sides.append((m, p))
+        theta_plane.append(jump_angle_transform(m, p, r, a))
+        theta_space.append(jump_angle_transform(m, p, r, a_t))
     return ProjectedPair(
         config=config,
         R=r_sf,
@@ -485,10 +462,10 @@ def project_pair(
         space_curve=space,
         plane_curvature=space_curvature(plane),
         space_curvature=space_curvature(space),
-        jump_angles_plane=theta_plane,
-        jump_angles_space=theta_space,
-        r_prime_sides=sides,
-        speed_identity_error=err,
+        jump_angles_plane=tuple(theta_plane),
+        jump_angles_space=tuple(theta_space),
+        r_prime_sides=tuple(sides),
+        speed_identity_error=max(plane_err, space_err),
     )
 
 
@@ -632,21 +609,17 @@ class SphericalVerification:
 
     @property
     def signs_consistent(self) -> bool:
-        plane_ok = self.chords.chord_slack >= -self.tol
-        return plane_ok == (self.conclusion_slack >= -self.tol)
+        return self.chords.chord_passed == self.conclusion_passed
 
 
 def auto_projection_config(
     c: SphericalCurve, epsilon_min: float = 0.1, d: float = 1.0
-) -> tuple[ProjectionConfig, bool]:
+) -> ProjectionConfig:
     """Default plane: mean position direction, offset 1; midpoint fallback."""
-    u = unit(np.mean(c.position, axis=0))
-    if float(np.min(c.position @ u)) >= epsilon_min:
-        return ProjectionConfig(tuple(u), d, epsilon_min), True
-    mid = c.position[len(c.s) // 2]
-    u = unit(mid)
-    if float(np.min(c.position @ u)) >= epsilon_min:
-        return ProjectionConfig(tuple(u), d, epsilon_min), True
+    for direction in (np.mean(c.position, axis=0), c.position[len(c.s) // 2]):
+        u = unit(direction)
+        if float(np.min(c.position @ u)) >= epsilon_min:
+            return ProjectionConfig(tuple(u), d, epsilon_min)
     raise ProjectionError(
         "no admissible projection plane found (curve spans too much of the sphere)"
     )
@@ -692,7 +665,7 @@ def spherical_schur_verify(
 
     auto = isinstance(config, str)
     if auto:
-        config, _ = auto_projection_config(c)
+        config = auto_projection_config(c)
 
     pair = project_pair(c, c_tilde, config)
     dominance = curvature_dominance_check(pair, curvature_tol)

@@ -181,7 +181,7 @@ def test_criterion_06_projected_dominance():
         kg_t = lambda s, kg=kg, eta=eta: eta(s) * kg(s)
         c = reconstruct_spherical(kg, (), length, control=FAST)
         ct = reconstruct_spherical(kg_t, (), length, control=FAST)
-        cfg, _ = auto_projection_config(c)
+        cfg = auto_projection_config(c)
         pair = project_pair(c, ct, cfg)
         dom = curvature_dominance_check(pair)
         worst_dom = min(worst_dom, dom.min_dominance, dom.min_positivity)
@@ -220,7 +220,7 @@ def test_criterion_07_projected_arclength(sphere_polygon_pair):
         fixtures.append(reconstruct_spherical(kg, (), 1.5))
 
     for c in fixtures:
-        cfg, _ = auto_projection_config(c)
+        cfg = auto_projection_config(c)
         r, p = cone_project(c, cfg)
         tau = projected_arclength(r, [j.location for j in c.jumps])
         poly = float(np.sum(np.linalg.norm(np.diff(p.position, axis=0), axis=1)))

@@ -251,6 +251,32 @@ def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
     assert "schurkit: input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["spec-dir", "spec-not-utf8", "spec-too-deep", "report-no-dir",
+                                  "csv-no-dir", "seed-not-int"])
+def test_io_and_environment_errors_exit_2(tmp_path, capsys, monkeypatch, specs, case):
+    argv = ["verify", "--theorem", "chord", specs["circle"], specs["helix"], "--pairs", "5", *STEP]
+    if case == "spec-dir":
+        argv[3] = str(tmp_path)
+    elif case == "spec-not-utf8":
+        latin = tmp_path / "latin1.json"
+        latin.write_bytes('{"geometry": "plane", "name": "\u00e9"}'.encode("latin-1"))
+        argv[3] = str(latin)
+    elif case == "spec-too-deep":
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv[3] = str(deep)
+    elif case == "report-no-dir":
+        argv += ["--report", str(tmp_path / "nodir" / "r.json")]
+    elif case == "csv-no-dir":
+        argv = ["reconstruct", specs["circle"], "-o", str(tmp_path / "nodir" / "o.csv"), *STEP]
+    else:
+        monkeypatch.setenv("SCHURKIT_SEED", "abc")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "schurkit: input error" in err
+    assert "Traceback" not in err
+
+
 def test_verify_pairs_below_one_exit_2(tmp_path, specs):
     rep = tmp_path / "rep.json"
     code = main([

@@ -119,7 +119,7 @@ def test_cone_project_latitude_circle():
 
 def test_cone_project_stays_in_plane():
     c = reconstruct_spherical(sinusoidal_curvature(0.9, 0.4), (), 1.5)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
     heights = p.position @ cfg.normal
     assert np.max(np.abs(heights - cfg.d)) < 1e-9
@@ -152,13 +152,21 @@ def test_cone_project_horizon_refused():
     assert "s=" in str(err.value)
 
 
+def test_auto_projection_refuses_long_great_arc():
+    # both candidate planes (mean direction, midpoint) see the ends of a
+    # length-3 great arc below epsilon_min
+    c = reconstruct_spherical(constant_curvature(0.0), (), 3.0)
+    with pytest.raises(ProjectionError, match="no admissible projection plane"):
+        auto_projection_config(c)
+
+
 # ---------------------------------------------------------------------------
 # companion projection
 # ---------------------------------------------------------------------------
 
 def test_companion_matches_primary_projection():
     c = reconstruct_spherical(sinusoidal_curvature(0.9, 0.3), (), 1.5)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
     q = companion_project(c, r)
     assert np.max(np.abs(q.position - p.position)) < 1e-9
@@ -180,9 +188,21 @@ def test_companion_constant_scaling():
 def test_speed_identity_both_curves():
     c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.5), (), 1.5)
     ct = reconstruct_spherical(sinusoidal_curvature(0.4, 0.3), (), 1.5)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     pair = project_pair(c, ct, cfg)
     assert pair.speed_identity_error <= 1e-6
+
+
+def test_project_pair_curves_match_front_doors(sphere_polygon_pair):
+    arm, arm_t = sphere_polygon_pair
+    cfg = auto_projection_config(arm)
+    pair = project_pair(arm, arm_t, cfg)
+    r, plane = cone_project(arm, cfg)
+    assert len(arm.jump_marks) == 2
+    assert np.array_equal(pair.plane_curve.position, plane.position)
+    assert np.array_equal(pair.plane_curve.tangent, plane.tangent)
+    assert np.array_equal(pair.R.values, r.values)
+    assert np.array_equal(pair.space_curve.position, companion_project(arm_t, r).position)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +283,7 @@ def test_cross_norm_identity_projection():
 def test_cross_norm_matches_finite_differences():
     kg = sinusoidal_curvature(0.8, 0.4, 1.3, 0.2)
     c = reconstruct_spherical(kg, (), 2.0)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
     h = grid_step(r.s_grid)
     rp = finite_diff_array(r.values, h, 1)
@@ -281,7 +301,7 @@ def test_cross_norm_coefficient_choice():
     # the doubled R R'' bracket candidate disagrees with finite differences
     kg = sinusoidal_curvature(0.8, 0.4, 1.3, 0.2)
     c = reconstruct_spherical(kg, (), 2.0)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
     h = grid_step(r.s_grid)
     rp = finite_diff_array(r.values, h, 1)
@@ -304,7 +324,7 @@ def test_cross_norm_coefficient_choice():
 
 def test_dominance_equal_curves():
     c = reconstruct_spherical(constant_curvature(0.8), (), 1.5)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     pair = project_pair(c, c, cfg)
     rep = curvature_dominance_check(pair)
     assert rep.passed
@@ -313,7 +333,7 @@ def test_dominance_equal_curves():
 
 def test_dominance_small_vs_great(sphere_small_great):
     small, great = sphere_small_great
-    cfg, _ = auto_projection_config(small)
+    cfg = auto_projection_config(small)
     pair = project_pair(small, great, cfg)
     rep = curvature_dominance_check(pair)
     assert rep.passed
@@ -323,7 +343,7 @@ def test_dominance_small_vs_great(sphere_small_great):
 def test_dominance_sinusoidal_companion():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     ct = reconstruct_spherical(sinusoidal_curvature(0.0, 0.8), (), 2.0)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     pair = project_pair(c, ct, cfg)
     rep = curvature_dominance_check(pair)
     assert rep.passed
@@ -332,7 +352,7 @@ def test_dominance_sinusoidal_companion():
 
 def test_convexity_transfer():
     c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.6), (), 1.8)
-    cfg, _ = auto_projection_config(c)
+    cfg = auto_projection_config(c)
     pair = project_pair(c, c, cfg)
     finite = pair.plane_curvature.values[np.isfinite(pair.plane_curvature.values)]
     assert np.min(finite) >= -1e-6
@@ -371,7 +391,7 @@ def test_jump_transform_matches_direct_tangents():
 
 def test_jump_transform_measured_on_projection(sphere_polygon_pair):
     arm, _ = sphere_polygon_pair
-    cfg, _ = auto_projection_config(arm)
+    cfg = auto_projection_config(arm)
     pair = project_pair(arm, arm, cfg)
     for theta, i in zip(pair.jump_angles_plane, arm.jump_marks):
         p = pair.plane_curve
@@ -466,7 +486,7 @@ def test_verify_censuses_dominance_violation(sphere_small_great):
 
 def test_reparametrized_pair_is_unit_speed(sphere_polygon_pair):
     arm, arm_t = sphere_polygon_pair
-    cfg, _ = auto_projection_config(arm)
+    cfg = auto_projection_config(arm)
     pair = project_pair(arm, arm_t, cfg)
     plane2d, space3d = reparametrize_projected_pair(pair)
     for curve in (plane2d, space3d):

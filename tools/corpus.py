@@ -1,0 +1,89 @@
+"""Byte-identity corpus: 63 seeded CLI jobs, one digest line each.
+
+Runs verify-mix jobs 0..23 at seeds 7 and 8, export-tables jobs 0..11 and
+sweep-dense jobs 0..2 at seed 7 (the job generators of ``bench/workloads.py``)
+in-process through ``schurkit.cli.main``, with the benchmark's own job
+runner (``bench/run.py``: the same argv, ``SCHURKIT_SEED`` and output
+files). Specs are written to a temporary directory and passed by relative
+path, so report bytes do not depend on where the corpus runs. Each job
+prints one line (``raised=`` only when the CLI leaks an exception)::
+
+    <workload> <seed> <index> <kind> exit=<code> [raised=<type>] report=<sha256|-> csv=<sha256|->
+
+Diffing the lines of two trees, e.g. this checkout against a ``git
+worktree`` of another commit, shows every job whose exit code, report or
+table changed::
+
+    python tools/corpus.py > new.txt
+    python tools/corpus.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+Nothing is written outside the temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = (
+    ("verify-mix", 7, range(24)),
+    ("verify-mix", 8, range(24)),
+    ("export-tables", 7, range(12)),
+    ("sweep-dense", 7, range(3)),
+)
+
+
+def _digest(path: str | None) -> str:
+    if path is None or not Path(path).exists():
+        return "-"
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the schurkit package "
+                             "(default: this checkout's src)")
+    args = parser.parse_args(argv)
+
+    sys.dont_write_bytecode = True  # leave no __pycache__ in bench/ or in --src
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
+    cli = importlib.import_module("schurkit.cli")
+    workloads = importlib.import_module("workloads")
+    bench_run = importlib.import_module("run")  # the benchmark's job runner: same argv, same env
+    print(f"schurkit from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
+
+    saved_cwd, saved_seed = os.getcwd(), os.environ.get("SCHURKIT_SEED")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            for workload, seed, indices in JOBS:
+                runner = bench_run.JobRunner(cli, workloads, Path(f"{workload}-{seed}"))
+                runner.workdir.mkdir()
+                make = workloads.WORKLOADS[workload][0]
+                for index in indices:
+                    job = make(seed, index)
+                    argv, outputs, _ = runner.materialise(job)
+                    code, exc, _ = runner.call(job, argv)
+                    raised = f" raised={type(exc).__name__}" if exc is not None else ""
+                    print(f"{workload} {seed} {index} {job.kind} exit={code}{raised} "
+                          f"report={_digest(outputs.get('report'))} "
+                          f"csv={_digest(outputs.get('csv'))}", flush=True)
+    finally:
+        os.chdir(saved_cwd)
+        if saved_seed is None:
+            os.environ.pop("SCHURKIT_SEED", None)
+        else:
+            os.environ["SCHURKIT_SEED"] = saved_seed
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
