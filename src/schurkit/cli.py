@@ -689,13 +689,16 @@ def cmd_sweep(args) -> int:
     pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
     snapped = sorted({float(c.s[c.nearest_row(a, side="minus")]) for a in anchors})
-    rows, worst_mono, worst_chord, all_passed = [], math.inf, math.inf, True
+    rows, worst_mono, worst_chord = [], math.inf, math.inf
+    all_passed = mono_passed = chord_passed = True
     for i, s1 in enumerate(snapped):
         for s2 in snapped[i + 1 :]:
             window = pair.window((s1, s2))
             mono, chord = pair.monotonicity(window), pair.chord(window)
             ok = mono.conclusion_passed and chord.passed
             all_passed &= ok
+            mono_passed &= mono.conclusion_passed
+            chord_passed &= chord.chord_passed
             worst_mono = min(worst_mono, mono.min_slack)
             worst_chord = min(worst_chord, chord.chord_slack)
             rows.append([
@@ -719,8 +722,8 @@ def cmd_sweep(args) -> int:
         "hypotheses": pair.census.to_list(),
         "conclusion": _conclusion_dict(
             [
-                ("worst_monotonicity_slack", worst_mono >= -args.tol, worst_mono, None),
-                ("worst_chord_slack", worst_chord >= -args.tol, worst_chord, None),
+                ("worst_monotonicity_slack", mono_passed, worst_mono, None),
+                ("worst_chord_slack", chord_passed, worst_chord, None),
             ],
             hypotheses_ok,
         ),

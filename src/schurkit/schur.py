@@ -61,6 +61,11 @@ DEFAULT_TOL = DEFAULT_CONTROL.tol
 ANGLE_TOL = 1e-9  # angular slack of the s* search: lifting the chord angle, landing on a row
 
 
+def _length_scaled_passed(slack: float, tol: float, length: float) -> bool:
+    """A squared-length slack passes within ``tol`` scaled by the chord length (at least 1)."""
+    return slack >= -tol * max(length, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # isometric inclusion R^2 -> R^m
 # ---------------------------------------------------------------------------
@@ -445,8 +450,8 @@ class ComparisonPair:
         lhs = float((c.position[j1] - c.position[j0]) @ (clen * w.pivot_plane))
         rhs = float((ct.position[j1] - ct.position[j0]) @ (clen * w.pivot_space))
         slack = rhs - lhs
-        passed = slack >= -self.tol * max(clen, 1.0)
-        return NestedChordReport(lhs, rhs, slack, w.star.s_star, passed)
+        return NestedChordReport(lhs, rhs, slack, w.star.s_star,
+                                 _length_scaled_passed(slack, self.tol, clen))
 
     def expansion(self, pair_samples: int, seed: int) -> ExpansionReport:
         """Linear expansion bound on seeded random windows (see ``expansion_module_check``)."""
@@ -621,8 +626,7 @@ class ChordReport:
 
     @property
     def bound_passed(self) -> bool:
-        """``bound_slack`` is a squared length: its tolerance scales with the chord (at least 1)."""
-        return self.bound_slack >= -self.tol * max(self.plane_chord, 1.0)
+        return _length_scaled_passed(self.bound_slack, self.tol, self.plane_chord)
 
     @property
     def passed(self) -> bool:

@@ -280,6 +280,16 @@ def _scaled_curve(
     return scaled, float(np.max(np.abs(speed_sq - (dr**2 + r_rows**2))))
 
 
+def _cone(
+    curve: SphericalCurve, config: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray, SampledFunction, SampledCurve, float]:
+    """Per-row R and R', R on the collapsed grid, the section R c and its speed-identity error."""
+    r_rows, dr = _projection_scalars(curve, config)
+    plane, err = _scaled_curve(curve, r_rows, dr, "projected curve")
+    keep = curve.single_rows  # R is continuous across jumps; keep one row
+    return r_rows, dr, SampledFunction(curve.s[keep], r_rows[keep]), plane, err
+
+
 def cone_project(
     curve: SphericalCurve, config: ProjectionConfig
 ) -> tuple[SampledFunction, SampledCurve]:
@@ -288,22 +298,14 @@ def cone_project(
     Returns the scaling R (on the collapsed grid, continuous across jumps)
     and the projected plane curve R(s) c(s) sampled on the curve grid.
     """
-    r_rows, dr = _projection_scalars(curve, config)
-    plane = _scaled_curve(curve, r_rows, dr, "projected curve")[0]
-    keep = curve.single_rows  # R is continuous across jumps; keep one row
-    return SampledFunction(curve.s[keep], r_rows[keep]), plane
+    _, _, r, plane, _ = _cone(curve, config)
+    return r, plane
 
 
-def companion_project(
-    c_tilde: SphericalCurve,
-    r: SampledFunction,
-    r_prime_rows: np.ndarray | None = None,
-) -> SampledCurve:
+def companion_project(c_tilde: SphericalCurve, r: SampledFunction) -> SampledCurve:
     """Space curve R(s) c~(s) sharing the projected speed profile.
 
-    ``r_prime_rows`` (per curve row, one-sided at jumps) may be supplied when
-    the caller knows R' exactly; finite differences of the R samples are the
-    fallback.
+    R' is taken by per-segment finite differences of the R samples.
     """
     keep = c_tilde.single_rows
     if len(r.s_grid) != int(keep.sum()) or np.max(
@@ -311,8 +313,8 @@ def companion_project(
     ) > 1e-12 * max(1.0, float(c_tilde.s[-1])):
         raise AlignmentError("R(s) grid does not match the companion curve grid")
     r_rows = c_tilde.expand(r.values)
-    dr = r_prime_rows if r_prime_rows is not None else c_tilde.segment_derivatives(r_rows)
-    return _scaled_curve(c_tilde, r_rows, dr, "companion projection")[0]
+    return _scaled_curve(c_tilde, r_rows, c_tilde.segment_derivatives(r_rows),
+                         "companion projection")[0]
 
 
 def projected_arclength(
@@ -419,7 +421,6 @@ class ProjectedPair:
     space_curvature: SampledFunction
     jump_angles_plane: tuple[float, ...]
     jump_angles_space: tuple[float, ...]
-    r_prime_sides: tuple[tuple[float, float], ...]
     speed_identity_error: float
 
 
@@ -439,19 +440,15 @@ def project_pair(
 ) -> ProjectedPair:
     """Project both curves of a spherical pair with c's scaling R(s)."""
     _require_aligned(c, c_tilde)
-    r_rows, dr = _projection_scalars(c, config)
-    plane, plane_err = _scaled_curve(c, r_rows, dr, "projected curve")
+    r_rows, dr, r_sf, plane, plane_err = _cone(c, config)
     # both jump rows of c hold one position, so c's per-row R is already
     # what expanding the collapsed R onto c~'s (aligned) rows would give
     space, space_err = _scaled_curve(c_tilde, r_rows, dr, "companion projection")
-    keep = c.single_rows
-    r_sf = SampledFunction(c.s[keep], r_rows[keep])
     tau = projected_arclength(r_sf, [j.location for j in c.jumps])
 
-    sides, theta_plane, theta_space = [], [], []
+    theta_plane, theta_space = [], []
     for i, a, a_t in zip(c.jump_marks, _measured_jump_angles(c), _measured_jump_angles(c_tilde)):
         m, p, r = float(dr[i]), float(dr[i + 1]), float(r_rows[i])
-        sides.append((m, p))
         theta_plane.append(jump_angle_transform(m, p, r, a))
         theta_space.append(jump_angle_transform(m, p, r, a_t))
     return ProjectedPair(
@@ -464,7 +461,6 @@ def project_pair(
         space_curvature=space_curvature(space),
         jump_angles_plane=tuple(theta_plane),
         jump_angles_space=tuple(theta_space),
-        r_prime_sides=tuple(sides),
         speed_identity_error=max(plane_err, space_err),
     )
 
