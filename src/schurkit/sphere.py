@@ -247,25 +247,6 @@ class ProjectionConfig:
         return np.asarray(self.u, dtype=float)
 
 
-def _projection_scalars(
-    curve: SphericalCurve, config: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row R = d/<c,u> and its one-sided-exact derivative R' = -d <T,u> / <c,u>^2.
-
-    Differentiating R uses only the sampled frame, so jump rows get their
-    true one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
-    frame-maintenance accuracy rather than finite-difference order.
-    """
-    heights = curve.position @ config.normal
-    worst = int(np.argmin(heights))
-    if heights[worst] < config.epsilon_min:
-        raise ProjectionError(
-            f"<c(s), u> = {heights[worst]:.6g} < epsilon_min at s={curve.s[worst]:.6g}; "
-            "choose a different plane"
-        )
-    return config.d / heights, -config.d * (curve.tangent @ config.normal) / heights**2
-
-
 def _scaled_curve(
     curve: SphericalCurve, r_rows: np.ndarray, dr: np.ndarray, name: str
 ) -> tuple[SampledCurve, float]:
@@ -283,8 +264,22 @@ def _scaled_curve(
 def _cone(
     curve: SphericalCurve, config: ProjectionConfig
 ) -> tuple[np.ndarray, np.ndarray, SampledFunction, SampledCurve, float]:
-    """Per-row R and R', R on the collapsed grid, the section R c and its speed-identity error."""
-    r_rows, dr = _projection_scalars(curve, config)
+    """Per-row R = d/<c,u> and R' = -d <T,u> / <c,u>^2, R on the collapsed grid,
+    the section R c and its speed-identity error.
+
+    Differentiating R uses only the sampled frame, so jump rows get their
+    true one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
+    frame-maintenance accuracy rather than finite-difference order.
+    """
+    heights = curve.position @ config.normal
+    worst = int(np.argmin(heights))
+    if heights[worst] < config.epsilon_min:
+        raise ProjectionError(
+            f"<c(s), u> = {heights[worst]:.6g} < epsilon_min at s={curve.s[worst]:.6g}; "
+            "choose a different plane"
+        )
+    r_rows = config.d / heights
+    dr = -config.d * (curve.tangent @ config.normal) / heights**2
     plane, err = _scaled_curve(curve, r_rows, dr, "projected curve")
     keep = curve.single_rows  # R is continuous across jumps; keep one row
     return r_rows, dr, SampledFunction(curve.s[keep], r_rows[keep]), plane, err
