@@ -30,6 +30,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -654,8 +655,10 @@ def cmd_verify(args) -> int:
             return checks
 
     report["hypotheses"] = census.to_list()
-    if not census.all_passed:
+    if any(check.passed is False for check in census):
         report["notes"].append("hypotheses violated; conclusion not evaluated")
+    elif not census.all_passed:
+        report["notes"].append("hypotheses not verified; conclusion not evaluated")
     checks = conclusion() if census.all_passed else []
     report["conclusion"] = _conclusion_dict(checks, census.all_passed)
     write_report(report, args.report)
@@ -689,27 +692,24 @@ def cmd_sweep(args) -> int:
     pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
     snapped = sorted({float(c.s[c.nearest_row(a, side="minus")]) for a in anchors})
-    rows, worst_mono, worst_chord = [], math.inf, math.inf
-    all_passed = mono_passed = chord_passed = True
-    for i, s1 in enumerate(snapped):
-        for s2 in snapped[i + 1 :]:
-            window = pair.window((s1, s2))
-            mono, chord = pair.monotonicity(window), pair.chord(window)
-            ok = mono.conclusion_passed and chord.passed
-            all_passed &= ok
-            mono_passed &= mono.conclusion_passed
-            chord_passed &= chord.chord_passed
-            worst_mono = min(worst_mono, mono.min_slack)
-            worst_chord = min(worst_chord, chord.chord_slack)
-            rows.append([
-                s1, s2, mono.s_star, str(int(mono.jump_interior)), mono.min_slack,
-                chord.plane_chord, chord.space_chord, chord.chord_slack,
-                chord.bound_slack, str(int(ok)),
-            ])
+    ranges = [(s1, s2) for i, s1 in enumerate(snapped) for s2 in snapped[i + 1 :]]
+    windows = pair.windows(ranges)
+    min_slack, _ = pair.monotonicity_minima(windows)
+    chord = pair.chords(windows)
+    mono_ok = min_slack >= -args.tol
+    ok = mono_ok & chord.passed
+    worst_mono = min(min_slack.tolist(), default=math.inf)
+    worst_chord = min(chord.chord_slack.tolist(), default=math.inf)
+    mono_passed, chord_passed = bool(mono_ok.all()), bool(chord.chord_passed.all())
+    all_passed = bool(ok.all())
 
     header = ["s1", "s2", "s_star", "jump_interior", "min_slack",
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
-    write_csv(args.out, header, list(zip(*rows)))
+    write_csv(args.out, header, [
+        [s1 for s1, _ in ranges], [s2 for _, s2 in ranges], chord.s_star,
+        [str(int(w.star.jump_interior)) for w in windows], min_slack, chord.plane_chord,
+        chord.space_chord, chord.chord_slack, chord.bound_slack, [str(int(v)) for v in ok.tolist()],
+    ])
 
     hypotheses_ok = pair.census.all_passed
     report = {
@@ -727,7 +727,7 @@ def cmd_sweep(args) -> int:
             ],
             hypotheses_ok,
         ),
-        "notes": [f"pairs evaluated: {len(rows)}"],
+        "notes": [f"pairs evaluated: {len(ranges)}"],
     }
     if args.report:
         write_report(report, args.report)
@@ -753,7 +753,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6, help="inequality slack tolerance")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="schurkit",
         description="Reconstruct curves from curvature data and verify chord comparison theorems.",

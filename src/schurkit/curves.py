@@ -25,6 +25,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_CONTROL,
+    CellCubics,
     SampledFunction,
     StepControl,
     TWO_PI,
@@ -33,7 +34,7 @@ from .numerics import (
     integrate_sampled,
     nearest_index,
     orthonormal_rows,
-    pchip,
+    pchip_cells,
     rk4_angle,
     rk4_frames,
     unit,
@@ -220,16 +221,19 @@ class SampledCurve:
             out[seg] = finite_diff_array(values[seg], grid_step(self.s[seg]), order)
         return out
 
-    def cell_interpolant(self, values: np.ndarray, row: int) -> Callable:
-        """Monotone cubic (``numerics.pchip``) of per-row ``values`` on cell [row, row+1].
+    def cell_cubics(self, values: np.ndarray, rows) -> CellCubics:
+        """Monotone cubics (``numerics.pchip``) of per-row ``values`` on the cells [row, row+1].
 
-        Only the knots ``row-1 .. row+2`` of the smooth segment holding the
-        cell are read. PCHIP slopes are local, so on that cell the cubic is
-        the one fitted to the whole segment.
+        One lane per entry of ``rows``. Only the knots ``row-1 .. row+2`` of
+        the smooth segment holding each cell are read. PCHIP slopes are local,
+        so on that cell the cubic is the one fitted to the whole segment.
         """
-        seg = self.segments()[int(np.searchsorted(self.jump_marks, row))]
-        lo, hi = max(row - 1, seg.start), min(row + 3, seg.stop)
-        return pchip(self.s[lo:hi], values[lo:hi])
+        rows = np.asarray(rows, dtype=int)
+        bounds = np.concatenate(([0], self.jump_marks + 1, [len(self.s)]))
+        seg = np.searchsorted(self.jump_marks, rows)
+        start, stop = bounds[seg], bounds[seg + 1]
+        knots = np.clip(rows[:, None] + np.arange(-1, 3), start[:, None], stop[:, None] - 1)
+        return pchip_cells(self.s[knots], values[knots], rows > start, rows + 2 < stop)
 
     def nearest_row(self, value: float, side: str = "minus") -> int:
         """Row index of the sample closest to arc length ``value``.

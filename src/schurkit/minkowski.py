@@ -395,9 +395,14 @@ def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve) -> Census:
         drift = curve.tangent_norm_drift()
         census.add(name, drift <= 1e-9, 1e-9 - drift)
     census.add("future_directed", c.future_directed() and c_tilde.future_directed())
-    slack, location, k_min = worst_dominance(c.curvature.values, c_tilde.curvature.values, c.s)
-    census.add("curvature_dominance", slack >= -CURVATURE_TOL, slack, location)
-    census.add("convexity", k_min >= -CURVATURE_TOL, k_min)
+    dominance = worst_dominance(c.curvature.values, c_tilde.curvature.values, c.s)
+    if dominance is None:
+        census.add("curvature_dominance", None, note="no smooth samples")
+        census.add("convexity", None, note="no smooth samples")
+    else:
+        slack, location, k_min = dominance
+        census.add("curvature_dominance", slack >= -CURVATURE_TOL, slack, location)
+        census.add("convexity", k_min >= -CURVATURE_TOL, k_min)
     return census
 
 

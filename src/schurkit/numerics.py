@@ -2,7 +2,8 @@
 
 Fixed-step RK4 (a per-step reference loop and two array drivers that take
 all steps of a segment at once), composite Simpson quadrature on sampled
-grids, monotone bisection, a monotone cubic interpolant, and
+grids, monotone bisection (one bracket, or many lane by lane), a monotone
+cubic interpolant (over a grid, or on one cell per lane), and
 finite-difference derivatives. All routines are pure functions of their
 inputs: two runs (and the two curves of a comparison pair) see
 bit-identical grids, so pointwise inequality checks never incur
@@ -12,7 +13,7 @@ interpolation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -135,8 +136,19 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of two (n, d) arrays.
+
+    Each entry equals ``u[k] @ v[k]`` bit for bit: the stacked ``matmul``
+    hands every row pair to the same dot kernel, where ``einsum`` and
+    ``np.sum(u * v, axis=1)`` round differently on some rows.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """``unit`` applied to each row of an (n, d) array."""
+    """Each row of an (n, d) array scaled to unit length (einsum norms, so not
+    ``unit`` bit for bit)."""
     n = np.sqrt(np.einsum("ij,ij->i", v, v))
     if np.any(n < 1e-14):
         raise NormalizationError("cannot normalize a (near-)zero vector")
@@ -458,6 +470,53 @@ def bisect_monotone(
     return 0.5 * (a + b)
 
 
+def bisect_lanes(
+    f, target: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-10
+) -> np.ndarray:
+    """``bisect_monotone`` on many brackets: lane k solves f(x)[k] = target[k] on [a[k], b[k]].
+
+    ``f(x)`` evaluates every lane at its own abscissa, and ``f.take(idx)`` is
+    ``f`` restricted to the lanes ``idx``; finished lanes are dropped that way,
+    so each lane is evaluated exactly as often as ``bisect_monotone`` would.
+    Every lane repeats its steps on ``g = f - target``: the endpoint checks,
+    the midpoint sequence, the stopping rule and the 200-step cap, so the roots
+    are the scalar ones. BracketError is raised for the first lane whose
+    endpoints have the same sign.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if not np.all(b >= a):
+        k = int(np.argmin(b >= a))
+        raise ValueError(f"invalid bracket [{float(a[k])}, {float(b[k])}]")
+    fa, fb = f(a) - target, f(b) - target
+    at_a, at_b = np.abs(fa) <= tol, np.abs(fb) <= tol
+    roots = np.where(at_a, a, b)
+    same_sign = ~(at_a | at_b) & (fa * fb > 0.0)
+    if same_sign.any():
+        k = int(np.argmax(same_sign))
+        raise BracketError(
+            f"bracket endpoints have the same sign: g({float(a[k])})={fa[k]:.3g}, "
+            f"g({float(b[k])})={fb[k]:.3g}"
+        )
+    live = np.flatnonzero(~(at_a | at_b))
+    f, target, a, b, fa = f.take(live), target[live], a[live], b[live], fa[live]
+    for _ in range(200):
+        if not live.size:
+            return roots
+        m = 0.5 * (a + b)
+        fm = f(m) - target
+        done = (np.abs(fm) <= tol) | ((b - a) <= tol)
+        left = fa * fm <= 0.0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+        if done.any():
+            roots[live[done]] = m[done]
+            keep = np.flatnonzero(~done)
+            live, f, target = live[keep], f.take(keep), target[keep]
+            a, b, fa = a[keep], b[keep], fa[keep]
+    roots[live] = 0.5 * (a + b)
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # monotone cubic interpolation
 # ---------------------------------------------------------------------------
@@ -467,6 +526,19 @@ def _pchip_end_slope(h0, h1, m0, m1):
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
     return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip_interior_slope(h0, h1, m0, m1):
+    """Fritsch-Butland slope at the knot between secants m0 (cell width h0) and m1 (h1).
+
+    The weighted harmonic mean of the two secants, or zero at a local extremum
+    or next to a flat secant.
+    """
+    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
+    same = (np.sign(m1) == np.sign(m0)) & (m1 != 0) & (m0 != 0)
+    return np.divide(1.0, whmean, out=np.zeros_like(whmean), where=same)
 
 
 def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -490,11 +562,7 @@ def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     if len(x) == 2:
         d[0] = d[1] = m[0]
     else:
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-        d[1:-1] = np.divide(1.0, whmean, out=np.zeros_like(whmean), where=same)
+        d[1:-1] = _pchip_interior_slope(h[:-1], h[1:], m[:-1], m[1:])
         d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
     t = (d[:-1] + d[1:] - 2 * m) / h
@@ -508,6 +576,84 @@ def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return 0.0 + y[i] + d[i] * u + c2[i] * (u * u) + c3[i] * (u * u * u)
 
     return evaluate
+
+
+@dataclass(frozen=True)
+class CellCubics:
+    """``pchip``'s cubic on one cell per lane, evaluated as ``pchip`` evaluates it.
+
+    Lane k's cell is [x0[k], x1[k]]; ``y0``/``y1`` hold ``0.0 + y`` at its
+    knots (the evaluation's accumulator starts at 0.0) and ``d``, ``c2``,
+    ``c3`` the cubic's coefficients on the cell. Where ``right[k]`` is set the
+    fit goes on past x1, and ``pchip`` evaluates a query at x1 on that next
+    cell, where the cubic terms vanish and leave ``0.0 + y[x1]``.
+    """
+
+    x0: np.ndarray
+    x1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+    d: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+    right: np.ndarray
+
+    def _lanes(self, a: np.ndarray) -> np.ndarray:
+        """Per-lane ``a`` shaped to broadcast against the values."""
+        return a.reshape(a.shape + (1,) * (self.y0.ndim - 1))
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """Lane k's cubic at q[k]."""
+        u = self._lanes(q - self.x0)
+        v = self.y0 + self.d * u + self.c2 * (u * u) + self.c3 * (u * u * u)
+        on_next = self.right & (q >= self.x1)
+        return np.where(self._lanes(on_next), self.y1, v) if on_next.any() else v
+
+    def take(self, idx) -> CellCubics:
+        """The cubics of lanes ``idx``."""
+        return CellCubics(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def lane(self, k: int) -> Callable[[float], float]:
+        """Lane k's cubic of scalar values on Python floats: the same IEEE operations
+        without array overheads, for a single bisection."""
+        x0, x1, y0, y1, d, c2, c3, right = (getattr(self, f.name)[k].item() for f in fields(self))
+
+        def cubic(q: float) -> float:
+            if right and q >= x1:
+                return y1
+            u = q - x0
+            return y0 + d * u + c2 * (u * u) + c3 * (u * u * u)
+
+        return cubic
+
+
+def pchip_cells(x: np.ndarray, y: np.ndarray, left: np.ndarray, right: np.ndarray) -> CellCubics:
+    """``pchip``'s cubic on the middle cell of each lane's four knots.
+
+    Lane k has knots ``x[k, 0..3]`` with values ``y[k, 0..3]`` (rows of
+    (k, 4) or (k, 4, d) arrays), and its cell is [x[k, 1], x[k, 2]].
+    ``left[k]`` / ``right[k]`` say whether knot 0 / knot 3 belongs to the
+    lane's fit; where one does not, its entries are ignored and the slope on
+    that side of the cell is the fit's end slope (or, with neither, the
+    secant of a two-knot fit). Every lane repeats ``pchip``'s operations on
+    its knots, and PCHIP slopes depend only on neighbouring secants, so each
+    cubic is the one a fit over all of the lane's knots has on that cell,
+    bit for bit.
+    """
+    lanes = (-1,) + (1,) * (y.ndim - 2)
+    left, right = left.reshape(lanes), right.reshape(lanes)
+    with np.errstate(divide="ignore", invalid="ignore"):  # ignored knots may repeat a neighbour
+        h = np.diff(x, axis=1).reshape(x.shape[:1] + (3,) + (1,) * (y.ndim - 2))
+        m = np.diff(y, axis=1) / h
+        hl, hc, hr = h[:, 0], h[:, 1], h[:, 2]
+        ml, mc, mr = m[:, 0], m[:, 1], m[:, 2]
+        d0 = np.where(left, _pchip_interior_slope(hl, hc, ml, mc),
+                      np.where(right, _pchip_end_slope(hc, hr, mc, mr), mc))
+        d1 = np.where(right, _pchip_interior_slope(hc, hr, mc, mr),
+                      np.where(left, _pchip_end_slope(hc, hl, mc, ml), mc))
+    t = (d0 + d1 - 2 * mc) / hc
+    return CellCubics(x[:, 1], x[:, 2], 0.0 + y[:, 1], 0.0 + y[:, 2], d0,
+                      (mc - d0) / hc - t, t / hc, right.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

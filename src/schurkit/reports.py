@@ -16,13 +16,14 @@ import numpy as np
 class HypothesisCheck:
     """One censused precondition: its worst slack and where it occurs.
 
+    ``passed`` is None when the check had nothing to evaluate (not verified).
     ``worst_slack`` is signed so that >= 0 means satisfied; ``location`` is
     the arc-length (or jump index) of the worst offender, None when the check
     is global or vacuous.
     """
 
     name: str
-    passed: bool
+    passed: bool | None
     worst_slack: float | None = None
     location: float | None = None
     note: str = ""
@@ -30,7 +31,7 @@ class HypothesisCheck:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": None if self.passed is None else bool(self.passed),
             "worst_slack": _json_float(self.worst_slack),
             "location": _json_float(self.location),
             "note": self.note,
@@ -41,14 +42,15 @@ class HypothesisCheck:
 class Census:
     checks: list[HypothesisCheck] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, worst_slack=None, location=None, note="") -> None:
-        self.checks.append(
-            HypothesisCheck(name, bool(passed), worst_slack, location, note)
-        )
+    def add(self, name: str, passed: bool | None, worst_slack=None, location=None,
+            note="") -> None:
+        passed = None if passed is None else bool(passed)
+        self.checks.append(HypothesisCheck(name, passed, worst_slack, location, note))
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passed; one not verified (``passed`` None) does not."""
+        return all(c.passed is True for c in self.checks)
 
     def __iter__(self):
         return iter(self.checks)

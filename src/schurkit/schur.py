@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,13 +23,16 @@ from .errors import (
     HypothesisViolationError,
     NormalizationError,
     ProfileError,
+    SchurkitError,
 )
 from .numerics import (
     DEFAULT_CONTROL,
     TWO_PI,
+    bisect_lanes,
     bisect_monotone,
     integrate_sampled,
     orthonormal_complement,
+    row_dots,
     unit,
 )
 from .reports import Census, worst_dominance
@@ -59,11 +62,18 @@ __all__ = [
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
 ANGLE_TOL = 1e-9  # angular slack of the s* search: lifting the chord angle, landing on a row
+S_STAR_TOL = 1e-13  # bisection tolerance of an off-grid s*
+# Windows derived together by ``ComparisonPair.windows``; the engine's
+# temporaries grow with the block, so it bounds them for any sweep or expansion.
+WINDOW_BLOCK = 256
 
 
-def _length_scaled_passed(slack: float, tol: float, length: float) -> bool:
-    """A squared-length slack passes within ``tol`` scaled by the chord length (at least 1)."""
-    return slack >= -tol * max(length, 1.0)
+def _length_scaled_passed(slack, tol: float, length):
+    """A squared-length slack passes within ``tol`` scaled by the chord length (at least 1).
+
+    Floats or arrays of windows alike.
+    """
+    return slack >= -tol * np.maximum(length, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +167,7 @@ def find_s_star(
     angle is lifted into the window's angular range [theta(s'), theta(s'')];
     failure to lift means the input violates convexity and raises.
     """
-    return ComparisonPair(c, c)._locate(s_range)[2]
+    return ComparisonPair(c, c).window(s_range).star
 
 
 def _jump_angle(curve: SampledCurve, i: int) -> float:
@@ -175,27 +185,36 @@ def _slerp(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _pivots(
-    c: SampledCurve, c_tilde: SampledCurve, star: SStarResult
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot directions N (plane) and N~ (space) for a located s*.
+    c: SampledCurve, c_tilde: SampledCurve, stars: list[SStarResult]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Pivot directions N (plane) and N~ (space), one pair per located s*.
 
     At a jump-interior pivot, N is the chord direction inside the gap and N~
     sits at the proportional angle along c~'s minimizing tangent arc, which
-    keeps both partial gap angles dominated.
+    keeps both partial gap angles dominated. Off the grid, N~ is c~'s tangent
+    interpolated on the cell; all N~ are normalised together, each as ``unit``
+    would.
     """
-    phi = star.chord_angle
-    n_plane = np.array([math.cos(phi), math.sin(phi)])
-    if star.jump_interior:
+    raw = np.empty((len(stars), c_tilde.dim))
+    off_grid = []
+    for k, star in enumerate(stars):
         i = star.index
-        t_minus, t_plus = c_tilde.tangent[i], c_tilde.tangent[i + 1]
-        alpha, alpha_t = _jump_angle(c, i), _jump_angle(c_tilde, i)
-        beta_t = star.beta_minus * (alpha_t / alpha) if alpha > 1e-15 else 0.0
-        return n_plane, unit(_slerp(t_minus, t_plus, beta_t))
-    s_row = float(c.s[star.index])
-    if abs(star.s_star - s_row) <= 1e-12 * max(1.0, abs(star.s_star)):
-        return n_plane, unit(c_tilde.tangent[star.index])
-    # off-grid pivot: the tangent interpolated on its cell
-    return n_plane, unit(c_tilde.cell_interpolant(c_tilde.tangent, star.index)(star.s_star))
+        if star.jump_interior:
+            alpha, alpha_t = _jump_angle(c, i), _jump_angle(c_tilde, i)
+            beta_t = star.beta_minus * (alpha_t / alpha) if alpha > 1e-15 else 0.0
+            raw[k] = _slerp(c_tilde.tangent[i], c_tilde.tangent[i + 1], beta_t)
+        elif abs(star.s_star - float(c.s[i])) <= 1e-12 * max(1.0, abs(star.s_star)):
+            raw[k] = c_tilde.tangent[i]
+        else:
+            off_grid.append(k)
+    if off_grid:
+        cells = c_tilde.cell_cubics(c_tilde.tangent, [stars[k].index for k in off_grid])
+        raw[off_grid] = cells(np.array([stars[k].s_star for k in off_grid]))
+    norms = np.sqrt(row_dots(raw, raw))
+    if np.any(norms < 1e-14):
+        raise NormalizationError("cannot normalize a (near-)zero vector")
+    plane = [np.array([math.cos(star.chord_angle), math.sin(star.chord_angle)]) for star in stars]
+    return plane, [v / n for v, n in zip(raw, norms.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +277,7 @@ def hypothesis_census(
     k_c = curvature_magnitude(c)
     dominance = worst_dominance(k_c.values, curvature_magnitude(c_tilde).values, k_c.s_grid)
     if dominance is None:
-        census.add("curvature_dominance", True, note="no smooth samples")
+        census.add("curvature_dominance", None, note="no smooth samples")
     else:
         census.add("curvature_dominance", dominance[0] >= -curvature_tol, *dominance[:2])
 
@@ -326,8 +345,13 @@ class ComparisonPair:
         """Segment-wise running maximum of theta: what an off-grid s* inverts."""
         return np.concatenate([np.maximum.accumulate(self.c.theta[sl]) for sl in self.c.segments()])
 
-    def _locate(self, s_range):
-        """(rows, chord length, s*) of one window."""
+    def _locate(self, s_range) -> tuple[tuple[int, int], float, SStarResult, bool]:
+        """(rows, chord length, s*, crossing) of one window: its discrete part.
+
+        For a smooth crossing (``crossing`` set) s* still has to be found by
+        inverting theta on the cell [index, index+1]; ``s_star`` holds the
+        cell's left end until then.
+        """
         c = self.c
         if c.theta is None:
             raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
@@ -352,6 +376,7 @@ class ComparisonPair:
         j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
         s_loc = c.s[i0 : i1 + 1]
 
+        crossing = False
         if th[j] - phi_star <= ANGLE_TOL:
             # lands on (or within tolerance of) a sample row
             star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
@@ -360,19 +385,63 @@ class ComparisonPair:
             beta_minus = phi_star - th[j - 1]
             star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
         else:
-            # smooth crossing between rows j-1 and j: invert theta on that cell
-            interp = c.cell_interpolant(self._theta_max, i0 + j - 1)
-            root = bisect_monotone(
-                lambda x: float(interp(x)) - phi_star,
-                (float(s_loc[j - 1]), float(s_loc[j])),
-                tol=1e-13,
-            )
-            star = SStarResult(float(root), i0 + j - 1, False, phi_star, None, window)
-        return (i0, i1), clen, star
+            # smooth crossing between rows j-1 and j: theta is inverted on that cell later
+            star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, False, phi_star, None, window)
+            crossing = True
+        return (i0, i1), clen, star, crossing
+
+    def windows(self, ranges) -> list[PivotWindow]:
+        """``window`` of every range, in order, derived together.
+
+        The discrete part (row snap, chord, lifted chord angle, branch) runs
+        per window. The smooth crossings' s* are found by one lane-wise
+        bisection over cubics fitted lane by lane, and the pivots are
+        normalised together, ``WINDOW_BLOCK`` windows at a time. Each lane
+        takes the scalar steps, so every window equals ``window``'s. When
+        windows fail, the first failing one in input order raises.
+        """
+        ranges = list(ranges)
+        out = []
+        for lo in range(0, len(ranges), WINDOW_BLOCK):
+            block = ranges[lo : lo + WINDOW_BLOCK]
+            try:
+                out += self._window_block(block)
+            except (ValueError, SchurkitError):
+                if len(block) > 1:  # derive one at a time, so the first failing window raises
+                    for s_range in block:
+                        self._window_block([s_range])
+                raise
+        return out
+
+    def _window_block(self, ranges) -> list[PivotWindow]:
+        located = [self._locate(s_range) for s_range in ranges]
+        stars = [star for _, _, star, _ in located]
+        crossing = [k for k, (_, _, _, cross) in enumerate(located) if cross]
+        if crossing:
+            rows = np.array([stars[k].index for k in crossing])
+            cells = self.c.cell_cubics(self._theta_max, rows)
+            phi = np.array([stars[k].chord_angle for k in crossing])
+            a, b = self.c.s[rows], self.c.s[rows + 1]
+            if len(crossing) == 1:  # one lane: the scalar bisection on floats, no array overheads
+                cubic, phi_star = cells.lane(0), float(phi[0])
+                roots = [bisect_monotone(lambda x: cubic(x) - phi_star, (float(a[0]), float(b[0])),
+                                         tol=S_STAR_TOL)]
+            else:
+                roots = bisect_lanes(cells, phi, a, b, tol=S_STAR_TOL).tolist()
+            for k, root in zip(crossing, roots):
+                stars[k] = replace(stars[k], s_star=float(root))
+        planes, spaces = _pivots(self.c, self.c_tilde, stars)
+        return [PivotWindow(rows, clen, star, n, n_t)
+                for (rows, clen, _, _), star, n, n_t in zip(located, stars, planes, spaces)]
 
     def window(self, s_range) -> PivotWindow:
-        rows, clen, star = self._locate(s_range)
-        return PivotWindow(rows, clen, star, *_pivots(self.c, self.c_tilde, star))
+        return self.windows([s_range])[0]
+
+    def _derivative_slack(self, w: PivotWindow) -> tuple[slice, np.ndarray]:
+        """The window's rows and the derivative of I(s) on them."""
+        sl = slice(w.rows[0], w.rows[1] + 1)
+        tangents = self.c_tilde.tangent[sl] @ w.pivot_space - self.c.tangent[sl] @ w.pivot_plane
+        return sl, w.chord_length * tangents
 
     def monotonicity(self, w: PivotWindow) -> MonotonicityReport:
         """Derivative of I(s) on the window, the inclusion eliminated analytically.
@@ -381,8 +450,7 @@ class ComparisonPair:
         plane inner product, so the slack reduces to |chord| (<T~, N~> - <T, N>).
         """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
-        sl = slice(w.rows[0], w.rows[1] + 1)
-        slack = clen * (ct.tangent[sl] @ w.pivot_space - c.tangent[sl] @ w.pivot_plane)
+        sl, slack = self._derivative_slack(w)
         inclusion = build_inclusion(w.pivot_plane, w.pivot_space)
         iota_pos = inclusion.apply(c.position[sl])
         i_samples = (ct.position[sl] - iota_pos) @ (clen * w.pivot_space)
@@ -393,6 +461,23 @@ class ComparisonPair:
             min_slack=float(slack[k]), argmin_s=float(c.s[sl][k]), pair=self, inclusion=inclusion,
             pivot_plane=w.pivot_plane, pivot_space=w.pivot_space, tol=self.tol,
         )
+
+    def monotonicity_minima(self, ws: list[PivotWindow]) -> tuple[np.ndarray, np.ndarray]:
+        """``monotonicity``'s ``min_slack`` and ``argmin_s`` of each window.
+
+        The inclusion and the I(s) samples are not built; the pivots get
+        ``build_inclusion``'s unit-norm check.
+        """
+        for name in ("pivot_plane", "pivot_space"):
+            pivots = np.array([getattr(w, name) for w in ws])
+            if np.any(np.abs(np.sqrt(row_dots(pivots, pivots)) - 1.0) > 1e-9):
+                raise NormalizationError("build_inclusion expects unit vectors")
+        min_slack, argmin_s = np.empty(len(ws)), np.empty(len(ws))
+        for k, w in enumerate(ws):
+            sl, slack = self._derivative_slack(w)
+            j = int(np.argmin(slack))
+            min_slack[k], argmin_s[k] = slack[j], self.c.s[sl][j]
+        return min_slack, argmin_s
 
     def full_range(self, s_star) -> MonotonicityReport:
         """Whole-curve monotonicity with a freely chosen pivot (see ``full_range_monotonicity``)."""
@@ -427,19 +512,27 @@ class ComparisonPair:
         report.note = note
         return report
 
-    def chord(self, w: PivotWindow) -> ChordReport:
-        """Plane chord against the space displacement paired with the included chord."""
-        (i0, i1), clen = w.rows, w.chord_length
-        delta_t = self.c_tilde.position[i1] - self.c_tilde.position[i0]
-        bound = float(delta_t @ w.pivot_space) * clen
-        space_chord = float(np.linalg.norm(delta_t))
-        bound_slack = bound - clen * clen
-        chord_slack = space_chord - clen
+    def _space_displacements(self, ws: list[PivotWindow]) -> tuple[np.ndarray, np.ndarray]:
+        """Per window: c~(s'') - c~(s') and its inner product with N~."""
+        i0, i1 = np.array([w.rows for w in ws]).T
+        delta = self.c_tilde.position[i1] - self.c_tilde.position[i0]
+        return delta, row_dots(delta, np.array([w.pivot_space for w in ws]))
+
+    def chords(self, ws: list[PivotWindow]) -> ChordReport:
+        """``chord`` of every window, as one report whose fields are arrays over the windows."""
+        delta, along = self._space_displacements(ws)
+        clen = np.array([w.chord_length for w in ws])
+        bound = along * clen
+        space_chord = np.sqrt(row_dots(delta, delta))
         return ChordReport(
             plane_chord=clen, space_chord=space_chord, inner_product_bound=bound,
-            s_star=w.star.s_star, bound_slack=bound_slack, chord_slack=chord_slack,
-            tol=self.tol,
+            s_star=np.array([w.star.s_star for w in ws]), bound_slack=bound - clen * clen,
+            chord_slack=space_chord - clen, tol=self.tol,
         )
+
+    def chord(self, w: PivotWindow) -> ChordReport:
+        """Plane chord against the space displacement paired with the included chord."""
+        return self.chords([w]).row(0)
 
     def nested_chord(self, w: PivotWindow, s_inner_first: float,
                      s_inner_second: float) -> NestedChordReport:
@@ -454,24 +547,31 @@ class ComparisonPair:
                                  _length_scaled_passed(slack, self.tol, clen))
 
     def expansion(self, pair_samples: int, seed: int) -> ExpansionReport:
-        """Linear expansion bound on seeded random windows (see ``expansion_module_check``)."""
-        c, ct = self.c, self.c_tilde
+        """Linear expansion bound on seeded random windows (see ``expansion_module_check``).
+
+        Windows are drawn a block at a time, in the order a one-by-one draw
+        takes them, and each block is derived together.
+        """
+        c = self.c
         rng = random.Random(seed)
         n = len(c.s)
         sep = max(10, n // 100)  # fewest rows between a sampled window's two ends
         worst, worst_pair, made = math.inf, (0.0, 0.0), 0
         while made < pair_samples:
-            i = rng.randrange(0, n - sep)
-            j = rng.randrange(i + sep, n)
-            a, b = float(c.s[i]), float(c.s[j])
-            if b - a <= 0:
-                continue
-            w = self.window((a, b))
-            i0, i1 = w.rows
-            slack = float((ct.position[i1] - ct.position[i0]) @ w.pivot_space) - w.chord_length
-            if slack < worst:
-                worst, worst_pair = slack, (a, b)
-            made += 1
+            ranges = []
+            while len(ranges) < min(WINDOW_BLOCK, pair_samples - made):
+                i = rng.randrange(0, n - sep)
+                j = rng.randrange(i + sep, n)
+                a, b = float(c.s[i]), float(c.s[j])
+                if b - a > 0:
+                    ranges.append((a, b))
+            ws = self.windows(ranges)
+            _, along = self._space_displacements(ws)
+            slacks = (along - np.array([w.chord_length for w in ws])).tolist()
+            for s_range, slack in zip(ranges, slacks):
+                if slack < worst:
+                    worst, worst_pair = slack, s_range
+            made += len(ranges)
         return ExpansionReport(pair_samples, worst, worst_pair, self.tol)
 
 
@@ -578,7 +678,7 @@ def tangent_cosine_comparison(
     """
     _require_aligned(c, c_tilde)
     if isinstance(s_star, SStarResult):
-        n_plane, n_space = _pivots(c, c_tilde, s_star)
+        (n_plane,), (n_space,) = _pivots(c, c_tilde, [s_star])
         theta_star = s_star.chord_angle
     else:
         row = c.nearest_row(float(s_star), side="minus")
@@ -609,7 +709,8 @@ class ChordReport:
 
     ``inner_product_bound`` is the space displacement paired with the included
     chord; the chord inequality follows from it by Cauchy-Schwarz, so both
-    slacks are recorded.
+    slacks are recorded. The fields are floats for one window, or arrays over
+    many (``ComparisonPair.chords``), and the pass rules hold for either.
     """
 
     plane_chord: float
@@ -620,17 +721,22 @@ class ChordReport:
     chord_slack: float
     tol: float
 
+    def row(self, k: int) -> ChordReport:
+        """Window k of a report over many windows (``ComparisonPair.chords``), with float fields."""
+        per_window = (f.name for f in fields(self) if f.name != "tol")
+        return replace(self, **{name: getattr(self, name)[k].item() for name in per_window})
+
     @property
-    def chord_passed(self) -> bool:
+    def chord_passed(self):
         return self.chord_slack >= -self.tol
 
     @property
-    def bound_passed(self) -> bool:
+    def bound_passed(self):
         return _length_scaled_passed(self.bound_slack, self.tol, self.plane_chord)
 
     @property
-    def passed(self) -> bool:
-        return self.bound_passed and self.chord_passed
+    def passed(self):
+        return self.bound_passed & self.chord_passed
 
     @property
     def slack(self) -> float:

@@ -431,10 +431,19 @@ def _measured_jump_angles(curve: SampledCurve) -> tuple[float, ...]:
 
 
 def project_pair(
-    c: SphericalCurve, c_tilde: SphericalCurve, config: ProjectionConfig
+    c: SphericalCurve,
+    c_tilde: SphericalCurve,
+    config: ProjectionConfig,
+    jump_angles: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
 ) -> ProjectedPair:
-    """Project both curves of a spherical pair with c's scaling R(s)."""
+    """Project both curves of a spherical pair with c's scaling R(s).
+
+    ``jump_angles`` are the measured jump angles of c and c~ when the caller
+    has them already; by default they are measured here.
+    """
     _require_aligned(c, c_tilde)
+    if jump_angles is None:
+        jump_angles = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
     r_rows, dr, r_sf, plane, plane_err = _cone(c, config)
     # both jump rows of c hold one position, so c's per-row R is already
     # what expanding the collapsed R onto c~'s (aligned) rows would give
@@ -442,7 +451,7 @@ def project_pair(
     tau = projected_arclength(r_sf, [j.location for j in c.jumps])
 
     theta_plane, theta_space = [], []
-    for i, a, a_t in zip(c.jump_marks, _measured_jump_angles(c), _measured_jump_angles(c_tilde)):
+    for i, a, a_t in zip(c.jump_marks, *jump_angles):
         m, p, r = float(dr[i]), float(dr[i + 1]), float(r_rows[i])
         theta_plane.append(jump_angle_transform(m, p, r, a))
         theta_space.append(jump_angle_transform(m, p, r, a_t))
@@ -644,9 +653,14 @@ def spherical_schur_verify(
         x.geodesic_curvature if x.geodesic_curvature is not None else geodesic_curvature_of(x)
         for x in (c, c_tilde)
     )
-    slack, location, kg_min = worst_dominance(kg_c.values, kg_t.values, kg_c.s_grid)
-    census.add("geodesic_curvature_dominance", slack >= -curvature_tol, slack, location)
-    census.add("spherical_convexity", kg_min >= -curvature_tol, kg_min)
+    kg_dominance = worst_dominance(kg_c.values, kg_t.values, kg_c.s_grid)
+    if kg_dominance is None:
+        census.add("geodesic_curvature_dominance", None, note="no smooth samples")
+        census.add("spherical_convexity", None, note="no smooth samples")
+    else:
+        slack, location, kg_min = kg_dominance
+        census.add("geodesic_curvature_dominance", slack >= -curvature_tol, slack, location)
+        census.add("spherical_convexity", kg_min >= -curvature_tol, kg_min)
     alphas, alphas_t = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
     if alphas:
         gaps = [a - b for a, b in zip(alphas, alphas_t)]
@@ -658,7 +672,7 @@ def spherical_schur_verify(
     if auto:
         config = auto_projection_config(c)
 
-    pair = project_pair(c, c_tilde, config)
+    pair = project_pair(c, c_tilde, config, (alphas, alphas_t))
     dominance = curvature_dominance_check(pair, curvature_tol)
     census.add("projected_curvature_dominance", dominance.passed, dominance.min_dominance,
                dominance.argmin_s)

@@ -516,6 +516,48 @@ def test_module_entry_point(tmp_path, specs):
     assert json.loads(rep.read_text())["check"] == "budget"
 
 
+def test_main_builds_the_parser_once(tmp_path, specs, capsys):
+    from schurkit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    out, rep = tmp_path / "c.csv", tmp_path / "rep.json"
+    assert main(["reconstruct", specs["circle"], "-o", str(out), *STEP]) == 0
+    assert main(["verify", "--theorem", "budget", specs["circle"], "--report", str(rep), *STEP]) == 0
+    assert out.read_text().startswith("s,x,y")
+    assert json.loads(rep.read_text())["check"] == "budget"
+    for argv, code in ((["--version"], 0), (["verify", specs["circle"]], 2)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out == f"schurkit {schurkit.__version__}\n"
+    assert "the following arguments are required: --theorem" in captured.err
+    assert main(["sweep", "--theorem", "chord", specs["circle"], specs["line"], "--grid", "3",
+                 "-o", str(tmp_path / "s.csv"), *STEP]) == 0
+
+
+def test_verify_without_smooth_samples_is_not_verified(tmp_path, specs, monkeypatch):
+    import schurkit.schur
+    from schurkit.numerics import SampledFunction
+
+    measure = schurkit.schur.curvature_magnitude
+
+    def blind(curve):
+        k = measure(curve)
+        return SampledFunction(k.s_grid, np.full(len(k), np.nan))
+
+    monkeypatch.setattr(schurkit.schur, "curvature_magnitude", blind)
+    rep = tmp_path / "rep.json"
+    code = main(["verify", "--theorem", "chord", specs["circle"], specs["line"],
+                 "--report", str(rep), *STEP])
+    assert code == 0
+    data = json.loads(rep.read_text())
+    dominance = next(h for h in data["hypotheses"] if h["name"] == "curvature_dominance")
+    assert dominance["passed"] is None and dominance["note"] == "no smooth samples"
+    assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
+    assert data["notes"] == ["hypotheses not verified; conclusion not evaluated"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, schurkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = os.path.dirname(os.path.dirname(schurkit.__file__))

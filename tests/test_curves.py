@@ -332,12 +332,15 @@ def test_tangent_angle_total_matches_profile():
     assert ta.non_decreasing
 
 
-def test_cell_interpolant_matches_whole_segment_fit():
+def test_cell_cubics_match_whole_segment_fit():
     profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
     c = reconstruct_plane(profile, control=StepControl(step_h=1e-2))
     for seg in c.segments():
-        for row in (seg.start, (seg.start + seg.stop) // 2, seg.stop - 2):
-            q = np.linspace(c.s[row], c.s[row + 1], 9)
+        middle = (seg.start + seg.stop) // 2
+        for row in (seg.start, seg.start + 1, middle, seg.stop - 3, seg.stop - 2):
+            q = np.linspace(c.s[row], c.s[row + 1], 9)  # both knots included
             for values in (c.theta, c.tangent):
                 whole = pchip(c.s[seg], values[seg])(q)
-                assert np.array_equal(c.cell_interpolant(values, row)(q), whole)
+                assert np.array_equal(c.cell_cubics(values, [row] * len(q))(q), whole)
+            scalar = c.cell_cubics(c.theta, [row]).lane(0)
+            assert [scalar(x) for x in q.tolist()] == pchip(c.s[seg], c.theta[seg])(q).tolist()

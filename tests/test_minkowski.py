@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from schurkit.curves import constant_curvature, linear_curvature, sinusoidal_curvature
 from schurkit.errors import CausalError
+from schurkit.numerics import SampledFunction
 from schurkit.minkowski import (
     LorentzVec,
+    TimelikeCurve,
     boost_curve,
     build_lorentz_inclusion,
     causal_type,
@@ -206,6 +208,15 @@ def mink_pair():
     c = reconstruct_timelike_2d(constant_curvature(1.0), 1.0)
     ct = reconstruct_timelike_3d(constant_curvature(0.5), linear_curvature(0.0, 1.0), 1.0)
     return c, ct
+
+
+def test_census_without_smooth_samples_is_not_verified(mink_pair):
+    c, ct = mink_pair
+    nan_k = SampledFunction(ct.curvature.s_grid, np.full(len(ct.curvature), np.nan))
+    rep = timelike_monotonicity(c, TimelikeCurve(ct.s, ct.position, ct.tangent, nan_k), 0.5)
+    for name in ("curvature_dominance", "convexity"):
+        assert rep.census.get(name).passed is None
+    assert not rep.census.all_passed and not rep.passed
 
 
 def test_monotonicity_planar_copy():

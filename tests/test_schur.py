@@ -1,9 +1,12 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from schurkit import schur
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
@@ -13,10 +16,15 @@ from schurkit.curves import (
     reconstruct_space_frenet,
     reconstruct_space_profile,
     sinusoidal_curvature,
+    tabulated_curvature,
 )
 from schurkit.errors import HypothesisViolationError, NormalizationError, ProfileError
-from schurkit.numerics import orthonormal_complement, unit
+from schurkit.numerics import bisect_lanes, bisect_monotone, orthonormal_complement, pchip, unit
 from schurkit.schur import (
+    ComparisonPair,
+    PivotWindow,
+    _jump_angle,
+    _slerp,
     arc_length_budget_check,
     build_inclusion,
     chord_inequality,
@@ -363,11 +371,8 @@ def test_inclusion_limit_identifies_tangents(wobbly_plane_pi):
     width = 1e-2
     worst = 0.0
     for s0 in (0.4, 1.1, 2.0, 2.6):
-        star = find_s_star(wobbly_plane_pi, (s0, s0 + width))
-        from schurkit.schur import _pivots
-
-        n2, n3 = _pivots(wobbly_plane_pi, ct, star)
-        inc = build_inclusion(n2, n3)
+        w = ComparisonPair(wobbly_plane_pi, ct).window((s0, s0 + width))
+        inc = build_inclusion(w.pivot_plane, w.pivot_space)
         mid = wobbly_plane_pi.nearest_row(s0 + width / 2)
         image = inc.apply(wobbly_plane_pi.tangent[mid])
         angle = math.acos(float(np.clip(image @ ct.tangent[mid], -1.0, 1.0)))
@@ -394,6 +399,15 @@ def test_hypothesis_census_entries(circle_pi, helix_pi):
     names = {c.name for c in census}
     assert {"curvature_dominance", "jump_dominance", "convexity", "turning_budget"} <= names
     assert census.all_passed
+
+
+def test_census_without_smooth_samples_is_not_verified(circle_pi, helix_pi):
+    blind = replace(helix_pi, tangent=np.full_like(helix_pi.tangent, np.nan))  # all-NaN curvature
+    census = hypothesis_census(circle_pi, blind)
+    check = census.get("curvature_dominance")
+    assert check.passed is None and check.to_dict()["passed"] is None
+    assert check.note == "no smooth samples"
+    assert not census.all_passed
 
 
 def test_s_star_rejects_chord_outside_tangent_range():
@@ -481,3 +495,165 @@ def test_full_range_auto_pivot_at_jump_row():
     assert rep.census.all_passed
     assert rep.min_slack >= -1e-9
     assert np.min(np.diff(rep.I_samples)) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# window engine: many windows at once against a one-window scalar reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def gap_pair():
+    """Two large plane jumps on a curvature with a straight stretch, and a dominated
+    space companion: windows get on-grid, jump-interior and off-grid pivots."""
+    k = tabulated_curvature([[0.0, 0.8], [0.3, 0.0], [0.6, 0.0], [1.2, 1.1], [3.0, 0.7]])
+    c = reconstruct_plane(CurvatureProfile(3.0, k, (Jump(1.0, 0.6), Jump(2.0, 0.5))))
+    ct = reconstruct_space_profile(
+        CurvatureProfile(3.0, lambda s: 0.5 * k(s),
+                         (Jump(1.0, 0.3, (0.0, 0.0, 1.0)), Jump(2.0, 0.2, (0.0, 0.0, 1.0))),
+                         convex=False),
+        constant_curvature(0.4),
+    )
+    return ComparisonPair(c, ct)
+
+
+def _reference_window(pair, s_range):
+    """One window the scalar way: whole-segment ``pchip`` fits and ``bisect_monotone``.
+
+    Returns the window and, for a smooth crossing, the number of cubic
+    evaluations its bisection made.
+    """
+    c, ct = pair.c, pair.c_tilde
+    rows, clen, star, crossing = pair._locate(s_range)
+    i = star.index
+    seg = c.segments()[int(np.searchsorted(c.jump_marks, i))]
+    evals = []
+    if crossing:
+        theta = pchip(c.s[seg], pair._theta_max[seg])
+
+        def g(x):
+            evals.append(x)
+            return float(theta(x)) - star.chord_angle
+
+        root = bisect_monotone(g, (float(c.s[i]), float(c.s[i + 1])), tol=1e-13)
+        star = replace(star, s_star=root)
+    if star.jump_interior:
+        alpha, alpha_t = _jump_angle(c, i), _jump_angle(ct, i)
+        n_t = _slerp(ct.tangent[i], ct.tangent[i + 1], star.beta_minus * (alpha_t / alpha))
+    elif star.s_star == c.s[i]:
+        n_t = ct.tangent[i]
+    else:
+        n_t = pchip(c.s[seg], ct.tangent[seg])(star.s_star)
+    n = np.array([math.cos(star.chord_angle), math.sin(star.chord_angle)])
+    return PivotWindow(rows, clen, star, n, unit(n_t)), (len(evals) if crossing else None)
+
+
+def _window_repr(w):
+    return repr((w.rows, w.chord_length, w.star, w.pivot_plane.tolist(), w.pivot_space.tolist()))
+
+
+def _engine_ranges(pair):
+    s, jm = pair.c.s, pair.c.jump_marks
+    anchors = np.linspace(0.0, 3.0, 13)
+    grid = [(float(a), float(b)) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
+    # one-cell windows on the first and last cell of every segment: 3-knot fits
+    edges = [(float(s[lo]), float(s[lo + 1])) for lo in (0, *(jm + 1))]
+    edges += [(float(s[hi - 1]), float(s[hi])) for hi in (*jm, len(s) - 1)]
+    return grid + edges + [(0.35, 0.55), (0.1, 0.4), (0.95, 1.05), (1.3, 1.9)]
+
+
+class _CountingCells:
+    """Counts the evaluations of each lane through ``bisect_lanes``' take protocol."""
+
+    def __init__(self, f, lanes, counts):
+        self.f, self.lanes, self.counts = f, lanes, counts
+
+    def __call__(self, q):
+        self.counts[self.lanes] += 1
+        return self.f(q)
+
+    def take(self, idx):
+        return _CountingCells(self.f.take(idx), self.lanes[idx], self.counts)
+
+
+def test_windows_match_scalar_reference(gap_pair, monkeypatch):
+    ranges = _engine_ranges(gap_pair)
+    reference, ref_evals = zip(*(_reference_window(gap_pair, r) for r in ranges))
+    stars = [w.star for w in reference]
+    s = gap_pair.c.s
+    assert any(st.jump_interior for st in stars)
+    assert any(st.s_star == s[st.index] and not st.jump_interior for st in stars)
+    edge_cells = {0, len(s) - 2, *gap_pair.c.jump_marks + 1, *gap_pair.c.jump_marks - 1}
+    crossing = [(st.index, n) for st, n in zip(stars, ref_evals) if n is not None]
+    assert edge_cells <= {row for row, _ in crossing} and len(crossing) > 40
+
+    counted = []
+
+    def counting_bisect(f, target, a, b, tol):
+        counts = np.zeros(len(a), dtype=int)
+        counted.append((f.x0.tolist(), counts))
+        return bisect_lanes(_CountingCells(f, np.arange(len(a)), counts), target, a, b, tol)
+
+    monkeypatch.setattr(schur, "bisect_lanes", counting_bisect)
+    windows = gap_pair.windows(ranges)
+    assert [_window_repr(w) for w in windows] == [_window_repr(w) for w in reference]
+    # one block, so one lane-wise bisection whose lanes are the crossings in
+    # order, each evaluating its cubic as often as the scalar bisection does
+    (cells, counts), = counted
+    assert cells == [float(s[row]) for row, _ in crossing]
+    assert counts.tolist() == [n for _, n in crossing]
+    # single windows take the scalar bisection on the same cubics
+    for r, w in zip(ranges[::7], reference[::7]):
+        assert _window_repr(gap_pair.window(r)) == _window_repr(w)
+
+
+def test_windows_raise_for_the_first_failing_window(gap_pair):
+    s = gap_pair.c.s
+    degenerate = (float(s[100]) + 1e-9, float(s[100]) + 2e-9)  # both ends snap to row 100
+    with pytest.raises(HypothesisViolationError) as scalar:
+        gap_pair.window(degenerate)
+    ranges = [(0.2, 2.8), (1.1, 1.7), degenerate, (0.3, 0.9), (2.0, 2.5)]
+    with pytest.raises(HypothesisViolationError) as batched:
+        gap_pair.windows(ranges)
+    assert str(batched.value) == str(scalar.value)
+    assert str(scalar.value) == "degenerate (zero) chord: no direction to match"
+    with pytest.raises(ValueError, match="window must satisfy"):
+        gap_pair.windows(ranges[:2] + [(1.0, 0.5)] + ranges[2:])
+
+
+def test_windows_in_small_blocks_match_one_block(gap_pair, monkeypatch):
+    ranges = _engine_ranges(gap_pair)
+    whole = [_window_repr(w) for w in gap_pair.windows(ranges)]
+    monkeypatch.setattr(schur, "WINDOW_BLOCK", 7)
+    assert [_window_repr(w) for w in gap_pair.windows(ranges)] == whole
+    monkeypatch.setattr(schur, "WINDOW_BLOCK", 1)
+    assert [_window_repr(w) for w in gap_pair.windows(ranges[:20])] == whole[:20]
+
+
+def test_expansion_matches_one_window_at_a_time(gap_pair, monkeypatch):
+    c, ct = gap_pair.c, gap_pair.c_tilde
+    rng, n = random.Random(11), len(c.s)
+    sep = max(10, n // 100)
+    worst, worst_pair = math.inf, None
+    for _ in range(120):
+        i = rng.randrange(0, n - sep)
+        j = rng.randrange(i + sep, n)
+        w = gap_pair.window((float(c.s[i]), float(c.s[j])))
+        delta = ct.position[w.rows[1]] - ct.position[w.rows[0]]
+        slack = float(delta @ w.pivot_space) - w.chord_length
+        if slack < worst:
+            worst, worst_pair = slack, (float(c.s[i]), float(c.s[j]))
+    monkeypatch.setattr(schur, "WINDOW_BLOCK", 50)  # three blocks, the last one partial
+    report = gap_pair.expansion(120, 11)
+    assert (report.min_slack, report.worst_pair) == (worst, worst_pair)
+
+
+def test_sweep_columns_match_single_window_reports(gap_pair):
+    ranges = _engine_ranges(gap_pair)[:40]
+    windows = gap_pair.windows(ranges)
+    min_slack, argmin_s = gap_pair.monotonicity_minima(windows)
+    chords = gap_pair.chords(windows)
+    for k, w in enumerate(windows):
+        mono, chord = gap_pair.monotonicity(w), gap_pair.chord(w)
+        assert (min_slack[k], argmin_s[k]) == (mono.min_slack, mono.argmin_s)
+        assert chords.row(k) == chord
+        assert chords.passed[k] == chord.passed and chords.bound_passed[k] == chord.bound_passed

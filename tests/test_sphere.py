@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -436,6 +437,31 @@ def test_hinge_infeasible_chord():
 # ---------------------------------------------------------------------------
 # end-to-end verification
 # ---------------------------------------------------------------------------
+
+def test_verify_without_smooth_samples_is_not_verified(sphere_small_great):
+    small, great = sphere_small_great
+    kg = geodesic_curvature_of(great)
+    nan_kg = SampledFunction(kg.s_grid, np.full(len(kg), np.nan))
+    blind = dataclasses.replace(great, geodesic_curvature=nan_kg)
+    v = spherical_schur_verify(small, blind)
+    for name in ("geodesic_curvature_dominance", "spherical_convexity"):
+        assert v.census.get(name).passed is None
+    assert not v.census.all_passed and not v.passed
+
+
+def test_verify_measures_jump_angles_once_per_curve(sphere_polygon_pair, monkeypatch):
+    import schurkit.sphere as sphere
+
+    arm, arm_t = sphere_polygon_pair
+    measured, calls = sphere._measured_jump_angles, []
+    monkeypatch.setattr(sphere, "_measured_jump_angles",
+                        lambda curve: calls.append(curve) or measured(curve))
+    v = spherical_schur_verify(arm, arm_t)
+    assert [id(curve) for curve in calls] == [id(arm), id(arm_t)]
+    alone = project_pair(arm, arm_t, v.config)  # measures them itself
+    assert (v.pair.jump_angles_plane, v.pair.jump_angles_space) == (alone.jump_angles_plane,
+                                                                    alone.jump_angles_space)
+
 
 def test_verify_rotation_gives_equality():
     c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.4), (), 1.5)
