@@ -691,7 +691,7 @@ def cmd_sweep(args) -> int:
 
     pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
-    snapped = sorted({float(c.s[c.nearest_row(a, side="minus")]) for a in anchors})
+    snapped = sorted(set(c.s[c.nearest_row(anchors, side="minus")].tolist()))
     ranges = [(s1, s2) for i, s1 in enumerate(snapped) for s2 in snapped[i + 1 :]]
     windows = pair.windows(ranges)
     min_slack, _ = pair.monotonicity_minima(windows)

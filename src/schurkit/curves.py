@@ -235,21 +235,17 @@ class SampledCurve:
         knots = np.clip(rows[:, None] + np.arange(-1, 3), start[:, None], stop[:, None] - 1)
         return pchip_cells(self.s[knots], values[knots], rows > start, rows + 2 < stop)
 
-    def nearest_row(self, value: float, side: str = "minus") -> int:
-        """Row index of the sample closest to arc length ``value``.
+    def nearest_row(self, value, side: str = "minus"):
+        """Row index of the sample closest to arc length ``value`` (an index array for an array).
 
         ``side`` resolves duplicated jump rows: "minus" returns the row
-        carrying the incoming tangent, "plus" the outgoing one.
+        carrying the incoming tangent, "plus" the outgoing one, i.e. the first
+        or the last of the rows sharing the nearest sample's s.
         """
         s = self.s
-        best = nearest_index(s, value)
-        if side == "plus":
-            while best + 1 < len(s) and s[best + 1] == s[best]:
-                best += 1
-        else:
-            while best - 1 >= 0 and s[best - 1] == s[best]:
-                best -= 1
-        return best
+        plus = side == "plus"
+        best = s.searchsorted(s[nearest_index(s, value)], side="right" if plus else "left") - plus
+        return int(best) if best.ndim == 0 else best
 
     def index_of(self, value: float, side: str = "minus", atol: float = 1e-9) -> int:
         """Like nearest_row but requires ``value`` to sit on the grid."""

@@ -66,16 +66,21 @@ DEFAULT_CONTROL = StepControl()
 CURVATURE_TOL = 1e-4
 
 
-def nearest_index(grid: np.ndarray, value: float) -> int:
+def nearest_index(grid: np.ndarray, value):
     """Index of the grid point closest to ``value``; ties go to the lower index.
 
-    ``grid`` must be non-decreasing. Raises DomainError for an empty grid.
+    ``value`` may be an array, giving an index array of its shape. ``grid``
+    must be non-decreasing. Raises DomainError for an empty grid.
     """
     if len(grid) == 0:
         raise DomainError("cannot look up a row of an empty grid")
-    i = int(np.searchsorted(grid, value))
-    lo = max(i - 1, 0)
-    return lo + int(np.argmin(np.abs(grid[lo : i + 2] - value)))
+    value = np.asarray(value, dtype=float)
+    i = grid.searchsorted(value)
+    # rows i-1 and i bracket the value (grid[i-1] < value <= grid[i]) and row i+1 is
+    # never nearer than row i; a tie goes to row i-1
+    below, above = grid.take((i - 1, i), mode="clip")
+    best = np.minimum(np.maximum(i - (value - below <= np.abs(above - value)), 0), len(grid) - 1)
+    return int(best) if best.ndim == 0 else best
 
 
 @dataclass
@@ -613,6 +618,11 @@ class CellCubics:
         """The cubics of lanes ``idx``."""
         return CellCubics(*(getattr(self, f.name)[idx] for f in fields(self)))
 
+    def columns(self, cols) -> CellCubics:
+        """Every lane's cubics of the value columns ``cols`` (an index or a slice)."""
+        return CellCubics(self.x0, self.x1, self.y0[:, cols], self.y1[:, cols], self.d[:, cols],
+                          self.c2[:, cols], self.c3[:, cols], self.right)
+
     def lane(self, k: int) -> Callable[[float], float]:
         """Lane k's cubic of scalar values on Python floats: the same IEEE operations
         without array overheads, for a single bisection."""
@@ -640,17 +650,18 @@ def pchip_cells(x: np.ndarray, y: np.ndarray, left: np.ndarray, right: np.ndarra
     cubic is the one a fit over all of the lane's knots has on that cell,
     bit for bit.
     """
-    lanes = (-1,) + (1,) * (y.ndim - 2)
-    left, right = left.reshape(lanes), right.reshape(lanes)
+    values = (1,) * (y.ndim - 2)
+    # the slopes at knots 1 and 2 side by side: knot 1 has secants (l, c) and its
+    # outer knot on the left, knot 2 has secants (c, r) and its outer knot on the right
+    outer = np.array((left, right)).T.reshape((-1, 2) + values)
     with np.errstate(divide="ignore", invalid="ignore"):  # ignored knots may repeat a neighbour
-        h = np.diff(x, axis=1).reshape(x.shape[:1] + (3,) + (1,) * (y.ndim - 2))
+        h = np.diff(x, axis=1).reshape(x.shape[:1] + (3,) + values)
         m = np.diff(y, axis=1) / h
-        hl, hc, hr = h[:, 0], h[:, 1], h[:, 2]
-        ml, mc, mr = m[:, 0], m[:, 1], m[:, 2]
-        d0 = np.where(left, _pchip_interior_slope(hl, hc, ml, mc),
-                      np.where(right, _pchip_end_slope(hc, hr, mc, mr), mc))
-        d1 = np.where(right, _pchip_interior_slope(hc, hr, mc, mr),
-                      np.where(left, _pchip_end_slope(hc, hl, mc, ml), mc))
+        # where a knot has no outer neighbour: the end slope towards the far knot, or the secant
+        end = _pchip_end_slope(h[:, 1:2], h[:, ::-2], m[:, 1:2], m[:, ::-2])
+        d = np.where(outer, _pchip_interior_slope(h[:, :2], h[:, 1:], m[:, :2], m[:, 1:]),
+                     np.where(outer[:, ::-1], end, m[:, 1:2]))
+    hc, mc, d0, d1 = h[:, 1], m[:, 1], d[:, 0], d[:, 1]
     t = (d0 + d1 - 2 * mc) / hc
     return CellCubics(x[:, 1], x[:, 2], 0.0 + y[:, 1], 0.0 + y[:, 2], d0,
                       (mc - d0) / hc - t, t / hc, right.reshape(-1))

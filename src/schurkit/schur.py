@@ -147,14 +147,8 @@ class SStarResult:
     window: tuple[float, float]
 
 
-def _window_rows(c: SampledCurve, s_range) -> tuple[int, int]:
-    """Snap a requested window to grid rows (plus side at s', minus at s'')."""
-    if s_range is None:
-        return 0, len(c.s) - 1
-    a, b = float(s_range[0]), float(s_range[1])
-    if not b > a:
-        raise ValueError(f"window must satisfy s'' > s', got [{a}, {b}]")
-    return c.nearest_row(a, side="plus"), c.nearest_row(b, side="minus")
+def _window_error(a: float, b: float) -> ValueError:
+    return ValueError(f"window must satisfy s'' > s', got [{a}, {b}]")
 
 
 def find_s_star(
@@ -172,49 +166,60 @@ def find_s_star(
 
 def _jump_angle(curve: SampledCurve, i: int) -> float:
     """Turning angle between the one-sided tangents of jump row i."""
-    return math.acos(float(np.clip(np.dot(curve.tangent[i], curve.tangent[i + 1]), -1.0, 1.0)))
+    return math.acos(min(max(float(np.dot(curve.tangent[i], curve.tangent[i + 1])), -1.0), 1.0))
 
 
-def _slerp(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
-    """Point at the given angle from u along the minimizing great arc to v."""
-    full = math.acos(float(np.clip(np.dot(u, v), -1.0, 1.0)))
-    if full < 1e-12 or angle <= 0.0:
-        return u.copy()
-    t = min(angle / full, 1.0)
-    return (math.sin((1.0 - t) * full) * u + math.sin(t * full) * v) / math.sin(full)
+def _gap_pivots(c: SampledCurve, c_tilde: SampledCurve, rows: np.ndarray,
+                beta_minus: np.ndarray) -> np.ndarray:
+    """N~ of jump-interior pivots: the point at the proportional angle along c~'s
+    minimizing tangent arc over the jump row (from the incoming tangent u to v).
 
-
-def _pivots(
-    c: SampledCurve, c_tilde: SampledCurve, stars: list[SStarResult]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Pivot directions N (plane) and N~ (space), one pair per located s*.
-
-    At a jump-interior pivot, N is the chord direction inside the gap and N~
-    sits at the proportional angle along c~'s minimizing tangent arc, which
-    keeps both partial gap angles dominated. Off the grid, N~ is c~'s tangent
-    interpolated on the cell; all N~ are normalised together, each as ``unit``
-    would.
+    The jump angles, the arc and its sine are taken once per jump row; each
+    lane's weights of u and v are those of a slerp, on Python floats.
     """
-    raw = np.empty((len(stars), c_tilde.dim))
-    off_grid = []
-    for k, star in enumerate(stars):
-        i = star.index
-        if star.jump_interior:
-            alpha, alpha_t = _jump_angle(c, i), _jump_angle(c_tilde, i)
-            beta_t = star.beta_minus * (alpha_t / alpha) if alpha > 1e-15 else 0.0
-            raw[k] = _slerp(c_tilde.tangent[i], c_tilde.tangent[i + 1], beta_t)
-        elif abs(star.s_star - float(c.s[i])) <= 1e-12 * max(1.0, abs(star.s_star)):
-            raw[k] = c_tilde.tangent[i]
+    arcs = {}
+    for i in set(rows.tolist()):
+        full = _jump_angle(c_tilde, i)
+        arcs[i] = _jump_angle(c, i), full, math.sin(full)
+    lanes = []
+    for i, beta in zip(rows.tolist(), beta_minus.tolist()):
+        alpha, full, sin_full = arcs[i]
+        angle = beta * (full / alpha) if alpha > 1e-15 else 0.0
+        if full < 1e-12 or angle <= 0.0:
+            lanes.append((0.0, 0.0, 0.0, 1.0))  # no turn: u itself
         else:
-            off_grid.append(k)
-    if off_grid:
-        cells = c_tilde.cell_cubics(c_tilde.tangent, [stars[k].index for k in off_grid])
-        raw[off_grid] = cells(np.array([stars[k].s_star for k in off_grid]))
+            t = min(angle / full, 1.0)
+            lanes.append((1.0, math.sin((1.0 - t) * full), math.sin(t * full), sin_full))
+    turn, w_u, w_v, sin_full = np.array(lanes).T[:, :, None]
+    u, v = c_tilde.tangent[rows], c_tilde.tangent[rows + 1]
+    return np.where(turn > 0.0, (w_u * u + w_v * v) / sin_full, u)
+
+
+def _pivots(c: SampledCurve, c_tilde: SampledCurve, index: np.ndarray, s_star: np.ndarray,
+            chord_angle: np.ndarray, beta_minus: np.ndarray,
+            interpolated: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot directions N (plane) and N~ (space), one row per located s*.
+
+    At a jump-interior pivot (``beta_minus`` not NaN), N is the chord
+    direction inside the gap and N~ sits at the proportional angle along
+    c~'s minimizing tangent arc, which keeps both partial gap angles
+    dominated. Off the grid, N~ is c~'s tangent interpolated on the cell at
+    s*, read from ``interpolated`` where the caller has it already; all N~
+    are normalised together, each as ``unit`` would.
+    """
+    gap = ~np.isnan(beta_minus)
+    off_grid = ~gap & (np.abs(s_star - c.s[index]) > 1e-12 * np.maximum(1.0, np.abs(s_star)))
+    raw = c_tilde.tangent[index]
+    if off_grid.any():
+        raw[off_grid] = (c_tilde.cell_cubics(c_tilde.tangent, index[off_grid])(s_star[off_grid])
+                         if interpolated is None else interpolated[off_grid])
+    if gap.any():
+        raw[gap] = _gap_pivots(c, c_tilde, index[gap], beta_minus[gap])
     norms = np.sqrt(row_dots(raw, raw))
-    if np.any(norms < 1e-14):
+    if (norms < 1e-14).any():
         raise NormalizationError("cannot normalize a (near-)zero vector")
-    plane = [np.array([math.cos(star.chord_angle), math.sin(star.chord_angle)]) for star in stars]
-    return plane, [v / n for v, n in zip(raw, norms.tolist())]
+    plane = np.array([(math.cos(a), math.sin(a)) for a in chord_angle.tolist()])
+    return plane, raw / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -341,64 +346,32 @@ class ComparisonPair:
         return hypothesis_census(self.c, self.c_tilde, self.tol, self.curvature_tol)
 
     @cached_property
-    def _theta_max(self) -> np.ndarray:
-        """Segment-wise running maximum of theta: what an off-grid s* inverts."""
-        return np.concatenate([np.maximum.accumulate(self.c.theta[sl]) for sl in self.c.segments()])
-
-    def _locate(self, s_range) -> tuple[tuple[int, int], float, SStarResult, bool]:
-        """(rows, chord length, s*, crossing) of one window: its discrete part.
-
-        For a smooth crossing (``crossing`` set) s* still has to be found by
-        inverting theta on the cell [index, index+1]; ``s_star`` holds the
-        cell's left end until then.
-        """
+    def _crossing_values(self) -> np.ndarray:
+        """Per row, what a smooth crossing fits on its cell: the segment-wise running
+        maximum of theta, which its s* inverts, then c~'s tangent, which its N~
+        interpolates at s*."""
         c = self.c
-        if c.theta is None:
-            raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
-        i0, i1 = _window_rows(c, s_range)
-        window = (float(c.s[i0]), float(c.s[i1]))
-        chord = c.position[i1] - c.position[i0]
-        clen = float(np.linalg.norm(chord))
-        if clen < 1e-12:
-            raise HypothesisViolationError("degenerate (zero) chord: no direction to match")
+        theta_max = np.concatenate([np.maximum.accumulate(c.theta[sl]) for sl in c.segments()])
+        return np.column_stack([theta_max, self.c_tilde.tangent])
 
-        th = np.maximum.accumulate(c.theta[i0 : i1 + 1])
-        phi = math.atan2(chord[1], chord[0])
-        m = math.ceil((th[0] - phi - ANGLE_TOL) / TWO_PI)
-        phi_star = phi + TWO_PI * m
-        if phi_star > th[-1] + ANGLE_TOL:
-            raise HypothesisViolationError(
-                "chord direction lies outside the tangent angular range; "
-                "the profile is not a valid convex curve"
-            )
-        phi_star = min(max(phi_star, th[0]), th[-1])
+    @cached_property
+    def _theta_record(self) -> np.ndarray:
+        """Running maximum of theta over the whole curve.
 
-        j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
-        s_loc = c.s[i0 : i1 + 1]
-
-        crossing = False
-        if th[j] - phi_star <= ANGLE_TOL:
-            # lands on (or within tolerance of) a sample row
-            star = SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window)
-        elif j > 0 and s_loc[j] == s_loc[j - 1]:
-            # strictly inside a jump's angular gap
-            beta_minus = phi_star - th[j - 1]
-            star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star, float(beta_minus), window)
-        else:
-            # smooth crossing between rows j-1 and j: theta is inverted on that cell later
-            star = SStarResult(float(s_loc[j - 1]), i0 + j - 1, False, phi_star, None, window)
-            crossing = True
-        return (i0, i1), clen, star, crossing
+        A window starting on a record row (where it equals theta) reads its
+        own running maximum of theta from it.
+        """
+        return np.maximum.accumulate(self.c.theta)
 
     def windows(self, ranges) -> list[PivotWindow]:
         """``window`` of every range, in order, derived together.
 
-        The discrete part (row snap, chord, lifted chord angle, branch) runs
-        per window. The smooth crossings' s* are found by one lane-wise
-        bisection over cubics fitted lane by lane, and the pivots are
-        normalised together, ``WINDOW_BLOCK`` windows at a time. Each lane
-        takes the scalar steps, so every window equals ``window``'s. When
-        windows fail, the first failing one in input order raises.
+        ``WINDOW_BLOCK`` windows at a time, as arrays: the row snap, the
+        chord, the lifted chord angle and the branch, then one lane-wise
+        bisection for the smooth crossings' s* over cubics fitted lane by
+        lane, then the pivots, normalised together. Each lane takes the
+        scalar steps, so every window equals ``window``'s. When windows fail,
+        the first failing one in input order raises.
         """
         ranges = list(ranges)
         out = []
@@ -414,25 +387,77 @@ class ComparisonPair:
         return out
 
     def _window_block(self, ranges) -> list[PivotWindow]:
-        located = [self._locate(s_range) for s_range in ranges]
-        stars = [star for _, _, star, _ in located]
-        crossing = [k for k, (_, _, _, cross) in enumerate(located) if cross]
-        if crossing:
-            rows = np.array([stars[k].index for k in crossing])
-            cells = self.c.cell_cubics(self._theta_max, rows)
-            phi = np.array([stars[k].chord_angle for k in crossing])
-            a, b = self.c.s[rows], self.c.s[rows + 1]
-            if len(crossing) == 1:  # one lane: the scalar bisection on floats, no array overheads
-                cubic, phi_star = cells.lane(0), float(phi[0])
-                roots = [bisect_monotone(lambda x: cubic(x) - phi_star, (float(a[0]), float(b[0])),
-                                         tol=S_STAR_TOL)]
+        c = self.c
+        if c.theta is None:
+            raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
+        s, theta, record = c.s, c.theta, self._theta_record
+        # a range of None is the whole curve: its ends snap to the first and the last row
+        ends = np.array([(-math.inf, math.inf) if r is None else (r[0], r[1]) for r in ranges],
+                        dtype=float)
+        ordered = ends[:, 1] > ends[:, 0]
+        if not ordered.all():
+            raise _window_error(*ends[np.argmin(ordered)].tolist())
+        i0, i1 = c.nearest_row(ends[:, 0], side="plus"), c.nearest_row(ends[:, 1], side="minus")
+        chord = c.position[i1] - c.position[i0]
+        clen = np.sqrt(row_dots(chord, chord))
+        if (clen < 1e-12).any():
+            raise HypothesisViolationError("degenerate (zero) chord: no direction to match")
+
+        # Each window's running maximum of theta: read off the record where the
+        # window starts on a record row, accumulated per window where not.
+        th0, top = theta[i0], record[i1]
+        own = {k: np.maximum.accumulate(theta[i0[k] : i1[k] + 1])
+               for k in (record[i0] != th0).nonzero()[0].tolist()}
+        for k, th in own.items():
+            top[k] = th[-1]
+        # the chord angle lifted into [theta(s'), theta(s'')]; + 0.0 turns a -0.0 from
+        # np.ceil into 0.0, as an integer number of turns would be
+        phi = np.array([math.atan2(y, x) for x, y in chord.tolist()])
+        phi_star = phi + TWO_PI * (np.ceil((th0 - phi - ANGLE_TOL) / TWO_PI) + 0.0)
+        if (phi_star > top + ANGLE_TOL).any():
+            raise HypothesisViolationError(
+                "chord direction lies outside the tangent angular range; "
+                "the profile is not a valid convex curve"
+            )
+        phi_star = np.where(th0 > phi_star, th0, phi_star)
+        phi_star = np.where(top < phi_star, top, phi_star)
+        # first row j of the window whose running maximum reaches phi*, and the maxima at j-1, j
+        j = np.minimum(np.maximum(record.searchsorted(phi_star), i0), i1)
+        at, before = record[j], record[j - 1]
+        for k, th in own.items():
+            local = min(int(th.searchsorted(phi_star[k])), len(th) - 1)
+            j[k], at[k], before[k] = i0[k] + local, th[local], th[local - 1]
+
+        # lands on (or within tolerance of) a row; strictly inside a jump's angular
+        # gap; or a smooth crossing, where theta is inverted on the cell [j-1, j].
+        # Off a row j > i0, since phi* >= theta(s'), the maximum at i0.
+        on_row, prev = at - phi_star <= ANGLE_TOL, j - 1
+        gap = ~on_row & (s[j] == s[prev])
+        index = np.where(on_row, j, prev)
+        s_star = s[index]
+        crossing = (~(on_row | gap)).nonzero()[0]
+        interpolated = None
+        if crossing.size:
+            rows = index[crossing]
+            cells = c.cell_cubics(self._crossing_values, rows)
+            theta_cells = cells.columns(0)
+            a, b = s[rows], s[rows + 1]
+            if crossing.size == 1:  # one lane: the scalar bisection on floats, no array overheads
+                cubic, target = theta_cells.lane(0), float(phi_star[crossing[0]])
+                s_star[crossing] = bisect_monotone(lambda x: cubic(x) - target,
+                                                   (float(a[0]), float(b[0])), tol=S_STAR_TOL)
             else:
-                roots = bisect_lanes(cells, phi, a, b, tol=S_STAR_TOL).tolist()
-            for k, root in zip(crossing, roots):
-                stars[k] = replace(stars[k], s_star=float(root))
-        planes, spaces = _pivots(self.c, self.c_tilde, stars)
-        return [PivotWindow(rows, clen, star, n, n_t)
-                for (rows, clen, _, _), star, n, n_t in zip(located, stars, planes, spaces)]
+                s_star[crossing] = bisect_lanes(theta_cells, phi_star[crossing], a, b, tol=S_STAR_TOL)
+            interpolated = np.empty((len(ranges), self.c_tilde.dim))
+            interpolated[crossing] = cells.columns(slice(1, None))(s_star[crossing])
+        beta = np.where(gap, phi_star - before, np.nan)
+        planes, spaces = _pivots(c, self.c_tilde, index, s_star, phi_star, beta, interpolated)
+
+        stars = [SStarResult(st, i, g, angle, b if g else None, w) for st, i, g, angle, b, w in zip(
+            s_star.tolist(), index.tolist(), gap.tolist(), phi_star.tolist(), beta.tolist(),
+            zip(s[i0].tolist(), s[i1].tolist()))]
+        return [PivotWindow(rows, length, star, n, n_t) for rows, length, star, n, n_t in zip(
+            zip(i0.tolist(), i1.tolist()), clen.tolist(), stars, planes, spaces)]
 
     def window(self, s_range) -> PivotWindow:
         return self.windows([s_range])[0]
@@ -678,14 +703,20 @@ def tangent_cosine_comparison(
     """
     _require_aligned(c, c_tilde)
     if isinstance(s_star, SStarResult):
-        (n_plane,), (n_space,) = _pivots(c, c_tilde, [s_star])
+        lane = (s_star.index, s_star.s_star, s_star.chord_angle,
+                s_star.beta_minus if s_star.jump_interior else math.nan)
+        (n_plane,), (n_space,) = _pivots(c, c_tilde, *(np.array([v]) for v in lane))
         theta_star = s_star.chord_angle
     else:
         row = c.nearest_row(float(s_star), side="minus")
         n_plane, n_space = unit(c.tangent[row]), unit(c_tilde.tangent[row])
         theta_star = float(c.theta[row]) if c.theta is not None else None
-    i0, i1 = _window_rows(c, s_range)
-    sl = slice(i0, i1 + 1)
+    sl = slice(None)
+    if s_range is not None:
+        a, b = float(s_range[0]), float(s_range[1])
+        if not b > a:
+            raise _window_error(a, b)
+        sl = slice(c.nearest_row(a, side="plus"), c.nearest_row(b, side="minus") + 1)
     cos_plane = c.tangent[sl] @ n_plane
     cos_space = c_tilde.tangent[sl] @ n_space
     slack = cos_space - cos_plane

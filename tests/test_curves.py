@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
+    SampledCurve,
     apply_jump,
     check_convex_budget,
     constant_curvature,
@@ -317,6 +318,31 @@ def test_nearest_row_resolves_jump_rows(corner_pair):
     assert c.nearest_row(1.0 + 1e-7, side="plus") == i + 1
 
 
+def _brute_nearest_row(s, value, side):
+    """Nearest sample by exhaustive search (lowest row on a tie), then the first
+    (minus) or last (plus) row sharing its s."""
+    rows = np.flatnonzero(s == s[int(np.argmin(np.abs(s - value)))])
+    return int(rows[-1] if side == "plus" else rows[0])
+
+
+def test_nearest_row_of_an_array_matches_scalar_lookups():
+    # jump rows 2, 3 at s = 1 and 6, 7 at s = 3; uneven spacing elsewhere
+    s = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.5, 3.0, 3.0, 4.0])
+    c = SampledCurve(s, np.zeros((len(s), 2)), np.tile([1.0, 0.0], (len(s), 1)), [2, 6])
+    ties = (s[1:] + s[:-1]) / 2  # midpoints, the jump rows' own included
+    values = np.concatenate([ties, s, [-1.0, -0.0, 0.3, 4.0 + 1e-9, 9.0, 1.0 - 1e-12, 3.0 + 1e-12]])
+    for side in ("minus", "plus"):
+        rows = c.nearest_row(values, side=side)
+        assert rows.shape == values.shape
+        scalar = [c.nearest_row(float(v), side=side) for v in values]
+        assert all(type(r) is int for r in scalar)
+        assert rows.tolist() == scalar == [_brute_nearest_row(s, v, side) for v in values]
+        assert c.nearest_row(values.reshape(3, -1), side=side).tolist() == rows.reshape(3, -1).tolist()
+    assert c.nearest_row(np.array([1.0, 3.0]), side="minus").tolist() == [2, 6]
+    assert c.nearest_row(np.array([1.0, 3.0]), side="plus").tolist() == [3, 7]
+    assert c.nearest_row(np.array([0.75, 1.25]), side="plus").tolist() == [1, 3]  # ties go low
+
+
 def test_coarse_control_still_valid():
     ctl = StepControl(step_h=1e-2)
     c = reconstruct_plane(CurvatureProfile(math.pi, constant_curvature(1.0)), control=ctl)
@@ -344,3 +370,13 @@ def test_cell_cubics_match_whole_segment_fit():
                 assert np.array_equal(c.cell_cubics(values, [row] * len(q))(q), whole)
             scalar = c.cell_cubics(c.theta, [row]).lane(0)
             assert [scalar(x) for x in q.tolist()] == pchip(c.s[seg], c.theta[seg])(q).tolist()
+
+
+def test_cell_cubics_of_stacked_columns_match_each_column_alone():
+    profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
+    c = reconstruct_plane(profile, control=StepControl(step_h=1e-2))
+    rows = np.array([0, 1, 35, 68, 69, 71, 72, 120, 199, 200])  # segment ends included
+    q = c.s[rows] + 0.37 * (c.s[rows + 1] - c.s[rows])
+    stacked = c.cell_cubics(np.column_stack([c.theta, c.tangent]), rows)
+    assert np.array_equal(stacked.columns(0)(q), c.cell_cubics(c.theta, rows)(q))
+    assert np.array_equal(stacked.columns(slice(1, None))(q), c.cell_cubics(c.tangent, rows)(q))

@@ -264,6 +264,22 @@ def test_nearest_index_ties_go_to_lower_row():
         nearest_index(np.empty(0), 0.0)
 
 
+def test_nearest_index_of_an_array_matches_the_scan_of_each_value():
+    grid = np.concatenate([np.linspace(0.0, 1.0, 11), [1.0], np.linspace(1.25, 3.0, 8)])
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.uniform(-1.0, 4.0, 400), grid, (grid[1:] + grid[:-1]) / 2,
+                             [-np.inf, np.inf]])
+
+    def scan(v):  # the nearest of rows i-1, i, i+1 around the insertion point, lowest first
+        i = int(np.searchsorted(grid, v))
+        lo = max(i - 1, 0)
+        return lo + int(np.argmin(np.abs(grid[lo : i + 2] - v)))
+
+    expected = [scan(v) for v in values]
+    assert nearest_index(grid, values).tolist() == expected
+    assert [nearest_index(grid, float(v)) for v in values] == expected
+
+
 @pytest.mark.parametrize("columns", [None, 3])
 @pytest.mark.parametrize("kind", ["random", "increasing", "flat-runs", "sign-changes", "zigzag"])
 def test_pchip_matches_scipy_bit_for_bit(columns, kind):

@@ -10,6 +10,7 @@ from schurkit import schur
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
+    SampledCurve,
     constant_curvature,
     embed_plane_curve,
     reconstruct_plane,
@@ -23,8 +24,8 @@ from schurkit.numerics import bisect_lanes, bisect_monotone, orthonormal_complem
 from schurkit.schur import (
     ComparisonPair,
     PivotWindow,
+    SStarResult,
     _jump_angle,
-    _slerp,
     arc_length_budget_check,
     build_inclusion,
     chord_inequality,
@@ -516,6 +517,46 @@ def gap_pair():
     return ComparisonPair(c, ct)
 
 
+def _slerp(u, v, angle):
+    """Point at the given angle from u along the minimizing great arc to v."""
+    full = math.acos(float(np.clip(np.dot(u, v), -1.0, 1.0)))
+    if full < 1e-12 or angle <= 0.0:
+        return u.copy()
+    t = min(angle / full, 1.0)
+    return (math.sin((1.0 - t) * full) * u + math.sin(t * full) * v) / math.sin(full)
+
+
+def _reference_locate(c, s_range):
+    """(rows, chord length, s*, crossing) of one window, the scalar way.
+
+    Each end is snapped on its own and the window accumulates its own running
+    maximum of theta. For a smooth crossing, ``s_star`` holds the cell's left
+    end.
+    """
+    if s_range is None:
+        i0, i1 = 0, len(c.s) - 1
+    else:
+        i0, i1 = c.nearest_row(float(s_range[0]), side="plus"), c.nearest_row(float(s_range[1]))
+    window = (float(c.s[i0]), float(c.s[i1]))
+    chord = c.position[i1] - c.position[i0]
+    clen = float(np.linalg.norm(chord))
+    th = np.maximum.accumulate(c.theta[i0 : i1 + 1])
+    phi = math.atan2(chord[1], chord[0])
+    phi_star = phi + schur.TWO_PI * math.ceil((th[0] - phi - schur.ANGLE_TOL) / schur.TWO_PI)
+    assert phi_star <= th[-1] + schur.ANGLE_TOL
+    phi_star = float(min(max(phi_star, th[0]), th[-1]))
+    j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
+    s_loc = c.s[i0 : i1 + 1]
+    if th[j] - phi_star <= schur.ANGLE_TOL:
+        return (i0, i1), clen, SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window), False
+    if j > 0 and s_loc[j] == s_loc[j - 1]:
+        beta_minus = float(phi_star - th[j - 1])
+        return (i0, i1), clen, SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star,
+                                           beta_minus, window), False
+    return (i0, i1), clen, SStarResult(float(s_loc[j - 1]), i0 + j - 1, False, phi_star, None,
+                                       window), True
+
+
 def _reference_window(pair, s_range):
     """One window the scalar way: whole-segment ``pchip`` fits and ``bisect_monotone``.
 
@@ -523,12 +564,12 @@ def _reference_window(pair, s_range):
     evaluations its bisection made.
     """
     c, ct = pair.c, pair.c_tilde
-    rows, clen, star, crossing = pair._locate(s_range)
+    rows, clen, star, crossing = _reference_locate(c, s_range)
     i = star.index
     seg = c.segments()[int(np.searchsorted(c.jump_marks, i))]
     evals = []
     if crossing:
-        theta = pchip(c.s[seg], pair._theta_max[seg])
+        theta = pchip(c.s[seg], np.maximum.accumulate(c.theta[seg]))
 
         def g(x):
             evals.append(x)
@@ -604,6 +645,49 @@ def test_windows_match_scalar_reference(gap_pair, monkeypatch):
     # single windows take the scalar bisection on the same cubics
     for r, w in zip(ranges[::7], reference[::7]):
         assert _window_repr(gap_pair.window(r)) == _window_repr(w)
+
+
+def test_star_fields_are_python_numbers(gap_pair):
+    windows = gap_pair.windows(_engine_ranges(gap_pair))
+    for w in windows:
+        star = w.star
+        assert (type(star.s_star), type(star.index), type(star.chord_angle)) == (float, int, float)
+        assert star.beta_minus is None or type(star.beta_minus) is float
+        assert [type(v) for v in (*star.window, w.chord_length, *w.rows)] == [float] * 3 + [int] * 2
+    # on the straight stretch the lifted chord angle is clamped to theta(s')
+    star = gap_pair.window((0.35, 0.55)).star
+    assert star.chord_angle == gap_pair.c.theta[star.index] and type(star.chord_angle) is float
+
+
+def test_whole_curve_window_takes_the_block_path(gap_pair):
+    reference, _ = _reference_window(gap_pair, None)
+    assert reference.rows == (0, len(gap_pair.c.s) - 1)
+    assert _window_repr(gap_pair.window(None)) == _window_repr(reference)
+    mixed = gap_pair.windows([None, (0.2, 2.8), None])
+    assert _window_repr(mixed[0]) == _window_repr(mixed[2]) == _window_repr(reference)
+    assert _window_repr(mixed[1]) == _window_repr(_reference_window(gap_pair, (0.2, 2.8))[0])
+
+
+def test_windows_starting_off_a_running_max_record_match_reference(gap_pair):
+    # theta dips by up to 5e-10, inside the convexity tolerance, on the straight
+    # stretch: windows starting in a dip start below the running maximum
+    c = gap_pair.c
+    theta = c.theta.copy()
+    theta[400:405] -= 1e-10 * np.arange(1, 6)
+    theta[450] -= 1e-10
+    pair = ComparisonPair(SampledCurve(c.s, c.position, c.tangent, c.jump_marks, theta),
+                          gap_pair.c_tilde)
+    assert pair.census.all_passed
+    starts = [float(c.s[i]) for i in (*range(398, 407), 449, 450, 451)]
+    ranges = [(a, b) for a in starts for b in (0.5, 0.58, 0.7, 0.9, 1.0, 1.3, 2.2, 2.9)]
+    reference = [_reference_window(pair, r)[0] for r in ranges]
+    first = np.array([w.rows[0] for w in reference])
+    assert np.sum(np.maximum.accumulate(theta)[first] > theta[first]) == 6 * 8
+    # on the stretch the pivot lands past the dip, where the window's own maximum is back
+    assert any(w.star.index > w.rows[0] and w.star.s_star < 0.6 for w in reference)
+    expected = [_window_repr(w) for w in reference]
+    assert [_window_repr(w) for w in pair.windows(ranges)] == expected
+    assert [_window_repr(pair.window(r)) for r in ranges] == expected
 
 
 def test_windows_raise_for_the_first_failing_window(gap_pair):

@@ -1,10 +1,10 @@
-"""Byte-identity corpus: 63 seeded CLI jobs, one digest line each.
+"""Byte-identity corpus: 69 seeded CLI jobs, one digest line each.
 
-Runs verify-mix jobs 0..23 at seeds 7 and 8, export-tables jobs 0..11 and
-sweep-dense jobs 0..2 at seed 7 (the job generators of ``bench/workloads.py``)
-in-process through ``schurkit.cli.main``, with the benchmark's own job
-runner (``bench/run.py``: the same argv, ``SCHURKIT_SEED`` and output
-files). Specs are written to a temporary directory and passed by relative
+Runs verify-mix jobs 0..23 at seeds 7 and 8, export-tables jobs 0..11 at
+seed 7, and sweep-dense jobs 0..2 at seed 7 and 0..5 at seed 8 (the job
+generators of ``bench/workloads.py``) in-process through
+``schurkit.cli.main``, with the benchmark's own job runner
+(``bench/run.py``: the same argv, ``SCHURKIT_SEED`` and output files). Specs are written to a temporary directory and passed by relative
 path, so report bytes do not depend on where the corpus runs. Each job
 prints one line (``raised=`` only when the CLI leaks an exception)::
 
@@ -37,6 +37,7 @@ JOBS = (
     ("verify-mix", 8, range(24)),
     ("export-tables", 7, range(12)),
     ("sweep-dense", 7, range(3)),
+    ("sweep-dense", 8, range(6)),
 )
 
 
