@@ -412,7 +412,7 @@ class ComparisonPair:
             top[k] = th[-1]
         # the chord angle lifted into [theta(s'), theta(s'')]; + 0.0 turns a -0.0 from
         # np.ceil into 0.0, as an integer number of turns would be
-        phi = np.array([math.atan2(y, x) for x, y in chord.tolist()])
+        phi = np.array([math.atan2(y, x) for x, y in chord[:, :2].tolist()])
         phi_star = phi + TWO_PI * (np.ceil((th0 - phi - ANGLE_TOL) / TWO_PI) + 0.0)
         if (phi_star > top + ANGLE_TOL).any():
             raise HypothesisViolationError(
