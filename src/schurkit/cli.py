@@ -75,7 +75,7 @@ from .sphere import (
 )
 
 GEOMETRIES = ("plane", "space3", "sphere", "minkowski2", "minkowski3")
-MAX_ROWS = 10_000_000  # grid rows per curve; a finer --step is refused before allocating
+MAX_ROWS = 10_000_000  # grid rows per curve and windows per sweep; more is refused before allocating
 THEOREMS = (
     "budget",
     "monotonicity",
@@ -332,12 +332,13 @@ def _build_aligned(spec_a, path_a, spec_b, path_b, control) -> tuple[BuiltCurve,
 # ---------------------------------------------------------------------------
 
 CSV_CHUNK = 4096  # rows formatted per write, so a table never sits in memory as text
+_G17_WIDTH = 24  # bytes of the longest %.17g field, "-1.7976931348623157e+308"
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     """Open an output file for writing; a path that cannot be opened is an input error."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as e:
         raise SpecError(f"cannot write {path}: {e.strerror or e}") from e
 
@@ -347,18 +348,164 @@ def write_csv(path: str, header: list[str], columns) -> None:
     strings) as CSV rows under ``header``.
 
     Floats print as ``%.17g`` (round-trip exact; ``nan``, ``inf``, ``-0``),
-    strings as they are. Rows are formatted and written a chunk at a time.
+    byte for byte as Python's ``%`` writes them, by the array formatter
+    ``_format_g17``; strings print as they are. Rows are formatted and
+    written a chunk at a time.
     """
-    with _open_output(path) as f:
-        f.write(",".join(header) + "\n")
+    with _open_output(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
         n = len(columns[0]) if columns else 0
         if not n:
             return
-        fmt = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+        text = [isinstance(c[0], str) for c in columns]
         for lo in range(0, n, CSV_CHUNK):
-            chunk = (c[lo : lo + CSV_CHUNK] for c in columns)
-            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
-            f.writelines(fmt % row for row in rows)
+            f.write(_csv_rows([c[lo : lo + CSV_CHUNK] for c in columns], text))
+
+
+def _csv_rows(chunk: list, text: list[bool]) -> np.ndarray:
+    """The CSV bytes of one chunk of rows.
+
+    Each field is laid out NUL-padded at a fixed width with its separator
+    right after it, in one byte array; one boolean compress drops the padding.
+    """
+    cells = [np.array([v.encode() for v in c]) if t else np.asarray(c, dtype=float)
+             for c, t in zip(chunk, text)]
+    widths = [c.itemsize if t else _G17_WIDTH for c, t in zip(cells, text)]
+    out = np.zeros((len(cells[0]), sum(widths) + len(widths)), np.uint8)
+    end = 0
+    for c, t, w in zip(cells, text, widths):
+        field = out[:, end : end + w]
+        if t:
+            field[:] = c.view(np.uint8).reshape(-1, w)
+        else:
+            _format_g17(c, field)
+        end += w + 1
+        out[:, end - 1] = ord(",")
+    out[:, -1] = ord("\n")
+    return out[out != 0]
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact doubles ``10**k`` (k = 0..22) and their Veltkamp halves."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    return (pow10, *_veltkamp(pow10))
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Digit and layout tables of ``_format_g17``, built on first use.
+
+    ``ascii4[q]`` is the ASCII of the 4-digit group ``q`` as one little-endian
+    word and ``zeros4[q]`` its trailing-zero count (4 for 0000).
+    ``layout[(E + 6) * 17 + nd - 1]`` lists, for decimal exponent ``E``
+    (-6..16) and ``nd`` significant digits, the source byte of each output
+    byte. ``_format_g17`` builds 24-byte source rows: the 17 digits at bytes
+    0 and 4..19, then constants: ``.0e`` at 1..3, ``-56`` at 20..22 (they are
+    ``words``) and NUL at 23.
+    """
+    quad = np.arange(10_000)
+    ascii4 = sum((48 + quad // 10**j % 10) << (8 * (3 - j)) for j in range(4)).astype("<u4")
+    zeros4 = np.select([quad % 10**j == 0 for j in (4, 3, 2, 1)], [4, 3, 2, 1], 0)
+    dot, zero, exp, minus, five, six, nul = 1, 2, 3, 20, 21, 22, 23
+    digit = [0, *range(4, 20)]
+    layout = np.full((23 * 17, _G17_WIDTH - 2), nul, np.intp)
+    for e in range(-6, 17):
+        for nd in range(1, 18):
+            if e < -4:  # d.ddde-0X
+                picks = [digit[0], *([dot, *digit[1:nd]] if nd > 1 else []),
+                         exp, minus, zero, five if e == -5 else six]
+            elif e < 0:  # 0.000ddd
+                picks = [zero, dot, *[zero] * (-e - 1), *digit[:nd]]
+            else:  # ddd.ddd, or ddd000 when nothing follows the point
+                picks = [*digit[: e + 1], *([dot, *digit[e + 1 : nd]] if nd > e + 1 else [])]
+            layout[(e + 6) * 17 + nd - 1, : len(picks)] = picks
+    words = np.frombuffer(b"0.0e-56\0", "<u4")
+    return ascii4, zeros4, layout, words
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles into 26-bit halves, ``hi + lo == a`` exactly."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: ``hi + lo == a * 10**k`` exactly."""
+    pow10, p_hi, p_lo = _pow10()
+    b_hi, b_lo = p_hi[k], p_lo[k]
+    a_hi, a_lo = _veltkamp(a)
+    hi = a * pow10[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _decade_step(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """+1 where ``hi + lo < 1e16``, -1 where ``hi + lo >= 1e17``, else 0 (exactly)."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return below.astype(np.intp) - above
+
+
+def _format_g17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` for each double of ``x`` into the rows of ``out``
+    (uint8, ``_G17_WIDTH`` wide, zero-filled), NUL-padded: the same bytes.
+
+    A value with ``1e-6 <= |v| < 1e17`` is scaled by the exact power ``10**k``
+    that brings ``|v| * 10**k`` into ``[1e16, 1e17)``; Dekker's product gives
+    it exactly as ``hi + lo``, and ``hi`` is an even integer there, so
+    ``hi + rint(lo)`` is its round-half-even integer: the 17 significant
+    digits. They are laid out by the ``%g`` rules (fixed notation for decimal
+    exponents -4..16, ``e-05``/``e-06`` below; trailing zeros and a bare
+    point dropped) through a 4-digit ASCII table. Zeros print as ``0``/``-0``.
+    Everything else (nan, inf, other magnitudes, an exact tie in ``lo``)
+    is formatted by Python, one value at a time.
+    """
+    ascii4, zeros4, layout, words = _g17_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-6) & (a < 1e17)  # False for nan
+    a[~exact] = 1.0
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
+    hi, lo = _times_pow10(a, k)
+    step = _decade_step(hi, lo)
+    moved = np.flatnonzero(step)
+    if moved.size:  # log10 missed the decade next to a power of ten
+        km = k[moved] + step[moved]
+        fits = (km >= 0) & (km <= 22)
+        km[~fits] = 16
+        k[moved] = km
+        hi[moved], lo[moved] = _times_pow10(a[moved], km)
+        exact[moved] &= fits & (_decade_step(hi[moved], lo[moved]) == 0)
+    r = np.rint(lo)
+    n17 = hi.astype(np.int64) + r.astype(np.int64)
+    # A tie, and a rounding up to 10**17 (a carry into the next decade, which
+    # no double in range needs), are left to Python.
+    exact &= (np.abs(lo - r) != 0.5) & (n17 < 10**17)
+    # Lanes left to Python get the digits of 0 at exponent 0, laid out as "0":
+    # right for +-0, overwritten below for the rest.
+    n17[~exact] = 0
+    k[~exact] = 16
+
+    lead, rest = np.divmod(n17, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    quads = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    src = np.empty((len(x), 6), "<u4")
+    src[:, 0] = words[0] + lead
+    for j, q in enumerate(quads, start=1):
+        src[:, j] = ascii4[q]
+    src[:, 5] = words[1]
+    q1, q2, q3, q4 = quads
+    tail = zeros4[q4] + (q4 == 0) * (zeros4[q3] + (q3 == 0) * (zeros4[q2] + (q2 == 0) * zeros4[q1]))
+    at = layout[(22 - k) * 17 + 16 - tail]
+    at += np.arange(0, src.size * 4, 24)[:, None]  # row offsets into the flat source bytes
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 1:-1] = src.view(np.uint8).ravel().take(at)
+
+    slow = np.flatnonzero(~exact & (x != 0))
+    if slow.size:
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_G17_WIDTH}")
+        out[slow] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -395,9 +542,8 @@ def cmd_reconstruct(args) -> int:
     control = _control(args)
     built = build_curve(load_spec(args.spec), control, args.spec)
     curve = built.curve
-    jump = ["0"] * len(curve.s)
-    for i in curve.jump_marks:
-        jump[i] = "1"
+    jump = np.zeros(len(curve.s))
+    jump[curve.jump_marks] = 1.0
 
     if built.geometry in ("plane", "space3"):
         kappa = curve.expand(curvature_magnitude(curve).values)
@@ -685,6 +831,9 @@ def cmd_sweep(args) -> int:
         raise SpecError("sweep supports the windowed checks: monotonicity, chord")
     if args.grid < 2:
         raise SpecError("--grid must be at least 2")
+    if args.grid * (args.grid - 1) // 2 > MAX_ROWS:
+        raise SpecError(f"--grid {args.grid} needs more than the budget of {MAX_ROWS} windows "
+                        f"(grid*(grid-1)/2 table rows)")
     control = _control(args)
     built_c, built_t = _build_pair(args, control, args.theorem)
     c, ct = _comparison_curves(built_c, built_t)
@@ -707,8 +856,8 @@ def cmd_sweep(args) -> int:
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
     write_csv(args.out, header, [
         [s1 for s1, _ in ranges], [s2 for _, s2 in ranges], chord.s_star,
-        [str(int(w.star.jump_interior)) for w in windows], min_slack, chord.plane_chord,
-        chord.space_chord, chord.chord_slack, chord.bound_slack, [str(int(v)) for v in ok.tolist()],
+        np.array([w.star.jump_interior for w in windows]), min_slack, chord.plane_chord,
+        chord.space_chord, chord.chord_slack, chord.bound_slack, ok,
     ])
 
     hypotheses_ok = pair.census.all_passed

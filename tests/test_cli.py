@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import schurkit
+import schurkit.cli as cli
 from schurkit.cli import main
 
 STEP = ["--step", "2e-3"]  # coarser grid keeps the CLI suite quick
@@ -480,6 +483,26 @@ def test_sweep_needs_windowed_theorem(tmp_path, specs):
     ]) == 2
 
 
+def test_sweep_grid_over_window_budget_exit_2(tmp_path, specs, monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def build_pair(*args):  # the first allocation a sweep makes
+        raise Built
+
+    monkeypatch.setattr(cli, "_build_pair", build_pair)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--theorem", "chord", specs["circle"], specs["helix"], "-o", str(out)]
+    assert main([*argv, "--grid", "10000000000000"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+    n = 4472  # the largest grid whose n*(n-1)/2 windows fit the budget
+    assert n * (n - 1) // 2 <= cli.MAX_ROWS < (n + 1) * n // 2
+    assert main([*argv, "--grid", str(n + 1)]) == 2
+    with pytest.raises(Built):
+        main([*argv, "--grid", str(n)])
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -595,6 +618,57 @@ def test_write_csv_matches_row_format_across_chunks(tmp_path, monkeypatch):
         f"{x:.17g},{y:.17g},{f}\n" for x, y, f in zip(a.tolist(), b.tolist(), flags)
     )
     assert path.read_text() == expected
+
+
+def _write_and_reference(path, columns):
+    """The bytes ``write_csv`` writes for ``columns`` and the per-row ``%.17g`` text."""
+    header = [f"c{j}" for j in range(len(columns))]
+    cli.write_csv(str(path), header, columns)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    return path.read_bytes(), (",".join(header) + "\n" + "".join(fmt % r for r in rows)).encode()
+
+
+# Doubles next to each %.17g layout change: powers of ten and their neighbours
+# (decimal exponents -7..17, fixed and exponent notation), an exact 18-digit
+# tie, the extremes, and doubles below a power of ten whose 17-digit rounding
+# carries into the next decade (all outside the array formatter's range).
+G17_BOUNDARY = sorted({
+    v
+    for m in range(-7, 18)
+    for p in (float(f"1e{m}"),)
+    for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf),
+              math.nextafter(math.nextafter(p, 0.0), 0.0))
+} | {2.0**50 + 0.25, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+     1e-14, 1e-70, 1e-73, 1e98, 1e129, 0.1, 1.0 / 3.0, 0.5, 123456789012345680.0})
+
+
+def test_write_csv_boundary_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+    x = np.array(G17_BOUNDARY)
+    got, want = _write_and_reference(tmp_path / "b.csv", [x, -x, x[::-1].copy()])
+    assert got == want
+
+
+def test_write_csv_random_decades(tmp_path):
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 18.0, n)
+    x[::5] = rng.integers(-10**6, 10**6, x[::5].size) / 64.0  # short decimals, trailing zeros
+    x[::7] = np.ldexp(0.5 + rng.random(x[::7].size) / 2, rng.integers(-1074, 1024, x[::7].size))
+    got, want = _write_and_reference(tmp_path / "r.csv", [x])
+    assert got == want
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.floats(), st.floats(1e-7, 1e17), st.floats(-1e17, -1e-7)),
+             min_size=m, max_size=m),
+    min_size=1, max_size=12)))
+def test_write_csv_matches_percent_g17_property(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("g17") / "p.csv"
+    with mock.patch.object(cli, "CSV_CHUNK", 5):
+        got, want = _write_and_reference(path, [np.array(c) for c in zip(*rows)])
+    assert got == want
 
 
 def test_verify_seed_env_echoed(tmp_path, specs, monkeypatch):
