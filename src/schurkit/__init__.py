@@ -10,8 +10,6 @@ from .numerics import (
     StepControl,
     bisect_monotone,
     finite_diff,
-    rk4_integrate,
-    simpson_quadrature,
 )
 from .curves import (
     BudgetResult,
@@ -40,13 +38,6 @@ from .schur import (
     MonotonicityReport,
     arc_length_budget_check,
     build_inclusion,
-    chord_inequality,
-    expansion_module_check,
-    find_s_star,
-    full_range_monotonicity,
-    monotonicity_profile,
-    nested_chord_inequality,
-    tangent_cosine_comparison,
 )
 from .sphere import (
     ProjectedPair,
@@ -65,16 +56,11 @@ from .sphere import (
     spherical_schur_verify,
 )
 from .minkowski import (
-    LorentzVec,
     TimelikeCurve,
-    causal_type,
-    hyperbolic_tangent_distance,
     lorentz_boost,
     minkowski_dot,
-    reconstruct_spacelike_2d,
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
-    spacelike_reversed_chord_inequality,
     timelike_monotonicity,
 )

@@ -24,7 +24,7 @@ Spec schema (unknown fields are rejected)::
 
 Exit codes: 0 pass (or hypothesis-violation censused), 1 conclusion slack
 below -tol with hypotheses satisfied, 2 input/schema error, 3 numeric
-failure.
+failure (out of memory included).
 """
 
 from __future__ import annotations
@@ -961,6 +961,10 @@ def main(argv=None) -> int:
         return 2
     except SchurkitError as e:
         print(f"schurkit: numeric failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("schurkit: numeric failure: out of memory; use a coarser --step or a smaller "
+              "--grid", file=sys.stderr)
         return 3
 
 

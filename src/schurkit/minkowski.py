@@ -33,21 +33,15 @@ from .numerics import (
 from .reports import Census, worst_dominance
 
 __all__ = [
-    "LorentzVec",
     "TimelikeCurve",
     "TimelikeMonotonicityReport",
     "ReversedChordReport",
     "minkowski_dot",
     "minkowski_norm",
-    "causal_type",
-    "hyperbolic_tangent_distance",
     "reconstruct_timelike_2d",
     "reconstruct_timelike_3d",
-    "reconstruct_spacelike_2d",
     "timelike_monotonicity",
     "reversed_chord_inequality",
-    "spacelike_reversed_chord_inequality",
-    "swap_plane_coordinates",
     "build_lorentz_inclusion",
     "lorentz_boost",
     "boost_curve",
@@ -73,51 +67,6 @@ def minkowski_norm(v) -> float:
     if q < 0:
         raise CausalError(f"vector is space-like (<v,v> = {q:.6g}); no time-like length")
     return math.sqrt(q)
-
-
-def causal_type(v) -> str:
-    q = minkowski_dot(v, v)
-    if q > 0:
-        return "timelike"
-    if q < 0:
-        return "spacelike"
-    return "null"
-
-
-@dataclass(frozen=True)
-class LorentzVec:
-    """Convenience wrapper classifying a Minkowski vector by causal type."""
-
-    t: float
-    x: float
-    y: float | None = None
-
-    @property
-    def vector(self) -> np.ndarray:
-        comps = [self.t, self.x] if self.y is None else [self.t, self.x, self.y]
-        return np.array(comps, dtype=float)
-
-    @property
-    def causal_type(self) -> str:
-        return causal_type(self.vector)
-
-    @property
-    def future_directed(self) -> bool:
-        return self.causal_type == "timelike" and self.t > 0
-
-
-def hyperbolic_tangent_distance(t1, t2) -> float:
-    """Hyperbolic distance between two future unit time-like vectors.
-
-    Equals arccosh <T1, T2>; the product dips below 1 only by roundoff for
-    valid inputs, so anything below 1 - 1e-6 is rejected as non-causal.
-    """
-    dot = minkowski_dot(t1, t2)
-    if dot < 1.0 - 1e-6:
-        raise CausalError(
-            f"<T1, T2> = {dot:.9g} < 1; inputs are not both future unit time-like"
-        )
-    return math.acosh(max(dot, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,61 +200,6 @@ def embed_timelike_2d(curve: TimelikeCurve) -> TimelikeCurve:
         np.hstack([curve.tangent, zeros]),
         curve.curvature,
         rapidity=None if curve.rapidity is None else curve.rapidity.copy(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# space-like plane curves via the coordinate swap
-# ---------------------------------------------------------------------------
-
-def swap_plane_coordinates(curve: TimelikeCurve) -> TimelikeCurve:
-    """Involution (t, x) -> (x, t) exchanging time-like and space-like curves.
-
-    The swap negates the Minkowski product, so a unit space-like plane curve
-    becomes a unit time-like one with the same curvature magnitude; the
-    comparison results for space-like plane pairs are read off the swapped
-    time-like pair without separate machinery.
-    """
-    if curve.dim != 2:
-        raise ProfileError("the coordinate swap is a plane-curve device")
-    return TimelikeCurve(
-        curve.s.copy(),
-        curve.position[:, ::-1].copy(),
-        curve.tangent[:, ::-1].copy(),
-        curve.curvature,
-        rapidity=None if curve.rapidity is None else curve.rapidity.copy(),
-    )
-
-
-def reconstruct_spacelike_2d(
-    k: Callable,
-    length: float,
-    rapidity0: float = 0.0,
-    start: Sequence[float] = (0.0, 0.0),
-    control: StepControl = DEFAULT_CONTROL,
-) -> TimelikeCurve:
-    """Plane space-like curve (<T, T> = -1) of prescribed curvature."""
-    twin = reconstruct_timelike_2d(k, length, rapidity0, start[::-1], control)
-    return swap_plane_coordinates(twin)
-
-
-def spacelike_reversed_chord_inequality(
-    c: TimelikeCurve, c_tilde: TimelikeCurve, tol: float = DEFAULT_TOL
-) -> ReversedChordReport:
-    """Reversed chord comparison for a space-like plane pair.
-
-    Both curves must be plane curves with unit space-like tangents; the check
-    runs on their time-like coordinate swaps, whose chords have the same
-    lengths under the respective causal conventions.
-    """
-    for name, curve in (("c", c), ("c_tilde", c_tilde)):
-        if curve.dim != 2:
-            raise ProfileError(f"{name}: space-like comparison covers plane pairs only")
-        drift = float(np.max(np.abs(minkowski_dot(curve.tangent, curve.tangent) + 1.0)))
-        if drift > 1e-9:
-            raise CausalError(f"{name}: tangents are not unit space-like")
-    return reversed_chord_inequality(
-        swap_plane_coordinates(c), swap_plane_coordinates(c_tilde), tol
     )
 
 

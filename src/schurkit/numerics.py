@@ -1,13 +1,12 @@
 """Deterministic numerical kernel shared by every curve module.
 
-Fixed-step RK4 (a per-step reference loop and two array drivers that take
-all steps of a segment at once), composite Simpson quadrature on sampled
-grids, monotone bisection (one bracket, or many lane by lane), a monotone
-cubic interpolant (over a grid, or on one cell per lane), and
-finite-difference derivatives. All routines are pure functions of their
-inputs: two runs (and the two curves of a comparison pair) see
-bit-identical grids, so pointwise inequality checks never incur
-interpolation error.
+Fixed-step RK4 (two array drivers that take all steps of a segment at
+once), composite Simpson quadrature on sampled grids, monotone bisection
+(one bracket, or many lane by lane), a monotone cubic interpolant (over a
+grid, or on one cell per lane), and finite-difference derivatives. All
+routines are pure functions of their inputs: two runs (and the two curves
+of a comparison pair) see bit-identical grids, so pointwise inequality
+checks never incur interpolation error.
 """
 
 from __future__ import annotations
@@ -216,46 +215,6 @@ def _require_finite(s_grid: np.ndarray, states: np.ndarray, what: str = "state")
         raise IntegrationError(f"non-finite {what} at s={s_grid[int(np.argmax(bad))]:.9g}")
 
 
-def rk4_integrate(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    y0,
-    span: tuple[float, float],
-    control: StepControl = DEFAULT_CONTROL,
-    post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
-) -> SampledFunction:
-    """Classical fixed-step RK4 over ``span`` with the control's grid policy.
-
-    ``post_step(s, y)`` (when given) may repair the state after every step,
-    e.g. re-orthonormalize a moving frame; its return value replaces ``y``.
-    The trajectory is sampled at every step point, both endpoints included.
-    Raises IntegrationError the moment the state stops being finite. This
-    per-step loop is the reference the array drivers below are tested against.
-    """
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    scalar = np.ndim(y0) == 0
-    s_grid, h = _rk4_grid(span, control)
-    _require_finite(s_grid[:1], y[None], "initial state")
-    n = len(s_grid) - 1
-    out = np.empty((n + 1, y.size))
-    out[0] = y
-
-    for i in range(n):
-        s = s_grid[i]
-        k1 = np.asarray(field(s, y), dtype=float)
-        k2 = np.asarray(field(s + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(s + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(s + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            y = post_step(s_grid[i + 1], y)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at s={s_grid[i + 1]:.9g}")
-        out[i + 1] = y
-
-    values = out[:, 0] if scalar else out
-    return SampledFunction(s_grid, values)
-
-
 def rk4_angle(
     rate: Callable,
     y0,
@@ -268,11 +227,11 @@ def rk4_angle(
     The angle's derivative does not depend on the state, so the angle is a
     running sum of the RK4 increments and the position a running sum of the
     matching combination of the four stage tangents, each summed in the
-    per-step loop's operation order. Blocks of ``ANGLE_BLOCK`` steps continue
-    the sums from the previous block's last row, which leaves them
+    classical RK4 step's operation order. Blocks of ``ANGLE_BLOCK`` steps
+    continue the sums from the previous block's last row, which leaves them
     unchanged. ``rate`` must accept arrays; ``trig`` swaps (cos, sin) for
-    (cosh, sinh) in the Minkowski plane. The grid is ``rk4_integrate``'s, and
-    so is the non-finite-state error.
+    (cosh, sinh) in the Minkowski plane. The grid is ``_rk4_grid``'s; raises
+    IntegrationError at the first non-finite state.
     """
     y0 = np.asarray(y0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
@@ -318,7 +277,7 @@ def rk4_frames(
     place after the scan (explicit RK4 does not keep a frame orthonormal, so
     every frame system needs one), and ``check(s_end, P)``, when given, sees
     the propagators (labelled by their step ends) before it; either may
-    raise. Returns the (n+1, m, d) frames on ``rk4_integrate``'s grid;
+    raise. Returns the (n+1, m, d) frames on ``_rk4_grid``'s grid;
     raises IntegrationError at the first non-finite state.
     """
     y0 = np.asarray(frame0, dtype=float)
@@ -389,29 +348,6 @@ def integrate_sampled(s: np.ndarray, v: np.ndarray) -> float:
     for i0, i1 in _uniform_runs(s):
         total += _simpson_uniform(v[i0 : i1 + 1], float(h_all[i0]))
     return total
-
-
-def simpson_quadrature(
-    f: SampledFunction, span: tuple[float, float] | None = None
-) -> float:
-    """Composite-Simpson integral of ``f`` over ``span`` (default: full grid).
-
-    The endpoints must coincide with grid points; integrating between samples
-    would silently degrade the order, so it is refused with a DomainError.
-    """
-    if f.values.ndim != 1:
-        raise ValueError("simpson_quadrature expects scalar samples")
-    if span is None:
-        i0, i1 = 0, len(f) - 1
-    else:
-        a, b = span
-        lo, hi = f.span
-        if a < lo - 1e-9 or b > hi + 1e-9:
-            raise DomainError(f"range [{a}, {b}] outside sampled span [{lo}, {hi}]")
-        i0, i1 = f.index_of(a), f.index_of(b)
-    if i1 - i0 + 1 < 3:
-        raise DomainError("need at least 3 grid points inside the range")
-    return integrate_sampled(f.s_grid[i0 : i1 + 1], f.values[i0 : i1 + 1])
 
 
 def cumulative_integral_uniform(v: np.ndarray, h: float) -> np.ndarray:

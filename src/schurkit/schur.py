@@ -47,17 +47,9 @@ __all__ = [
     "NestedChordReport",
     "ExpansionReport",
     "ArcBudgetResult",
-    "TangentCosineReport",
     "build_inclusion",
-    "find_s_star",
     "arc_length_budget_check",
     "hypothesis_census",
-    "monotonicity_profile",
-    "tangent_cosine_comparison",
-    "chord_inequality",
-    "nested_chord_inequality",
-    "expansion_module_check",
-    "full_range_monotonicity",
 ]
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
@@ -149,19 +141,6 @@ class SStarResult:
 
 def _window_error(a: float, b: float) -> ValueError:
     return ValueError(f"window must satisfy s'' > s', got [{a}, {b}]")
-
-
-def find_s_star(
-    c: SampledCurve,
-    s_range: tuple[float, float] | None = None,
-) -> SStarResult:
-    """Locate s* in the window with tangent direction parallel to the chord.
-
-    Requires the cumulative tangent angle of a convex plane curve. The chord
-    angle is lifted into the window's angular range [theta(s'), theta(s'')];
-    failure to lift means the input violates convexity and raises.
-    """
-    return ComparisonPair(c, c).window(s_range).star
 
 
 def _jump_angle(curve: SampledCurve, i: int) -> float:
@@ -389,7 +368,7 @@ class ComparisonPair:
     def _window_block(self, ranges) -> list[PivotWindow]:
         c = self.c
         if c.theta is None:
-            raise ProfileError("find_s_star needs a plane curve with tangent-angle data")
+            raise ProfileError("the s* search needs a plane curve with tangent-angle data")
         s, theta, record = c.s, c.theta, self._theta_record
         # a range of None is the whole curve: its ends snap to the first and the last row
         ends = np.array([(-math.inf, math.inf) if r is None else (r[0], r[1]) for r in ranges],
@@ -460,6 +439,13 @@ class ComparisonPair:
             zip(i0.tolist(), i1.tolist()), clen.tolist(), stars, planes, spaces)]
 
     def window(self, s_range) -> PivotWindow:
+        """The window [s', s''] (None: the whole curve) and its pivot s*, where c's
+        tangent points along the chord.
+
+        Requires the cumulative tangent angle of a convex plane curve. The chord
+        angle is lifted into the window's angular range [theta(s'), theta(s'')];
+        failure to lift means the input violates convexity and raises.
+        """
         return self.windows([s_range])[0]
 
     def _derivative_slack(self, w: PivotWindow) -> tuple[slice, np.ndarray]:
@@ -469,10 +455,12 @@ class ComparisonPair:
         return sl, w.chord_length * tangents
 
     def monotonicity(self, w: PivotWindow) -> MonotonicityReport:
-        """Derivative of I(s) on the window, the inclusion eliminated analytically.
+        """Windowed monotonicity with the pivot fixed by the chord direction.
 
-        Pairing iota with its own pivot turns <iota(T), iota(chord)> into a
-        plane inner product, so the slack reduces to |chord| (<T~, N~> - <T, N>).
+        The derivative of I(s) on the window has the inclusion eliminated
+        analytically: pairing iota with its own pivot turns
+        <iota(T), iota(chord)> into a plane inner product, so the slack
+        reduces to |chord| (<T~, N~> - <T, N>).
         """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
         sl, slack = self._derivative_slack(w)
@@ -505,7 +493,12 @@ class ComparisonPair:
         return min_slack, argmin_s
 
     def full_range(self, s_star) -> MonotonicityReport:
-        """Whole-curve monotonicity with a freely chosen pivot (see ``full_range_monotonicity``)."""
+        """Whole-curve monotonicity with a freely chosen pivot.
+
+        Any pivot whose two complementary tangent arcs each fit in a half turn
+        works; "auto" picks the smallest grid parameter satisfying that budget
+        (the turning budget guarantees one exists) and records the choice.
+        """
         c, ct = self.c, self.c_tilde
         if c.theta is None:
             raise ProfileError("full-range monotonicity needs a convex plane curve")
@@ -561,10 +554,19 @@ class ComparisonPair:
 
     def nested_chord(self, w: PivotWindow, s_inner_first: float,
                      s_inner_second: float) -> NestedChordReport:
-        """Inner displacement of both curves against the window's chord."""
+        """Inner displacement against the window's chord, on both sides of the inclusion.
+
+        <c(b*) - c(a*), chord> <= <c~(b*) - c~(a*), iota(chord)> for any nested
+        a* < b* inside the window; equals the chord inequality when the two
+        coincide. The inner ends snap to rows as the window's own do, and the
+        snapped ends must lie inside ``w.star.window``.
+        """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
         j0 = c.nearest_row(s_inner_first, side="plus")
         j1 = c.nearest_row(s_inner_second, side="minus")
+        lo, hi = w.star.window
+        if not (s_inner_first < s_inner_second and lo <= c.s[j0] and c.s[j1] <= hi):
+            raise ValueError("inner window must nest inside the outer window")
         lhs = float((c.position[j1] - c.position[j0]) @ (clen * w.pivot_plane))
         rhs = float((ct.position[j1] - ct.position[j0]) @ (clen * w.pivot_space))
         slack = rhs - lhs
@@ -572,7 +574,7 @@ class ComparisonPair:
                                  _length_scaled_passed(slack, self.tol, clen))
 
     def expansion(self, pair_samples: int, seed: int) -> ExpansionReport:
-        """Linear expansion bound on seeded random windows (see ``expansion_module_check``).
+        """Linear expansion bound on ``pair_samples`` seeded random windows.
 
         Windows are drawn a block at a time, in the order a one-by-one draw
         takes them, and each block is derived together.
@@ -642,94 +644,6 @@ class MonotonicityReport:
         return self.census.all_passed and self.conclusion_passed
 
 
-def monotonicity_profile(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    s_range: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-    curvature_tol: float | None = None,
-) -> MonotonicityReport:
-    """Windowed monotonicity check with the pivot fixed by the chord direction."""
-    pair = ComparisonPair(c, c_tilde, tol, curvature_tol)
-    return pair.monotonicity(pair.window(s_range))
-
-
-def full_range_monotonicity(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    s_star="auto",
-    tol: float = DEFAULT_TOL,
-    curvature_tol: float | None = None,
-) -> MonotonicityReport:
-    """Whole-curve monotonicity with a freely chosen pivot.
-
-    Any pivot whose two complementary tangent arcs each fit in a half turn
-    works; "auto" picks the smallest grid parameter satisfying that budget
-    (the turning budget guarantees one exists) and records the choice.
-    """
-    return ComparisonPair(c, c_tilde, tol, curvature_tol).full_range(s_star)
-
-
-# ---------------------------------------------------------------------------
-# tangent cosine comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TangentCosineReport:
-    s: np.ndarray
-    cos_plane: np.ndarray
-    cos_space: np.ndarray
-    slack: np.ndarray
-    min_slack: float
-    max_plane_distance: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack >= -self.tol and self.max_plane_distance <= math.pi + self.tol
-
-
-def tangent_cosine_comparison(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    s_star,
-    s_range: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> TangentCosineReport:
-    """Pointwise cosine comparison of tangent distances to the pivot.
-
-    cos d(T(s), T(s*)) <= cos d(T~(s), T~(s*)) sample-wise, plus the
-    half-turn bound d(T(s), T(s*)) <= pi on the plane side.
-    """
-    _require_aligned(c, c_tilde)
-    if isinstance(s_star, SStarResult):
-        lane = (s_star.index, s_star.s_star, s_star.chord_angle,
-                s_star.beta_minus if s_star.jump_interior else math.nan)
-        (n_plane,), (n_space,) = _pivots(c, c_tilde, *(np.array([v]) for v in lane))
-        theta_star = s_star.chord_angle
-    else:
-        row = c.nearest_row(float(s_star), side="minus")
-        n_plane, n_space = unit(c.tangent[row]), unit(c_tilde.tangent[row])
-        theta_star = float(c.theta[row]) if c.theta is not None else None
-    sl = slice(None)
-    if s_range is not None:
-        a, b = float(s_range[0]), float(s_range[1])
-        if not b > a:
-            raise _window_error(a, b)
-        sl = slice(c.nearest_row(a, side="plus"), c.nearest_row(b, side="minus") + 1)
-    cos_plane = c.tangent[sl] @ n_plane
-    cos_space = c_tilde.tangent[sl] @ n_space
-    slack = cos_space - cos_plane
-    if c.theta is not None and theta_star is not None:
-        max_dist = float(np.max(np.abs(c.theta[sl] - theta_star)))
-    else:
-        max_dist = float(np.max(np.arccos(np.clip(cos_plane, -1.0, 1.0))))
-    return TangentCosineReport(
-        c.s[sl].copy(), cos_plane, cos_space, slack,
-        float(np.min(slack)), max_dist, tol,
-    )
-
-
 # ---------------------------------------------------------------------------
 # chord inequalities
 # ---------------------------------------------------------------------------
@@ -774,16 +688,6 @@ class ChordReport:
         return min(self.bound_slack, self.chord_slack)
 
 
-def chord_inequality(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    s_range: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> ChordReport:
-    pair = ComparisonPair(c, c_tilde, tol)
-    return pair.chord(pair.window(s_range))
-
-
 @dataclass
 class NestedChordReport:
     lhs: float
@@ -791,27 +695,6 @@ class NestedChordReport:
     slack: float
     s_star: float
     passed: bool
-
-
-def nested_chord_inequality(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    s_first: float,
-    s_second: float,
-    s_inner_first: float,
-    s_inner_second: float,
-    tol: float = DEFAULT_TOL,
-) -> NestedChordReport:
-    """Inner displacement against the outer chord, on both sides of the inclusion.
-
-    <c(b*) - c(a*), chord> <= <c~(b*) - c~(a*), iota(chord)> for any nested
-    a* < b* inside the outer window; equals the chord inequality when the
-    windows coincide.
-    """
-    pair = ComparisonPair(c, c_tilde, tol)
-    if not (s_first <= s_inner_first < s_inner_second <= s_second):
-        raise ValueError("inner window must nest inside the outer window")
-    return pair.nested_chord(pair.window((s_first, s_second)), s_inner_first, s_inner_second)
 
 
 @dataclass
@@ -833,18 +716,8 @@ class ExpansionReport:
         return self.min_slack >= -self.tol
 
 
-def expansion_module_check(
-    c: SampledCurve,
-    c_tilde: SampledCurve,
-    pair_samples: int = 50,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> ExpansionReport:
-    return ComparisonPair(c, c_tilde, tol).expansion(pair_samples, seed)
-
-
 # ---------------------------------------------------------------------------
-# consistency helper used by tests and the CLI
+# consistency of a monotonicity report with its own derivative
 # ---------------------------------------------------------------------------
 
 def integral_consistency(report: MonotonicityReport) -> float:

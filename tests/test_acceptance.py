@@ -28,12 +28,7 @@ from schurkit.minkowski import (
     timelike_monotonicity,
 )
 from schurkit.numerics import StepControl, grid_step
-from schurkit.schur import (
-    chord_inequality,
-    expansion_module_check,
-    monotonicity_profile,
-    nested_chord_inequality,
-)
+from schurkit.schur import ComparisonPair
 from schurkit.sphere import (
     auto_projection_config,
     closed_form_cross_norm,
@@ -101,10 +96,11 @@ def test_criterion_03_schur_sweep(circle_pi, line_pi, helix_pi):
     anchors = np.linspace(0.0, math.pi, 10)
     worst_mono, worst_chord, all_pass = math.inf, math.inf, True
     for ct in (line_pi, helix_pi):
+        pair = ComparisonPair(circle_pi, ct)
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
-                mono = monotonicity_profile(circle_pi, ct, (a, b))
-                chord = chord_inequality(circle_pi, ct, (a, b))
+                window = pair.window((a, b))
+                mono, chord = pair.monotonicity(window), pair.chord(window)
                 worst_mono = min(worst_mono, mono.min_slack)
                 worst_chord = min(worst_chord, chord.chord_slack)
                 all_pass &= mono.passed and chord.passed
@@ -119,14 +115,15 @@ def test_criterion_04_nested_and_expansion(circle_pi, line_pi, helix_pi):
     rng = np.random.default_rng(41)
     worst = math.inf
     for ct in (line_pi, helix_pi):
+        pair = ComparisonPair(circle_pi, ct)
         for _ in range(50):
             vals = np.sort(rng.uniform(0.0, math.pi, size=4))
             a, ai, bi, b = (float(v) for v in vals)
             if bi - ai < 0.05 or b - a < 0.1:
                 continue
-            nested = nested_chord_inequality(circle_pi, ct, a, b, ai, bi)
+            nested = pair.nested_chord(pair.window((a, b)), ai, bi)
             worst = min(worst, nested.slack)
-        exp = expansion_module_check(circle_pi, ct, pair_samples=50, seed=17)
+        exp = pair.expansion(pair_samples=50, seed=17)
         worst = min(worst, exp.min_slack)
     report(4, "nested-and-expansion", worst >= -1e-6, f"worst slack={worst:.3e}")
 

@@ -424,10 +424,10 @@ def test_sweep_takes_census_once(tmp_path, specs, monkeypatch):
 
 
 def test_sweep_rows_match_independent_checks(tmp_path):
-    """Each sweep row equals monotonicity_profile and chord_inequality on its window."""
+    """Each sweep row equals a separate pair's monotonicity and chord on its window."""
     from schurkit import (
-        CurvatureProfile, Jump, StepControl, chord_inequality, constant_curvature,
-        monotonicity_profile, reconstruct_plane, reconstruct_space_profile,
+        ComparisonPair, CurvatureProfile, Jump, StepControl, constant_curvature,
+        reconstruct_plane, reconstruct_space_profile,
     )
 
     L = math.pi
@@ -463,8 +463,9 @@ def test_sweep_rows_match_independent_checks(tmp_path):
     kinds = set()
     for row in rows:
         s1, s2 = float(row[0]), float(row[1])
-        mono = monotonicity_profile(c, ct, (s1, s2))
-        chord = chord_inequality(c, ct, (s1, s2))
+        pair = ComparisonPair(c, ct)
+        window = pair.window((s1, s2))
+        mono, chord = pair.monotonicity(window), pair.chord(window)
         expected = [
             s1, s2, mono.s_star, str(int(mono.jump_interior)), mono.min_slack,
             chord.plane_chord, chord.space_chord, chord.chord_slack, chord.bound_slack,
@@ -537,6 +538,19 @@ def test_module_entry_point(tmp_path, specs):
     )
     assert proc.returncode == 0
     assert json.loads(rep.read_text())["check"] == "budget"
+
+
+def test_out_of_memory_exits_3(tmp_path, specs, monkeypatch, capsys):
+    def build_pair(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_build_pair", build_pair)
+    argv = ["verify", "--theorem", "chord", specs["circle"], specs["helix"],
+            "--report", str(tmp_path / "r.json"), *STEP]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("schurkit: numeric failure: out of memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_main_builds_the_parser_once(tmp_path, specs, capsys):

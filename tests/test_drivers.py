@@ -1,6 +1,7 @@
 """The array RK4 drivers against the per-step reference loop ``rk4_integrate``.
 
-The scalar fields and per-step repair hooks below are the forms the array
+``rk4_integrate`` (defined and tested here, on the drivers' grid), the
+scalar fields and the per-step repair hooks below are the forms the array
 drivers replaced; they stay here as the reference the drivers must match.
 """
 
@@ -21,8 +22,106 @@ from schurkit.curves import (
 )
 from schurkit.errors import IntegrationError
 from schurkit.minkowski import minkowski_dot, reconstruct_timelike_3d
-from schurkit.numerics import StepControl, rk4_angle, rk4_frames, rk4_integrate, unit
+from schurkit.numerics import (
+    DEFAULT_CONTROL,
+    SampledFunction,
+    StepControl,
+    _require_finite,
+    _rk4_grid,
+    rk4_angle,
+    rk4_frames,
+    unit,
+)
 from schurkit.sphere import reconstruct_spherical
+
+
+# ---------------------------------------------------------------------------
+# the per-step reference loop
+# ---------------------------------------------------------------------------
+
+def rk4_integrate(field, y0, span, control=DEFAULT_CONTROL, post_step=None) -> SampledFunction:
+    """Classical fixed-step RK4 over ``span``, one step at a time, on ``_rk4_grid``'s grid.
+
+    ``post_step(s, y)`` (when given) may repair the state after every step,
+    e.g. re-orthonormalize a moving frame; its return value replaces ``y``.
+    The trajectory is sampled at every step point, both endpoints included.
+    Raises IntegrationError the moment the state stops being finite.
+    """
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    scalar = np.ndim(y0) == 0
+    s_grid, h = _rk4_grid(span, control)
+    _require_finite(s_grid[:1], y[None], "initial state")
+    n = len(s_grid) - 1
+    out = np.empty((n + 1, y.size))
+    out[0] = y
+
+    for i in range(n):
+        s = s_grid[i]
+        k1 = np.asarray(field(s, y), dtype=float)
+        k2 = np.asarray(field(s + 0.5 * h, y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(field(s + 0.5 * h, y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(field(s + h, y + h * k3), dtype=float)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if post_step is not None:
+            y = post_step(s_grid[i + 1], y)
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state at s={s_grid[i + 1]:.9g}")
+        out[i + 1] = y
+
+    values = out[:, 0] if scalar else out
+    return SampledFunction(s_grid, values)
+
+
+CONTROL = StepControl()
+
+
+def test_rk4_exponential():
+    traj = rk4_integrate(lambda s, y: y, 1.0, (0.0, 1.0), CONTROL)
+    assert abs(traj.values[-1] - math.e) < 1e-9
+
+
+def test_rk4_zero_field_constant():
+    traj = rk4_integrate(lambda s, y: 0.0 * y, 3.25, (0.0, 2.0), CONTROL)
+    assert np.all(traj.values == 3.25)
+
+
+def test_rk4_rotation_returns_home():
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 2 * math.pi), CONTROL)
+    assert np.linalg.norm(traj.values[-1] - np.array([1.0, 0.0])) < 1e-6
+
+
+def test_rk4_includes_both_endpoints():
+    traj = rk4_integrate(lambda s, y: y, 1.0, (0.25, 1.75), CONTROL)
+    assert traj.s_grid[0] == 0.25
+    assert traj.s_grid[-1] == 1.75
+
+
+def test_rk4_nonfinite_field_names_location():
+    def fld(s, y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return y / (0.5 - s)
+
+    with pytest.raises(IntegrationError) as err:
+        rk4_integrate(fld, 1.0, (0.0, 1.0), CONTROL)
+    assert "s=" in str(err.value)
+
+
+def test_rk4_post_step_hook():
+    # renormalize a rotating unit vector every step
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def repair(s, y):
+        return y / np.linalg.norm(y)
+
+    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 10.0), CONTROL, repair)
+    norms = np.linalg.norm(traj.values, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# angle geometries
+# ---------------------------------------------------------------------------
 
 FAMILIES = {
     "constant": constant_curvature(0.9),

@@ -8,13 +8,10 @@ from schurkit.curves import constant_curvature, linear_curvature, sinusoidal_cur
 from schurkit.errors import CausalError
 from schurkit.numerics import SampledFunction
 from schurkit.minkowski import (
-    LorentzVec,
     TimelikeCurve,
     boost_curve,
     build_lorentz_inclusion,
-    causal_type,
     embed_timelike_2d,
-    hyperbolic_tangent_distance,
     lorentz_boost,
     minkowski_dot,
     minkowski_norm,
@@ -49,24 +46,6 @@ def test_dot_dimension_mismatch():
         minkowski_dot([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
-def test_causal_classification():
-    assert causal_type([2.0, 1.0]) == "timelike"
-    assert causal_type([1.0, 2.0]) == "spacelike"
-    assert causal_type([1.0, 1.0]) == "null"
-
-
-@given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
-def test_lorentz_vec_classification_matches_product(t, x):
-    v = LorentzVec(t, x)
-    q = t * t - x * x
-    if q > 0:
-        assert v.causal_type == "timelike"
-    elif q < 0:
-        assert v.causal_type == "spacelike"
-    else:
-        assert v.causal_type == "null"
-
-
 def test_minkowski_norm_rejects_spacelike():
     with pytest.raises(CausalError):
         minkowski_norm([0.5, 2.0])
@@ -85,7 +64,7 @@ def test_straight_worldline_chord():
 
 def test_unit_curvature_sweeps_unit_rapidity():
     c = reconstruct_timelike_2d(constant_curvature(1.0), 1.0)
-    d = hyperbolic_tangent_distance(c.tangent[0], c.tangent[-1])
+    d = math.acosh(minkowski_dot(c.tangent[0], c.tangent[-1]))
     assert abs(d - 1.0) < 1e-6
 
 
@@ -112,7 +91,7 @@ def test_rapidity_additivity():
     k = sinusoidal_curvature(0.3, 0.2)
     c = reconstruct_timelike_2d(k, 2.0)
     i0, i1 = 300, 1700
-    d = hyperbolic_tangent_distance(c.tangent[i0], c.tangent[i1])
+    d = math.acosh(minkowski_dot(c.tangent[i0], c.tangent[i1]))
     expect = abs(c.rapidity[i1] - c.rapidity[i0])
     assert abs(d - expect) < 1e-5
 
@@ -159,13 +138,13 @@ def test_3d_rejects_bad_initial_tangent():
 
 def test_distance_coincident():
     t = np.array([math.cosh(0.3), math.sinh(0.3)])
-    assert hyperbolic_tangent_distance(t, t) == 0.0
+    assert math.acosh(minkowski_dot(t, t)) == 0.0
 
 
 def test_distance_unit_example():
     t1 = np.array([math.cosh(1.0), math.sinh(1.0)])
     t2 = np.array([1.0, 0.0])
-    assert abs(hyperbolic_tangent_distance(t1, t2) - 1.0) < 1e-12
+    assert abs(math.acosh(minkowski_dot(t1, t2)) - 1.0) < 1e-12
 
 
 @given(st.floats(min_value=-2, max_value=2))
@@ -173,14 +152,9 @@ def test_distance_boost_invariance(chi):
     t1 = np.array([math.cosh(0.4), math.sinh(0.4)])
     t2 = np.array([math.cosh(-0.9), math.sinh(-0.9)])
     boost = lorentz_boost(chi, dim=2)
-    d0 = hyperbolic_tangent_distance(t1, t2)
-    d1 = hyperbolic_tangent_distance(boost @ t1, boost @ t2)
+    d0 = math.acosh(minkowski_dot(t1, t2))
+    d1 = math.acosh(minkowski_dot(boost @ t1, boost @ t2))
     assert abs(d0 - d1) < 1e-9
-
-
-def test_distance_rejects_non_causal_pair():
-    with pytest.raises(CausalError):
-        hyperbolic_tangent_distance([1.0, 0.0], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,44 +300,6 @@ def test_boost_matrix_is_lorentz():
         b = lorentz_boost(0.9, direction, dim=dim)
         eta = np.diag([1.0] + [-1.0] * (dim - 1))
         assert np.max(np.abs(b.T @ eta @ b - eta)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# space-like plane pairs (coordinate-swap wrapper)
-# ---------------------------------------------------------------------------
-
-def test_spacelike_reconstruction_has_spacelike_tangents():
-    from schurkit.minkowski import reconstruct_spacelike_2d
-
-    c = reconstruct_spacelike_2d(constant_curvature(1.0), 1.0)
-    q = minkowski_dot(c.tangent, c.tangent)
-    assert np.max(np.abs(q + 1.0)) < 1e-9
-
-
-def test_spacelike_reversed_chord_matches_timelike_twin():
-    from schurkit.minkowski import (
-        reconstruct_spacelike_2d,
-        spacelike_reversed_chord_inequality,
-        swap_plane_coordinates,
-    )
-
-    c = reconstruct_spacelike_2d(constant_curvature(1.0), 1.0)
-    ct = reconstruct_spacelike_2d(constant_curvature(0.0), 1.0)
-    rep = spacelike_reversed_chord_inequality(c, ct)
-    twin = reversed_chord_inequality(
-        swap_plane_coordinates(c), swap_plane_coordinates(ct)
-    )
-    assert rep.slack == twin.slack
-    assert abs(rep.chord_c - 1.0421906109874948) < 1e-9
-    assert rep.passed
-
-
-def test_spacelike_wrapper_rejects_timelike_input():
-    from schurkit.minkowski import spacelike_reversed_chord_inequality
-
-    c = reconstruct_timelike_2d(constant_curvature(0.5), 1.0)
-    with pytest.raises(CausalError):
-        spacelike_reversed_chord_inequality(c, c)
 
 
 def test_reversed_chord_rejects_spacelike_chord():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from schurkit.errors import BracketError, DomainError, GridError, IntegrationError
+from schurkit.errors import BracketError, DomainError, GridError
 from schurkit.numerics import (
     SampledFunction,
     StepControl,
@@ -16,8 +16,6 @@ from schurkit.numerics import (
     integrate_sampled,
     nearest_index,
     pchip,
-    rk4_integrate,
-    simpson_quadrature,
 )
 
 CONTROL = StepControl()
@@ -46,90 +44,29 @@ def test_segment_steps_bounds():
 
 
 # ---------------------------------------------------------------------------
-# rk4_integrate
-# ---------------------------------------------------------------------------
-
-def test_rk4_exponential():
-    traj = rk4_integrate(lambda s, y: y, 1.0, (0.0, 1.0), CONTROL)
-    assert abs(traj.values[-1] - math.e) < 1e-9
-
-
-def test_rk4_zero_field_constant():
-    traj = rk4_integrate(lambda s, y: 0.0 * y, 3.25, (0.0, 2.0), CONTROL)
-    assert np.all(traj.values == 3.25)
-
-
-def test_rk4_rotation_returns_home():
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 2 * math.pi), CONTROL)
-    assert np.linalg.norm(traj.values[-1] - np.array([1.0, 0.0])) < 1e-6
-
-
-def test_rk4_includes_both_endpoints():
-    traj = rk4_integrate(lambda s, y: y, 1.0, (0.25, 1.75), CONTROL)
-    assert traj.s_grid[0] == 0.25
-    assert traj.s_grid[-1] == 1.75
-
-
-def test_rk4_nonfinite_field_names_location():
-    def fld(s, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return y / (0.5 - s)
-
-    with pytest.raises(IntegrationError) as err:
-        rk4_integrate(fld, 1.0, (0.0, 1.0), CONTROL)
-    assert "s=" in str(err.value)
-
-
-def test_rk4_post_step_hook():
-    # renormalize a rotating unit vector every step
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def repair(s, y):
-        return y / np.linalg.norm(y)
-
-    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 10.0), CONTROL, repair)
-    norms = np.linalg.norm(traj.values, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# simpson_quadrature
+# Simpson quadrature
 # ---------------------------------------------------------------------------
 
 def test_simpson_sine():
     s = np.linspace(0.0, math.pi, 3143)
-    f = SampledFunction(s, np.sin(s))
-    assert abs(simpson_quadrature(f) - 2.0) < 1e-8
+    assert abs(integrate_sampled(s, np.sin(s)) - 2.0) < 1e-8
 
 
 def test_simpson_zero():
     s = np.linspace(0.0, 1.0, 101)
-    assert simpson_quadrature(SampledFunction(s, np.zeros(101))) == 0.0
+    assert integrate_sampled(s, np.zeros(101)) == 0.0
 
 
 def test_simpson_constant_is_length():
     length = 2.7
     s = np.linspace(0.0, length, 1001)
-    val = simpson_quadrature(SampledFunction(s, np.ones(1001)))
+    val = integrate_sampled(s, np.ones(1001))
     assert abs(val - length) < 1e-13
-
-
-def test_simpson_subrange_and_domain_error():
-    s = np.linspace(0.0, 1.0, 1001)
-    f = SampledFunction(s, s**3)
-    sub = simpson_quadrature(f, (s[100], s[900]))
-    assert abs(sub - (s[900] ** 4 - s[100] ** 4) / 4.0) < 1e-12
-    with pytest.raises(DomainError):
-        simpson_quadrature(f, (0.0, 2.0))
-    with pytest.raises(DomainError):
-        simpson_quadrature(f, (0.00033, 0.9))  # not a grid point
 
 
 def test_simpson_odd_interval_count():
     s = np.linspace(0.0, 1.0, 100)  # 99 intervals, 3/8 rule absorbs the tail
-    f = SampledFunction(s, np.exp(s))
-    assert abs(simpson_quadrature(f) - (math.e - 1.0)) < 1e-9
+    assert abs(integrate_sampled(s, np.exp(s)) - (math.e - 1.0)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +144,7 @@ def test_fundamental_theorem_roundtrip():
     s = np.arange(0.0, 2.0 + 1e-9, 1e-3)
     f = SampledFunction(s, np.sin(3.0 * s) + s**2)
     d = finite_diff(f, 1)
-    total = simpson_quadrature(d)
+    total = integrate_sampled(d.s_grid, d.values)
     assert abs(total - (f.values[-1] - f.values[0])) < 1e-6
 
 
@@ -221,7 +158,8 @@ def test_fundamental_theorem_roundtrip_cubics(a, b, c):
     # cubic coefficient is kept small enough for the 1e-6 budget at h = 1e-3
     s = np.linspace(0.0, 1.0, 1001)
     f = SampledFunction(s, a * s**3 + b * s**2 + c * s)
-    total = simpson_quadrature(finite_diff(f, 1))
+    d = finite_diff(f, 1)
+    total = integrate_sampled(d.s_grid, d.values)
     assert abs(total - (f.values[-1] - f.values[0])) < 1e-6
 
 

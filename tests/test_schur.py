@@ -28,40 +28,33 @@ from schurkit.schur import (
     _jump_angle,
     arc_length_budget_check,
     build_inclusion,
-    chord_inequality,
-    expansion_module_check,
-    find_s_star,
-    full_range_monotonicity,
     hypothesis_census,
     integral_consistency,
-    monotonicity_profile,
-    nested_chord_inequality,
-    tangent_cosine_comparison,
 )
 
 TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# find_s_star
+# pivot s*
 # ---------------------------------------------------------------------------
 
 def test_s_star_semicircle(circle_pi):
-    star = find_s_star(circle_pi)
+    star = ComparisonPair(circle_pi, circle_pi).window(None).star
     assert not star.jump_interior
     assert abs(star.s_star - math.pi / 2) < 1e-6
 
 
 def test_s_star_symmetric_arc_hits_midpoint():
     c = reconstruct_plane(CurvatureProfile(math.pi, sinusoidal_curvature(1.0, 0.3)))
-    star = find_s_star(c)
+    star = ComparisonPair(c, c).window(None).star
     assert abs(star.s_star - math.pi / 2) < 1e-6
 
 
 def test_s_star_square_corner_gap():
     jumps = tuple(Jump(float(i), math.pi / 2) for i in (1, 2, 3))
     sq = reconstruct_plane(CurvatureProfile(4.0, constant_curvature(0.0), jumps))
-    star = find_s_star(sq, (0.0, 2.0))
+    star = ComparisonPair(sq, sq).window((0.0, 2.0)).star
     assert star.jump_interior
     assert star.s_star == 1.0
     assert abs(star.beta_minus - math.pi / 4) < 1e-12
@@ -70,11 +63,11 @@ def test_s_star_square_corner_gap():
 def test_s_star_degenerate_chord_raises():
     c = reconstruct_plane(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
     with pytest.raises(HypothesisViolationError):
-        find_s_star(c)  # closed curve: zero chord
+        ComparisonPair(c, c).window(None)  # closed curve: zero chord
 
 
 def test_s_star_subwindow(circle_pi):
-    star = find_s_star(circle_pi, (0.5, 2.5))
+    star = ComparisonPair(circle_pi, circle_pi).window((0.5, 2.5)).star
     # chord of a circle arc is parallel to the tangent at the arc midpoint;
     # the window itself snaps to grid rows first
     assert abs(star.s_star - 0.5 * (star.window[0] + star.window[1])) < 1e-6
@@ -86,7 +79,7 @@ def test_s_star_subwindow(circle_pi):
 # ---------------------------------------------------------------------------
 
 def test_arc_budget_semicircle(circle_pi):
-    star = find_s_star(circle_pi)
+    star = ComparisonPair(circle_pi, circle_pi).window(None).star
     res = arc_length_budget_check(circle_pi, 0.0, math.pi, star)
     assert res.passed
     assert abs(res.length_first - math.pi / 2) < 1e-9
@@ -157,14 +150,16 @@ def test_orthonormal_complement_is_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_monotonicity_identical_curves(circle_pi):
-    report = monotonicity_profile(circle_pi, embed_plane_curve(circle_pi))
+    pair = ComparisonPair(circle_pi, embed_plane_curve(circle_pi))
+    report = pair.monotonicity(pair.window(None))
     assert report.census.all_passed
     assert np.max(np.abs(report.derivative_slack)) < 1e-9
     assert np.ptp(report.I_samples) < 1e-9
 
 
 def test_monotonicity_circle_vs_line(circle_pi, line_pi):
-    report = monotonicity_profile(circle_pi, line_pi)
+    pair = ComparisonPair(circle_pi, line_pi)
+    report = pair.monotonicity(pair.window(None))
     assert report.passed
     assert report.min_slack >= 0.0
     # I strictly increases away from s_star on this fixture
@@ -172,14 +167,16 @@ def test_monotonicity_circle_vs_line(circle_pi, line_pi):
 
 
 def test_monotonicity_circle_vs_helix(circle_pi, helix_pi):
-    report = monotonicity_profile(circle_pi, helix_pi)
+    pair = ComparisonPair(circle_pi, helix_pi)
+    report = pair.monotonicity(pair.window(None))
     assert report.passed
     assert report.min_slack >= -1e-6
 
 
 def test_monotonicity_inclusion_elimination(circle_pi, helix_pi):
     # direct I through any valid inclusion matches the eliminated form
-    report = monotonicity_profile(circle_pi, helix_pi)
+    pair = ComparisonPair(circle_pi, helix_pi)
+    report = pair.monotonicity(pair.window(None))
     star_dir = report.pivot_space
     chord = circle_pi.position[-1] - circle_pi.position[0]
     clen = np.linalg.norm(chord)
@@ -194,12 +191,14 @@ def test_monotonicity_inclusion_elimination(circle_pi, helix_pi):
 
 
 def test_monotonicity_integral_consistency(circle_pi, helix_pi):
-    report = monotonicity_profile(circle_pi, helix_pi)
+    pair = ComparisonPair(circle_pi, helix_pi)
+    report = pair.monotonicity(pair.window(None))
     assert integral_consistency(report) < 1e-5
 
 
 def test_monotone_I_when_slack_nonnegative(circle_pi, line_pi):
-    report = monotonicity_profile(circle_pi, line_pi)
+    pair = ComparisonPair(circle_pi, line_pi)
+    report = pair.monotonicity(pair.window(None))
     assert report.min_slack >= -TOL
     assert np.min(np.diff(report.I_samples)) >= -TOL
 
@@ -207,7 +206,8 @@ def test_monotone_I_when_slack_nonnegative(circle_pi, line_pi):
 def test_monotonicity_census_catches_violation(circle_pi):
     # a space curve with larger curvature must be censused, not raised
     bad = reconstruct_space_frenet(constant_curvature(2.0), constant_curvature(0.5), math.pi)
-    report = monotonicity_profile(circle_pi, bad)
+    pair = ComparisonPair(circle_pi, bad)
+    report = pair.monotonicity(pair.window(None))
     check = report.census.get("curvature_dominance")
     assert not check.passed
     assert check.worst_slack < -0.5
@@ -215,7 +215,8 @@ def test_monotonicity_census_catches_violation(circle_pi):
 
 def test_monotonicity_on_corner_pair(corner_pair):
     c, ct = corner_pair
-    report = monotonicity_profile(c, ct)
+    pair = ComparisonPair(c, ct)
+    report = pair.monotonicity(pair.window(None))
     assert report.passed
     assert report.jump_interior
     # slack is |chord| (cos(pi/8) - cos(pi/4)) on both sides
@@ -224,43 +225,20 @@ def test_monotonicity_on_corner_pair(corner_pair):
 
 
 # ---------------------------------------------------------------------------
-# tangent cosine comparison
-# ---------------------------------------------------------------------------
-
-def test_tangent_cosine_identical(circle_pi):
-    star = find_s_star(circle_pi)
-    rep = tangent_cosine_comparison(circle_pi, embed_plane_curve(circle_pi), star)
-    assert np.max(np.abs(rep.slack)) < 1e-12
-    assert rep.passed
-
-
-def test_tangent_cosine_circle_vs_line(circle_pi, line_pi):
-    star = find_s_star(circle_pi)
-    rep = tangent_cosine_comparison(circle_pi, line_pi, star)
-    assert rep.passed
-    assert np.max(rep.cos_space) <= 1.0 + 1e-12
-    assert rep.max_plane_distance <= math.pi + 1e-9
-
-
-def test_tangent_cosine_circle_vs_helix(circle_pi, helix_pi):
-    star = find_s_star(circle_pi)
-    rep = tangent_cosine_comparison(circle_pi, helix_pi, star)
-    assert rep.min_slack >= -1e-6
-
-
-# ---------------------------------------------------------------------------
 # chord inequalities
 # ---------------------------------------------------------------------------
 
 def test_chord_identical(circle_pi):
-    rep = chord_inequality(circle_pi, embed_plane_curve(circle_pi))
+    pair = ComparisonPair(circle_pi, embed_plane_curve(circle_pi))
+    rep = pair.chord(pair.window(None))
     assert abs(rep.plane_chord - rep.space_chord) < 1e-12
     assert abs(rep.inner_product_bound - rep.plane_chord**2) < 1e-9
     assert rep.passed
 
 
 def test_chord_circle_vs_line(circle_pi, line_pi):
-    rep = chord_inequality(circle_pi, line_pi)
+    pair = ComparisonPair(circle_pi, line_pi)
+    rep = pair.chord(pair.window(None))
     assert abs(rep.plane_chord - 2.0) < 1e-5
     assert abs(rep.space_chord - math.pi) < 1e-12
     assert rep.passed
@@ -269,7 +247,8 @@ def test_chord_circle_vs_line(circle_pi, line_pi):
 def test_chord_circle_arc_two_vs_helix():
     c = reconstruct_plane(CurvatureProfile(2.0, constant_curvature(1.0)))
     ct = reconstruct_space_frenet(constant_curvature(0.5), constant_curvature(0.5), 2.0)
-    rep = chord_inequality(c, ct)
+    pair = ComparisonPair(c, ct)
+    rep = pair.chord(pair.window(None))
     assert abs(rep.plane_chord - 1.682941969615793) < 1e-5  # 2 sin(1)
     assert rep.passed
     assert rep.space_chord > rep.plane_chord
@@ -277,37 +256,40 @@ def test_chord_circle_arc_two_vs_helix():
 
 def test_chord_on_corner_pair(corner_pair):
     c, ct = corner_pair
-    rep = chord_inequality(c, ct)
+    pair = ComparisonPair(c, ct)
+    rep = pair.chord(pair.window(None))
     assert abs(rep.plane_chord - 1.4142135623730951) < 1e-9
     assert abs(rep.space_chord - 1.8477590650225735) < 1e-9  # sqrt(2 + sqrt(2))
     assert rep.passed
 
 
 def test_nested_reduces_to_chord(circle_pi, line_pi):
-    chord = chord_inequality(circle_pi, line_pi)
-    nested = nested_chord_inequality(circle_pi, line_pi, 0.0, math.pi, 0.0, math.pi)
+    pair = ComparisonPair(circle_pi, line_pi)
+    chord = pair.chord(pair.window(None))
+    nested = pair.nested_chord(pair.window((0.0, math.pi)), 0.0, math.pi)
     assert abs(nested.rhs - chord.inner_product_bound) < 1e-9
     assert abs(nested.lhs - chord.plane_chord**2) < 1e-9
 
 
 def test_nested_identical_equality(circle_pi):
     emb = embed_plane_curve(circle_pi)
-    nested = nested_chord_inequality(circle_pi, emb, 0.0, math.pi, math.pi / 4, 3 * math.pi / 4)
+    pair = ComparisonPair(circle_pi, emb)
+    nested = pair.nested_chord(pair.window((0.0, math.pi)), math.pi / 4, 3 * math.pi / 4)
     assert abs(nested.slack) < 1e-9
     assert nested.passed
 
 
 def test_nested_circle_vs_line_quartiles(circle_pi, line_pi):
-    nested = nested_chord_inequality(
-        circle_pi, line_pi, 0.0, math.pi, math.pi / 4, 3 * math.pi / 4
-    )
+    pair = ComparisonPair(circle_pi, line_pi)
+    nested = pair.nested_chord(pair.window((0.0, math.pi)), math.pi / 4, 3 * math.pi / 4)
     assert nested.slack >= -1e-6
     assert nested.passed
 
 
 def test_nested_requires_proper_nesting(circle_pi, line_pi):
-    with pytest.raises(ValueError):
-        nested_chord_inequality(circle_pi, line_pi, 0.0, 1.0, 0.5, 2.0)
+    pair = ComparisonPair(circle_pi, line_pi)
+    with pytest.raises(ValueError, match="inner window must nest inside the outer window"):
+        pair.nested_chord(pair.window((0.0, 1.0)), 0.5, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +297,18 @@ def test_nested_requires_proper_nesting(circle_pi, line_pi):
 # ---------------------------------------------------------------------------
 
 def test_expansion_identical(circle_pi):
-    rep = expansion_module_check(circle_pi, embed_plane_curve(circle_pi), 50, seed=3)
+    rep = ComparisonPair(circle_pi, embed_plane_curve(circle_pi)).expansion(50, 3)
     assert rep.min_slack >= -1e-9
 
 
 def test_expansion_circle_vs_line(circle_pi, line_pi):
-    rep = expansion_module_check(circle_pi, line_pi, 50, seed=3)
+    rep = ComparisonPair(circle_pi, line_pi).expansion(50, 3)
     assert rep.passed
     assert rep.min_slack >= -1e-6
 
 
 def test_expansion_circle_vs_helix(circle_pi, helix_pi):
-    rep = expansion_module_check(circle_pi, helix_pi, 50, seed=3)
+    rep = ComparisonPair(circle_pi, helix_pi).expansion(50, 3)
     assert rep.passed
 
 
@@ -335,23 +317,23 @@ def test_expansion_circle_vs_helix(circle_pi, helix_pi):
 # ---------------------------------------------------------------------------
 
 def test_full_range_identical(circle_pi):
-    rep = full_range_monotonicity(circle_pi, embed_plane_curve(circle_pi), math.pi / 2)
+    rep = ComparisonPair(circle_pi, embed_plane_curve(circle_pi)).full_range(math.pi / 2)
     assert np.max(np.abs(rep.derivative_slack)) < 1e-12
 
 
 def test_full_range_midpoint(circle_pi, line_pi):
-    rep = full_range_monotonicity(circle_pi, line_pi, math.pi / 2)
+    rep = ComparisonPair(circle_pi, line_pi).full_range(math.pi / 2)
     assert rep.passed
     assert rep.min_slack >= -1e-12
 
 
 def test_full_range_quarter_pivot(circle_pi, line_pi):
-    rep = full_range_monotonicity(circle_pi, line_pi, math.pi / 4)
+    rep = ComparisonPair(circle_pi, line_pi).full_range(math.pi / 4)
     assert rep.min_slack >= -1e-6
 
 
 def test_full_range_auto_records_choice(circle_pi, helix_pi):
-    rep = full_range_monotonicity(circle_pi, helix_pi, "auto")
+    rep = ComparisonPair(circle_pi, helix_pi).full_range("auto")
     assert "auto pivot" in rep.note
     assert rep.passed
 
@@ -360,7 +342,7 @@ def test_full_range_budget_violation_raises():
     c = reconstruct_plane(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
     ct = reconstruct_space_frenet(constant_curvature(0.0), constant_curvature(0.0), 2 * math.pi)
     with pytest.raises(ProfileError):
-        full_range_monotonicity(c, ct, math.pi / 4)  # second arc exceeds pi
+        ComparisonPair(c, ct).full_range(math.pi / 4)  # second arc exceeds pi
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +371,10 @@ def test_inclusion_limit_identifies_tangents(wobbly_plane_pi):
 def test_schur_conclusion_over_window_grid(request, circle_pi, tilde_fixture):
     ct = request.getfixturevalue(tilde_fixture)
     anchors = np.linspace(0.0, math.pi, 10)
+    pair = ComparisonPair(circle_pi, ct)
     for i, a in enumerate(anchors):
         for b in anchors[i + 1 :]:
-            rep = chord_inequality(circle_pi, ct, (a, b))
+            rep = pair.chord(pair.window((a, b)))
             assert rep.passed, (a, b)
 
 
@@ -416,7 +399,7 @@ def test_s_star_rejects_chord_outside_tangent_range():
     # cannot be lifted into the tangent angular range
     c = reconstruct_plane(CurvatureProfile(1.0, constant_curvature(-1.0)))
     with pytest.raises(HypothesisViolationError):
-        find_s_star(c)
+        ComparisonPair(c, c).window(None)
 
 
 def test_schur_on_random_dominated_fixtures():
@@ -444,10 +427,11 @@ def test_schur_on_random_dominated_fixtures():
         c = reconstruct_plane(CurvatureProfile(length, k), control=fast)
         ct = reconstruct_space_frenet(kt, torsion, length, control=fast)
         anchors = np.linspace(0.0, length, 5)
+        pair = ComparisonPair(c, ct, curvature_tol=1e-4)
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
-                mono = monotonicity_profile(c, ct, (a, b), curvature_tol=1e-4)
-                chord = chord_inequality(c, ct, (a, b))
+                window = pair.window((a, b))
+                mono, chord = pair.monotonicity(window), pair.chord(window)
                 assert mono.census.all_passed
                 assert mono.min_slack >= -1e-6
                 assert chord.passed
@@ -458,22 +442,24 @@ def test_schur_on_random_dominated_fixtures():
 def test_window_endpoints_at_jump_rows(corner_pair):
     c, ct = corner_pair
     # window ending exactly at the jump: the minus-side rows are used
-    left = monotonicity_profile(c, ct, (0.0, 1.0))
+    pair = ComparisonPair(c, ct)
+    left = pair.monotonicity(pair.window((0.0, 1.0)))
     assert left.window == (0.0, 1.0)
     assert left.min_slack >= -1e-9
     # window starting exactly at the jump: the plus-side rows are used
-    right = monotonicity_profile(c, ct, (1.0, 2.0))
+    right = pair.monotonicity(pair.window((1.0, 2.0)))
     assert right.window == (1.0, 2.0)
     assert right.min_slack >= -1e-9
     # both are straight pieces, so the chords agree exactly side by side
-    for rep in (chord_inequality(c, ct, (0.0, 1.0)), chord_inequality(c, ct, (1.0, 2.0))):
+    for rep in (pair.chord(pair.window((0.0, 1.0))), pair.chord(pair.window((1.0, 2.0)))):
         assert abs(rep.plane_chord - 1.0) < 1e-12
         assert abs(rep.space_chord - 1.0) < 1e-12
 
 
 def test_monotonicity_subwindow_with_interior_jump(corner_pair):
     c, ct = corner_pair
-    rep = monotonicity_profile(c, ct, (0.5, 1.5))
+    pair = ComparisonPair(c, ct)
+    rep = pair.monotonicity(pair.window((0.5, 1.5)))
     assert rep.jump_interior
     assert rep.s_star == 1.0
     assert rep.census.all_passed
@@ -491,7 +477,7 @@ def test_full_range_auto_pivot_at_jump_row():
         convex=False,
     )
     ct = reconstruct_space_profile(prof_t, constant_curvature(0.0))
-    rep = full_range_monotonicity(c, ct, "auto")
+    rep = ComparisonPair(c, ct).full_range("auto")
     assert rep.s_star == 1.0
     assert rep.census.all_passed
     assert rep.min_slack >= -1e-9
