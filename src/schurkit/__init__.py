@@ -16,7 +16,6 @@ from .curves import (
     CurvatureProfile,
     Jump,
     SampledCurve,
-    TangentAngle,
     apply_jump,
     check_convex_budget,
     constant_curvature,
@@ -28,7 +27,6 @@ from .curves import (
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
-    tangent_angle,
     total_turning,
 )
 from .schur import (
@@ -56,11 +54,11 @@ from .sphere import (
     spherical_schur_verify,
 )
 from .minkowski import (
-    TimelikeCurve,
     lorentz_boost,
     minkowski_dot,
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
+    timelike_curvature,
     timelike_monotonicity,
 )

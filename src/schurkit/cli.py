@@ -56,10 +56,10 @@ from .curves import (
 )
 from .errors import ProfileError, SchurkitError, SpecError
 from .minkowski import (
-    embed_timelike_2d,
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
+    timelike_curvature,
     timelike_monotonicity,
 )
 from .numerics import StepControl, unit
@@ -552,7 +552,7 @@ def cmd_reconstruct(args) -> int:
         kappa = curve.expand(geodesic_curvature_of(curve).values)
         dims = "xyz"
     else:
-        kappa = curve.curvature.values
+        kappa = timelike_curvature(curve).values
         dims = "tx" if built.geometry == "minkowski2" else "txy"
 
     header = ["s", *dims, *(f"t{d}" for d in dims), "curvature", "jump"]
@@ -681,10 +681,8 @@ def _comparison_curves(built_c, built_t):
     if built_t is None:
         return c, None
     ct = built_t.curve
-    if built_t.geometry == "plane":
+    if built_t.geometry in ("plane", "minkowski2"):
         ct = embed_plane_curve(ct)
-    elif built_t.geometry == "minkowski2":
-        ct = embed_timelike_2d(ct)
     return c, ct
 
 
@@ -700,6 +698,12 @@ def cmd_verify(args) -> int:
         raise SpecError(f"SCHURKIT_SEED must be an integer, got {seed_text!r}") from None
     built_c, built_t = _build_pair(args, control, theorem)
     s_range = _parse_range(args.range, built_c.length)
+    if s_range and theorem in ("monotonicity", "chord"):  # the range is the checked window
+        s, row = built_c.curve.s, built_c.curve.nearest_row
+        lo, hi = s[row(s_range[0], side="plus")], s[row(s_range[1], side="minus")]
+        if lo == hi:
+            raise SpecError(f"--range {args.range} snaps both ends to the grid row s={lo:.9g}; "
+                            f"widen it or use a smaller --step than {args.step:g}")
     s_star = _parse_s_star(args.s_star, built_c.length)
 
     config_echo = {
@@ -840,9 +844,9 @@ def cmd_sweep(args) -> int:
 
     pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
-    snapped = sorted(set(c.s[c.nearest_row(anchors, side="minus")].tolist()))
-    ranges = [(s1, s2) for i, s1 in enumerate(snapped) for s2 in snapped[i + 1 :]]
-    windows = pair.windows(ranges)
+    snapped = np.unique(c.s[c.nearest_row(anchors, side="minus")])
+    ends = np.column_stack([snapped[i] for i in np.triu_indices(len(snapped), k=1)])
+    windows = pair.windows(ends)
     min_slack, _ = pair.monotonicity_minima(windows)
     chord = pair.chords(windows)
     mono_ok = min_slack >= -args.tol
@@ -855,8 +859,7 @@ def cmd_sweep(args) -> int:
     header = ["s1", "s2", "s_star", "jump_interior", "min_slack",
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
     write_csv(args.out, header, [
-        [s1 for s1, _ in ranges], [s2 for _, s2 in ranges], chord.s_star,
-        np.array([w.star.jump_interior for w in windows]), min_slack, chord.plane_chord,
+        *ends.T, chord.s_star, windows.jump_interior, min_slack, chord.plane_chord,
         chord.space_chord, chord.chord_slack, chord.bound_slack, ok,
     ])
 
@@ -876,7 +879,7 @@ def cmd_sweep(args) -> int:
             ],
             hypotheses_ok,
         ),
-        "notes": [f"pairs evaluated: {len(ranges)}"],
+        "notes": [f"pairs evaluated: {len(ends)}"],
     }
     if args.report:
         write_report(report, args.report)

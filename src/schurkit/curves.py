@@ -44,7 +44,6 @@ __all__ = [
     "Jump",
     "CurvatureProfile",
     "SampledCurve",
-    "TangentAngle",
     "BudgetResult",
     "constant_curvature",
     "linear_curvature",
@@ -59,7 +58,6 @@ __all__ = [
     "total_turning",
     "check_convex_budget",
     "curvature_magnitude",
-    "tangent_angle",
     "theta_from_tangent",
     "embed_plane_curve",
 ]
@@ -164,7 +162,8 @@ class SampledCurve:
     ``jump_marks`` lists the indices i of the minus-side row of each
     duplicated jump point: rows i and i+1 share s and position but carry the
     one-sided tangents. For plane curves ``theta`` holds the cumulative
-    (unwrapped) tangent angle on the same rows.
+    (unwrapped) tangent angle on the same rows, and for Minkowski-plane
+    curves the rapidity.
     """
 
     s: np.ndarray
@@ -280,29 +279,6 @@ def _require_aligned(a: SampledCurve, b: SampledCurve) -> None:
         a.jump_marks, b.jump_marks
     ):
         raise AlignmentError("curves have mismatched jump rows")
-
-
-@dataclass
-class TangentAngle:
-    """Cumulative plane tangent angle on the curve grid (duplicate jump rows)."""
-
-    s: np.ndarray
-    theta: np.ndarray
-    jump_marks: np.ndarray
-
-    @property
-    def total_turning(self) -> float:
-        return float(self.theta[-1] - self.theta[0])
-
-    @property
-    def non_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.theta) >= -1e-12))
-
-
-def tangent_angle(curve: SampledCurve) -> TangentAngle:
-    if curve.theta is None:
-        raise ProfileError("curve carries no tangent-angle data (not a plane curve?)")
-    return TangentAngle(curve.s, curve.theta, curve.jump_marks)
 
 
 def theta_from_tangent(curve: SampledCurve) -> np.ndarray:
@@ -522,13 +498,18 @@ def reconstruct_space_profile(
 
 
 def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
-    """Image of a plane curve in 3-space: a zero third coordinate is padded."""
+    """Image of a plane curve in 3-space: a zero third coordinate is padded.
+
+    ``theta`` is kept; it reads the same on the image (the tangent angle in
+    the first coordinate plane, or a Minkowski-plane curve's rapidity).
+    """
     m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     return SampledCurve(
         curve.s.copy(),
         curve.position @ m.T,
         curve.tangent @ m.T,
         curve.jump_marks.copy(),
+        None if curve.theta is None else curve.theta.copy(),
     )
 
 

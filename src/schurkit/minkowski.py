@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve, _require_aligned, reconstruct_piecewise
+from .curves import _FRAME3, SampledCurve, _require_aligned, reconstruct_piecewise
 from .errors import AlignmentError, CausalError, NormalizationError, ProfileError
 from .numerics import (
     CURVATURE_TOL,
@@ -33,19 +33,18 @@ from .numerics import (
 from .reports import Census, worst_dominance
 
 __all__ = [
-    "TimelikeCurve",
     "TimelikeMonotonicityReport",
     "ReversedChordReport",
     "minkowski_dot",
     "minkowski_norm",
     "reconstruct_timelike_2d",
     "reconstruct_timelike_3d",
+    "timelike_curvature",
     "timelike_monotonicity",
     "reversed_chord_inequality",
     "build_lorentz_inclusion",
     "lorentz_boost",
     "boost_curve",
-    "embed_timelike_2d",
 ]
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
@@ -73,47 +72,23 @@ def minkowski_norm(v) -> float:
 # curves
 # ---------------------------------------------------------------------------
 
-class TimelikeCurve(SampledCurve):
-    """Jump-free arc-length samples of a time-like curve with <T, T> = 1.
-
-    Adds the measured curvature and, for plane curves, the rapidity to the
-    sampled position and tangent.
-    """
-
-    def __init__(
-        self,
-        s,
-        position,
-        tangent,
-        curvature: SampledFunction,
-        rapidity: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(s, position, tangent)
-        self.curvature = curvature
-        self.rapidity = rapidity
-
-    def tangent_norm_drift(self) -> float:
-        return float(np.max(np.abs(minkowski_dot(self.tangent, self.tangent) - 1.0)))
-
-    def future_directed(self) -> bool:
-        return bool(np.all(self.tangent[:, 0] > 0))
-
-
 def reconstruct_timelike_2d(
     k: Callable,
     length: float,
     rapidity0: float = 0.0,
     start: Sequence[float] = (0.0, 0.0),
     control: StepControl = DEFAULT_CONTROL,
-) -> TimelikeCurve:
-    """Plane time-like curve with rapidity phi' = k and T = (cosh phi, sinh phi)."""
+) -> SampledCurve:
+    """Plane time-like curve with rapidity phi' = k and T = (cosh phi, sinh phi).
+
+    The rapidity is kept in ``theta``.
+    """
     y0 = np.array([float(start[0]), float(start[1]), float(rapidity0)])
     integrate = partial(rk4_angle, k, trig=(np.cosh, np.sinh))
     s, vals, _ = reconstruct_piecewise(integrate, y0, [(0.0, length)], None, control)
     phi = vals[:, 2]
     tangent = np.column_stack([np.cosh(phi), np.sinh(phi)])
-    measured = finite_diff_array(phi, grid_step(s), 1)
-    return TimelikeCurve(s, vals[:, 0:2], tangent, SampledFunction(s, measured), rapidity=phi)
+    return SampledCurve(s, vals[:, 0:2], tangent, theta=phi)
 
 
 def _lorentz_project(s: np.ndarray, frames: np.ndarray) -> None:
@@ -135,13 +110,6 @@ def _lorentz_project(s: np.ndarray, frames: np.ndarray) -> None:
     frames[:, 1], frames[:, 2], frames[:, 3] = t, e1, e2
 
 
-_L3_FRAME = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
-
-
 def reconstruct_timelike_3d(
     k: Callable,
     spin: Callable,
@@ -149,7 +117,7 @@ def reconstruct_timelike_3d(
     start: Sequence[float] = (0.0, 0.0, 0.0),
     frame0: tuple | None = None,
     control: StepControl = DEFAULT_CONTROL,
-) -> TimelikeCurve:
+) -> SampledCurve:
     """Space time-like curve of prescribed curvature magnitude |T'| = |k|.
 
     T' = k (cos(psi) E1 + sin(psi) E2) with {E1, E2} a space-like frame
@@ -157,7 +125,7 @@ def reconstruct_timelike_3d(
     the spin psi(s) steers the bending direction (constant spin keeps the
     curve planar, mirroring torsion's role for Euclidean space curves).
     """
-    t0, e10, e20 = frame0 if frame0 is not None else _L3_FRAME
+    t0, e10, e20 = frame0 if frame0 is not None else _FRAME3
     t0 = np.asarray(t0, dtype=float)
     e10, e20 = np.asarray(e10, dtype=float), np.asarray(e20, dtype=float)
     if abs(minkowski_dot(t0, t0) - 1.0) > 1e-9 or t0[0] <= 0:
@@ -185,22 +153,20 @@ def reconstruct_timelike_3d(
 
     y0 = np.concatenate([np.asarray(start, dtype=float), t0, e10, e20])
     s, vals, _ = reconstruct_piecewise(segment, y0, [(0.0, length)], None, control)
-    tangent = vals[:, 3:6]
-    dT = finite_diff_array(tangent, grid_step(s), 1)
-    measured = np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))
-    return TimelikeCurve(s, vals[:, 0:3], tangent, SampledFunction(s, measured))
+    return SampledCurve(s, vals[:, 0:3], vals[:, 3:6])
 
 
-def embed_timelike_2d(curve: TimelikeCurve) -> TimelikeCurve:
-    """Trivial Lorentz inclusion (t, x) -> (t, x, 0)."""
-    zeros = np.zeros((len(curve.s), 1))
-    return TimelikeCurve(
-        curve.s.copy(),
-        np.hstack([curve.position, zeros]),
-        np.hstack([curve.tangent, zeros]),
-        curve.curvature,
-        rapidity=None if curve.rapidity is None else curve.rapidity.copy(),
-    )
+def timelike_curvature(curve: SampledCurve) -> SampledFunction:
+    """Curvature measured back from a jump-free time-like curve's samples.
+
+    The finite difference of the rapidity (``theta``) where the curve keeps
+    it; otherwise the magnitude sqrt(max(-<T', T'>, 0)) of the space-like T'.
+    """
+    h = grid_step(curve.s)
+    if curve.theta is not None:
+        return SampledFunction(curve.s, finite_diff_array(curve.theta, h, 1))
+    dT = finite_diff_array(curve.tangent, h, 1)
+    return SampledFunction(curve.s, np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +194,9 @@ def lorentz_boost(rapidity: float, direction: Sequence[float] | None = None, dim
     return out
 
 
-def boost_curve(curve: TimelikeCurve, matrix: np.ndarray) -> TimelikeCurve:
+def boost_curve(curve: SampledCurve, matrix: np.ndarray) -> SampledCurve:
     m = np.asarray(matrix, dtype=float)
-    return TimelikeCurve(
-        curve.s.copy(),
-        curve.position @ m.T,
-        curve.tangent @ m.T,
-        curve.curvature,
-        rapidity=None,
-    )
+    return SampledCurve(curve.s.copy(), curve.position @ m.T, curve.tangent @ m.T)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +243,15 @@ def build_lorentz_inclusion(t_plane, t_space) -> np.ndarray:
 # verification
 # ---------------------------------------------------------------------------
 
-def _timelike_census(c: TimelikeCurve, c_tilde: TimelikeCurve) -> Census:
-    census = Census()
+def _timelike_census(c: SampledCurve, c_tilde: SampledCurve) -> Census:
+    census, future = Census(), True
     for name, curve in (("unit_tangent_c", c), ("unit_tangent_c_tilde", c_tilde)):
-        drift = curve.tangent_norm_drift()
+        drift = float(np.max(np.abs(minkowski_dot(curve.tangent, curve.tangent) - 1.0)))
         census.add(name, drift <= 1e-9, 1e-9 - drift)
-    census.add("future_directed", c.future_directed() and c_tilde.future_directed())
-    dominance = worst_dominance(c.curvature.values, c_tilde.curvature.values, c.s)
+        future = future and bool(np.all(curve.tangent[:, 0] > 0))
+    census.add("future_directed", future)
+    dominance = worst_dominance(timelike_curvature(c).values, timelike_curvature(c_tilde).values,
+                                c.s)
     if dominance is None:
         census.add("curvature_dominance", None, note="no smooth samples")
         census.add("convexity", None, note="no smooth samples")
@@ -329,8 +291,8 @@ class TimelikeMonotonicityReport:
 
 
 def timelike_monotonicity(
-    c: TimelikeCurve,
-    c_tilde: TimelikeCurve,
+    c: SampledCurve,
+    c_tilde: SampledCurve,
     s_star: float,
     tol: float = DEFAULT_TOL,
 ) -> TimelikeMonotonicityReport:
@@ -390,7 +352,7 @@ class ReversedChordReport:
 
 
 def reversed_chord_inequality(
-    c: TimelikeCurve, c_tilde: TimelikeCurve, tol: float = DEFAULT_TOL
+    c: SampledCurve, c_tilde: SampledCurve, tol: float = DEFAULT_TOL
 ) -> ReversedChordReport:
     _require_aligned(c, c_tilde)
     u = c.position[-1] - c.position[0]

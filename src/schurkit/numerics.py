@@ -197,7 +197,10 @@ SCAN_BLOCK = 256
 
 
 def _rk4_grid(span: tuple[float, float], control: StepControl) -> tuple[np.ndarray, float]:
-    """Step points (both endpoints included) and step of the control's grid on ``span``."""
+    """Step points (both endpoints included) and step of the control's grid on ``span``.
+
+    GridError when the span is too short for its steps to be distinct doubles.
+    """
     a, b = float(span[0]), float(span[1])
     if not b > a:
         raise ValueError(f"span must satisfy b > a, got [{a}, {b}]")
@@ -205,6 +208,8 @@ def _rk4_grid(span: tuple[float, float], control: StepControl) -> tuple[np.ndarr
     h = (b - a) / n
     s_grid = a + h * np.arange(n + 1)
     s_grid[-1] = b
+    if not (np.diff(s_grid) > 0).all():
+        raise GridError(f"segment [{a!r}, {b!r}] is too short for {n} distinct steps")
     return s_grid, h
 
 
@@ -476,7 +481,7 @@ def _pchip_interior_slope(h0, h1, m0, m1):
     or next to a flat secant.
     """
     w1, w2 = 2 * h1 + h0, h1 + 2 * h0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
     same = (np.sign(m1) == np.sign(m0)) & (m1 != 0) & (m0 != 0)
     return np.divide(1.0, whmean, out=np.zeros_like(whmean), where=same)

@@ -41,7 +41,6 @@ __all__ = [
     "ComparisonPair",
     "PivotWindow",
     "IsometricInclusion",
-    "SStarResult",
     "MonotonicityReport",
     "ChordReport",
     "NestedChordReport",
@@ -123,20 +122,41 @@ def build_inclusion(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SStarResult:
-    """Pivot parameter: where the convex curve's tangent points along the chord.
+class PivotWindow:
+    """Windows [s', s''] of a comparison pair, each with its pivot s*, derived once.
 
-    When the chord direction falls strictly inside a jump's angular gap the
-    pivot snaps to the jump location (``jump_interior`` set) and
-    ``beta_minus`` records the angular offset into the gap.
+    ``rows`` are the snapped grid rows (plus side at s', minus side at s'')
+    and ``window`` their parameters; ``chord_length`` is |c(s'') - c(s')|.
+    At s* (row ``index``) c's tangent points along the chord, whose angle is
+    lifted to ``chord_angle``. When the chord direction falls strictly
+    inside a jump's angular gap the pivot snaps to the jump location
+    (``jump_interior`` set) and ``beta_minus`` records the angular offset
+    into the gap. ``pivot_plane``/``pivot_space`` are the directions N and
+    N~ that the inclusion identifies at s*. The fields are arrays over the
+    windows (``ComparisonPair.windows``; ``beta_minus`` is NaN outside a
+    gap), or one window's numbers, tuples and vectors (``row``).
     """
 
+    rows: tuple[int, int]
+    window: tuple[float, float]
+    chord_length: float
     s_star: float
     index: int
     jump_interior: bool
     chord_angle: float
     beta_minus: float | None
-    window: tuple[float, float]
+    pivot_plane: np.ndarray
+    pivot_space: np.ndarray
+
+    def row(self, k: int) -> PivotWindow:
+        """Window k, with Python numbers and tuples, and None for ``beta_minus`` outside a gap."""
+        gap = self.jump_interior[k].item()
+        return PivotWindow(
+            tuple(self.rows[k].tolist()), tuple(self.window[k].tolist()),
+            self.chord_length[k].item(), self.s_star[k].item(), self.index[k].item(), gap,
+            self.chord_angle[k].item(), self.beta_minus[k].item() if gap else None,
+            self.pivot_plane[k], self.pivot_space[k],
+        )
 
 
 def _window_error(a: float, b: float) -> ValueError:
@@ -197,7 +217,7 @@ def _pivots(c: SampledCurve, c_tilde: SampledCurve, index: np.ndarray, s_star: n
     norms = np.sqrt(row_dots(raw, raw))
     if (norms < 1e-14).any():
         raise NormalizationError("cannot normalize a (near-)zero vector")
-    plane = np.array([(math.cos(a), math.sin(a)) for a in chord_angle.tolist()])
+    plane = np.array([(math.cos(a), math.sin(a)) for a in chord_angle.tolist()]).reshape(-1, 2)
     return plane, raw / norms[:, None]
 
 
@@ -223,13 +243,14 @@ def arc_length_budget_check(
 
     Arc lengths are turning angles (curvature integral plus jump angles),
     read off the cumulative tangent angle; a jump-interior pivot contributes
-    its partial gap angles to both sides.
+    its partial gap angles to both sides. ``s_star`` is a parameter, or one
+    window (``PivotWindow.row``) whose lifted chord angle is read.
     """
     if c.theta is None:
         raise ProfileError("arc budget needs a plane curve with tangent-angle data")
     i0 = c.nearest_row(s_first, side="plus")
     i1 = c.nearest_row(s_second, side="minus")
-    if isinstance(s_star, SStarResult):
+    if isinstance(s_star, PivotWindow):
         theta_star = s_star.chord_angle
     else:
         theta_star = float(c.theta[c.nearest_row(float(s_star), side="minus")])
@@ -288,22 +309,6 @@ def hypothesis_census(
 # comparison pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PivotWindow:
-    """One window [s', s''] of a comparison pair, derived once.
-
-    ``rows`` are the snapped grid rows (plus side at s', minus side at s''),
-    ``chord_length`` is |c(s'') - c(s')|, and ``pivot_plane``/``pivot_space``
-    are the directions N and N~ that the inclusion identifies at s*.
-    """
-
-    rows: tuple[int, int]
-    chord_length: float
-    star: SStarResult
-    pivot_plane: np.ndarray
-    pivot_space: np.ndarray
-
-
 class ComparisonPair:
     """A convex plane curve c and a space curve c~ on one aligned grid.
 
@@ -342,37 +347,40 @@ class ComparisonPair:
         """
         return np.maximum.accumulate(self.c.theta)
 
-    def windows(self, ranges) -> list[PivotWindow]:
-        """``window`` of every range, in order, derived together.
+    def windows(self, ranges) -> PivotWindow:
+        """``window`` of every range, in order, derived together: one
+        ``PivotWindow`` whose fields are arrays over the windows.
 
-        ``WINDOW_BLOCK`` windows at a time, as arrays: the row snap, the
-        chord, the lifted chord angle and the branch, then one lane-wise
-        bisection for the smooth crossings' s* over cubics fitted lane by
-        lane, then the pivots, normalised together. Each lane takes the
-        scalar steps, so every window equals ``window``'s. When windows fail,
-        the first failing one in input order raises.
+        ``ranges`` holds (s', s'') pairs or None (the whole curve), or is an
+        (n, 2) array of ends. ``WINDOW_BLOCK`` windows at a time, as arrays:
+        the row snap, the chord, the lifted chord angle and the branch, then
+        one lane-wise bisection for the smooth crossings' s* over cubics
+        fitted lane by lane, then the pivots, normalised together. Each lane
+        takes the scalar steps, so every window equals ``window``'s. When
+        windows fail, the first failing one in input order raises.
         """
-        ranges = list(ranges)
-        out = []
-        for lo in range(0, len(ranges), WINDOW_BLOCK):
+        if not isinstance(ranges, np.ndarray):
+            # a range of None is the whole curve: its ends snap to the first and the last row
+            ranges = np.array([(-math.inf, math.inf) if r is None else (r[0], r[1])
+                               for r in ranges], dtype=float).reshape(-1, 2)
+        blocks = []
+        for lo in range(0, len(ranges) or 1, WINDOW_BLOCK):  # no ranges: one empty block
             block = ranges[lo : lo + WINDOW_BLOCK]
             try:
-                out += self._window_block(block)
+                blocks.append(self._window_block(block))
             except (ValueError, SchurkitError):
                 if len(block) > 1:  # derive one at a time, so the first failing window raises
-                    for s_range in block:
-                        self._window_block([s_range])
+                    for k in range(len(block)):
+                        self._window_block(block[k : k + 1])
                 raise
-        return out
+        return PivotWindow(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                             for f in fields(PivotWindow)))
 
-    def _window_block(self, ranges) -> list[PivotWindow]:
+    def _window_block(self, ends: np.ndarray) -> PivotWindow:
         c = self.c
         if c.theta is None:
             raise ProfileError("the s* search needs a plane curve with tangent-angle data")
         s, theta, record = c.s, c.theta, self._theta_record
-        # a range of None is the whole curve: its ends snap to the first and the last row
-        ends = np.array([(-math.inf, math.inf) if r is None else (r[0], r[1]) for r in ranges],
-                        dtype=float)
         ordered = ends[:, 1] > ends[:, 0]
         if not ordered.all():
             raise _window_error(*ends[np.argmin(ordered)].tolist())
@@ -427,16 +435,12 @@ class ComparisonPair:
                                                    (float(a[0]), float(b[0])), tol=S_STAR_TOL)
             else:
                 s_star[crossing] = bisect_lanes(theta_cells, phi_star[crossing], a, b, tol=S_STAR_TOL)
-            interpolated = np.empty((len(ranges), self.c_tilde.dim))
+            interpolated = np.empty((len(ends), self.c_tilde.dim))
             interpolated[crossing] = cells.columns(slice(1, None))(s_star[crossing])
         beta = np.where(gap, phi_star - before, np.nan)
         planes, spaces = _pivots(c, self.c_tilde, index, s_star, phi_star, beta, interpolated)
-
-        stars = [SStarResult(st, i, g, angle, b if g else None, w) for st, i, g, angle, b, w in zip(
-            s_star.tolist(), index.tolist(), gap.tolist(), phi_star.tolist(), beta.tolist(),
-            zip(s[i0].tolist(), s[i1].tolist()))]
-        return [PivotWindow(rows, length, star, n, n_t) for rows, length, star, n, n_t in zip(
-            zip(i0.tolist(), i1.tolist()), clen.tolist(), stars, planes, spaces)]
+        return PivotWindow(np.column_stack([i0, i1]), np.column_stack([s[i0], s[i1]]), clen,
+                           s_star, index, gap, phi_star, beta, planes, spaces)
 
     def window(self, s_range) -> PivotWindow:
         """The window [s', s''] (None: the whole curve) and its pivot s*, where c's
@@ -446,13 +450,14 @@ class ComparisonPair:
         angle is lifted into the window's angular range [theta(s'), theta(s'')];
         failure to lift means the input violates convexity and raises.
         """
-        return self.windows([s_range])[0]
+        return self.windows([s_range]).row(0)
 
-    def _derivative_slack(self, w: PivotWindow) -> tuple[slice, np.ndarray]:
-        """The window's rows and the derivative of I(s) on them."""
-        sl = slice(w.rows[0], w.rows[1] + 1)
-        tangents = self.c_tilde.tangent[sl] @ w.pivot_space - self.c.tangent[sl] @ w.pivot_plane
-        return sl, w.chord_length * tangents
+    def _derivative_slack(self, rows, chord_length: float, pivot_plane: np.ndarray,
+                          pivot_space: np.ndarray) -> tuple[slice, np.ndarray]:
+        """A window's rows and the derivative of I(s) on them."""
+        sl = slice(rows[0], rows[1] + 1)
+        tangents = self.c_tilde.tangent[sl] @ pivot_space - self.c.tangent[sl] @ pivot_plane
+        return sl, chord_length * tangents
 
     def monotonicity(self, w: PivotWindow) -> MonotonicityReport:
         """Windowed monotonicity with the pivot fixed by the chord direction.
@@ -463,31 +468,30 @@ class ComparisonPair:
         reduces to |chord| (<T~, N~> - <T, N>).
         """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
-        sl, slack = self._derivative_slack(w)
+        sl, slack = self._derivative_slack(w.rows, clen, w.pivot_plane, w.pivot_space)
         inclusion = build_inclusion(w.pivot_plane, w.pivot_space)
         iota_pos = inclusion.apply(c.position[sl])
         i_samples = (ct.position[sl] - iota_pos) @ (clen * w.pivot_space)
         k = int(np.argmin(slack))
         return MonotonicityReport(
-            s_star=w.star.s_star, jump_interior=w.star.jump_interior, window=w.star.window,
+            s_star=w.s_star, jump_interior=w.jump_interior, window=w.window,
             s=c.s[sl].copy(), I_samples=i_samples, derivative_slack=slack,
             min_slack=float(slack[k]), argmin_s=float(c.s[sl][k]), pair=self, inclusion=inclusion,
             pivot_plane=w.pivot_plane, pivot_space=w.pivot_space, tol=self.tol,
         )
 
-    def monotonicity_minima(self, ws: list[PivotWindow]) -> tuple[np.ndarray, np.ndarray]:
-        """``monotonicity``'s ``min_slack`` and ``argmin_s`` of each window.
+    def monotonicity_minima(self, ws: PivotWindow) -> tuple[np.ndarray, np.ndarray]:
+        """``monotonicity``'s ``min_slack`` and ``argmin_s`` of each window of ``ws``.
 
         The inclusion and the I(s) samples are not built; the pivots get
         ``build_inclusion``'s unit-norm check.
         """
-        for name in ("pivot_plane", "pivot_space"):
-            pivots = np.array([getattr(w, name) for w in ws])
+        for pivots in (ws.pivot_plane, ws.pivot_space):
             if np.any(np.abs(np.sqrt(row_dots(pivots, pivots)) - 1.0) > 1e-9):
                 raise NormalizationError("build_inclusion expects unit vectors")
-        min_slack, argmin_s = np.empty(len(ws)), np.empty(len(ws))
-        for k, w in enumerate(ws):
-            sl, slack = self._derivative_slack(w)
+        min_slack, argmin_s = np.empty(len(ws.rows)), np.empty(len(ws.rows))
+        for k, (rows, clen) in enumerate(zip(ws.rows.tolist(), ws.chord_length.tolist())):
+            sl, slack = self._derivative_slack(rows, clen, ws.pivot_plane[k], ws.pivot_space[k])
             j = int(np.argmin(slack))
             min_slack[k], argmin_s[k] = slack[j], self.c.s[sl][j]
         return min_slack, argmin_s
@@ -521,36 +525,36 @@ class ComparisonPair:
                     f"pivot s*={float(s_star):.9g} violates the arc budget: "
                     f"lengths ({budget.length_first:.6g}, {budget.length_second:.6g}) must be <= pi"
                 )
-        star = SStarResult(float(c.s[row]), row, False, float(c.theta[row]), None,
-                           (float(c.s[0]), float(c.s[-1])))
         clen = float(np.linalg.norm(c.position[-1] - c.position[0]))
         report = self.monotonicity(PivotWindow(
-            (0, len(c.s) - 1), clen, star, unit(c.tangent[row]), unit(ct.tangent[row])
+            (0, len(c.s) - 1), (float(c.s[0]), float(c.s[-1])), clen, float(c.s[row]), row, False,
+            float(c.theta[row]), None, unit(c.tangent[row]), unit(ct.tangent[row]),
         ))
         report.note = note
         return report
 
-    def _space_displacements(self, ws: list[PivotWindow]) -> tuple[np.ndarray, np.ndarray]:
-        """Per window: c~(s'') - c~(s') and its inner product with N~."""
-        i0, i1 = np.array([w.rows for w in ws]).T
+    def _space_displacements(self, ws: PivotWindow) -> tuple[np.ndarray, np.ndarray]:
+        """Per window (one window: one row): c~(s'') - c~(s') and its inner product with N~."""
+        i0, i1 = np.atleast_2d(ws.rows).T
         delta = self.c_tilde.position[i1] - self.c_tilde.position[i0]
-        return delta, row_dots(delta, np.array([w.pivot_space for w in ws]))
+        return delta, row_dots(delta, np.atleast_2d(ws.pivot_space))
 
-    def chords(self, ws: list[PivotWindow]) -> ChordReport:
-        """``chord`` of every window, as one report whose fields are arrays over the windows."""
+    def chords(self, ws: PivotWindow) -> ChordReport:
+        """``chord`` of every window, as one report whose fields are arrays over the windows
+        (one window gives arrays of one)."""
         delta, along = self._space_displacements(ws)
-        clen = np.array([w.chord_length for w in ws])
+        clen = np.atleast_1d(ws.chord_length)
         bound = along * clen
         space_chord = np.sqrt(row_dots(delta, delta))
         return ChordReport(
             plane_chord=clen, space_chord=space_chord, inner_product_bound=bound,
-            s_star=np.array([w.star.s_star for w in ws]), bound_slack=bound - clen * clen,
+            s_star=np.atleast_1d(ws.s_star), bound_slack=bound - clen * clen,
             chord_slack=space_chord - clen, tol=self.tol,
         )
 
     def chord(self, w: PivotWindow) -> ChordReport:
         """Plane chord against the space displacement paired with the included chord."""
-        return self.chords([w]).row(0)
+        return self.chords(w).row(0)
 
     def nested_chord(self, w: PivotWindow, s_inner_first: float,
                      s_inner_second: float) -> NestedChordReport:
@@ -559,18 +563,18 @@ class ComparisonPair:
         <c(b*) - c(a*), chord> <= <c~(b*) - c~(a*), iota(chord)> for any nested
         a* < b* inside the window; equals the chord inequality when the two
         coincide. The inner ends snap to rows as the window's own do, and the
-        snapped ends must lie inside ``w.star.window``.
+        snapped ends must lie inside ``w.window``.
         """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
         j0 = c.nearest_row(s_inner_first, side="plus")
         j1 = c.nearest_row(s_inner_second, side="minus")
-        lo, hi = w.star.window
+        lo, hi = w.window
         if not (s_inner_first < s_inner_second and lo <= c.s[j0] and c.s[j1] <= hi):
             raise ValueError("inner window must nest inside the outer window")
         lhs = float((c.position[j1] - c.position[j0]) @ (clen * w.pivot_plane))
         rhs = float((ct.position[j1] - ct.position[j0]) @ (clen * w.pivot_space))
         slack = rhs - lhs
-        return NestedChordReport(lhs, rhs, slack, w.star.s_star,
+        return NestedChordReport(lhs, rhs, slack, w.s_star,
                                  _length_scaled_passed(slack, self.tol, clen))
 
     def expansion(self, pair_samples: int, seed: int) -> ExpansionReport:
@@ -594,7 +598,7 @@ class ComparisonPair:
                     ranges.append((a, b))
             ws = self.windows(ranges)
             _, along = self._space_displacements(ws)
-            slacks = (along - np.array([w.chord_length for w in ws])).tolist()
+            slacks = (along - ws.chord_length).tolist()
             for s_range, slack in zip(ranges, slacks):
                 if slack < worst:
                     worst, worst_pair = slack, s_range

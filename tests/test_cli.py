@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -384,6 +385,18 @@ def test_verify_bad_range_exit_2(specs):
     ]) == 2
 
 
+def test_verify_range_inside_one_grid_row_exit_2(tmp_path, specs, capsys):
+    argv = ["verify", "--theorem", "chord", specs["circle"], specs["helix"],
+            "--report", str(tmp_path / "rep.json")]
+    # both ends snap to the row s = 1000 h (default --step): no chord to compare
+    assert main([*argv, "--range", "1.0:1.0001"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("schurkit: input error: --range")
+    assert "--step" in err and "Traceback" not in err
+    # the ends snap to two neighbouring rows: a window one row wide
+    assert main([*argv, "--range", "1.0:1.001"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -482,6 +495,30 @@ def test_sweep_needs_windowed_theorem(tmp_path, specs):
         "sweep", "--theorem", "spherical", specs["sphere_small"], specs["sphere_great"],
         "--grid", "4", "-o", str(tmp_path / "x.csv"),
     ]) == 2
+
+
+def test_sweep_peak_memory_per_window(tmp_path, specs, monkeypatch):
+    # the sweep's windows are arrays, not objects: each extra window adds at most 400 B
+    # to the traced peak (the CSV writer's chunk temporaries are kept constant)
+    monkeypatch.setattr(cli, "CSV_CHUNK", 64)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--theorem", "chord", specs["circle"], specs["helix"], "--step", "0.01",
+            "-o", str(out)]
+    assert main([*argv, "--grid", "4"]) == 0  # first-use caches are built outside the trace
+    windows, peaks = [], []
+    tracemalloc.start()
+    try:
+        for grid in (60, 100):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*argv, "--grid", str(grid)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            windows.append(len(out.read_text().splitlines()) - 1)
+    finally:
+        tracemalloc.stop()
+    assert windows == [1770, 4950]
+    per_window = (peaks[1] - peaks[0]) / (windows[1] - windows[0])
+    assert per_window <= 400, per_window
 
 
 def test_sweep_grid_over_window_budget_exit_2(tmp_path, specs, monkeypatch, capsys):

@@ -19,7 +19,6 @@ from schurkit.curves import (
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
-    tangent_angle,
     total_turning,
 )
 from schurkit.errors import JumpAngleError, ProfileError
@@ -81,9 +80,9 @@ def test_plane_semicircle_chord():
 
 
 def test_plane_theta_non_decreasing_for_convex(wobbly_plane_pi):
-    ta = tangent_angle(wobbly_plane_pi)
-    assert ta.non_decreasing
-    assert abs(ta.total_turning - (math.pi - 0.15 * (math.cos(TWO_PI) - 1.0))) < 1e-6
+    theta = wobbly_plane_pi.theta
+    assert np.all(np.diff(theta) >= -1e-12)
+    assert abs(float(theta[-1] - theta[0]) - (math.pi - 0.15 * (math.cos(TWO_PI) - 1.0))) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +352,8 @@ def test_tangent_angle_total_matches_profile():
     jumps = (Jump(0.9, 0.4), Jump(1.8, 0.3))
     profile = CurvatureProfile(math.pi, sinusoidal_curvature(0.8, 0.2), jumps)
     c = reconstruct_plane(profile)
-    ta = tangent_angle(c)
-    assert abs(ta.total_turning - total_turning(profile)) < 1e-6
-    assert ta.non_decreasing
+    assert abs(float(c.theta[-1] - c.theta[0]) - total_turning(profile)) < 1e-6
+    assert np.all(np.diff(c.theta) >= -1e-12)
 
 
 def test_cell_cubics_match_whole_segment_fit():

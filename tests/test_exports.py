@@ -1,0 +1,45 @@
+"""The public names: every ``__all__`` entry exists, and the package re-exports only listed names."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import schurkit
+
+MODULES = ("curves", "schur", "sphere", "minkowski")
+RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d")
+
+
+def _package_imports() -> dict[str, list[str]]:
+    """Module -> the names ``schurkit/__init__.py`` imports from it."""
+    tree = ast.parse(Path(schurkit.__file__).read_text(encoding="utf-8"))
+    out: dict[str, list[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_exists(name):
+    module = importlib.import_module(f"schurkit.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_reexports_are_listed():
+    imports = _package_imports()
+    assert set(MODULES) <= set(imports)
+    for name in MODULES:
+        listed = importlib.import_module(f"schurkit.{name}").__all__
+        assert [n for n in imports[name] if n not in listed] == [], name
+
+
+def test_retired_names_are_gone():
+    for name in MODULES:
+        module = importlib.import_module(f"schurkit.{name}")
+        assert [n for n in RETIRED if n in module.__all__ or hasattr(module, n)] == [], name
+    assert [n for n in RETIRED if hasattr(schurkit, n)] == []
+    assert not {n for names in _package_imports().values() for n in names} & set(RETIRED)

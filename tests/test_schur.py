@@ -24,7 +24,6 @@ from schurkit.numerics import bisect_lanes, bisect_monotone, orthonormal_complem
 from schurkit.schur import (
     ComparisonPair,
     PivotWindow,
-    SStarResult,
     _jump_angle,
     arc_length_budget_check,
     build_inclusion,
@@ -40,21 +39,21 @@ TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 def test_s_star_semicircle(circle_pi):
-    star = ComparisonPair(circle_pi, circle_pi).window(None).star
+    star = ComparisonPair(circle_pi, circle_pi).window(None)
     assert not star.jump_interior
     assert abs(star.s_star - math.pi / 2) < 1e-6
 
 
 def test_s_star_symmetric_arc_hits_midpoint():
     c = reconstruct_plane(CurvatureProfile(math.pi, sinusoidal_curvature(1.0, 0.3)))
-    star = ComparisonPair(c, c).window(None).star
+    star = ComparisonPair(c, c).window(None)
     assert abs(star.s_star - math.pi / 2) < 1e-6
 
 
 def test_s_star_square_corner_gap():
     jumps = tuple(Jump(float(i), math.pi / 2) for i in (1, 2, 3))
     sq = reconstruct_plane(CurvatureProfile(4.0, constant_curvature(0.0), jumps))
-    star = ComparisonPair(sq, sq).window((0.0, 2.0)).star
+    star = ComparisonPair(sq, sq).window((0.0, 2.0))
     assert star.jump_interior
     assert star.s_star == 1.0
     assert abs(star.beta_minus - math.pi / 4) < 1e-12
@@ -67,7 +66,7 @@ def test_s_star_degenerate_chord_raises():
 
 
 def test_s_star_subwindow(circle_pi):
-    star = ComparisonPair(circle_pi, circle_pi).window((0.5, 2.5)).star
+    star = ComparisonPair(circle_pi, circle_pi).window((0.5, 2.5))
     # chord of a circle arc is parallel to the tangent at the arc midpoint;
     # the window itself snaps to grid rows first
     assert abs(star.s_star - 0.5 * (star.window[0] + star.window[1])) < 1e-6
@@ -79,7 +78,7 @@ def test_s_star_subwindow(circle_pi):
 # ---------------------------------------------------------------------------
 
 def test_arc_budget_semicircle(circle_pi):
-    star = ComparisonPair(circle_pi, circle_pi).window(None).star
+    star = ComparisonPair(circle_pi, circle_pi).window(None)
     res = arc_length_budget_check(circle_pi, 0.0, math.pi, star)
     assert res.passed
     assert abs(res.length_first - math.pi / 2) < 1e-9
@@ -513,7 +512,7 @@ def _slerp(u, v, angle):
 
 
 def _reference_locate(c, s_range):
-    """(rows, chord length, s*, crossing) of one window, the scalar way.
+    """(rows, window, chord length, the pivot fields, crossing) of one window, the scalar way.
 
     Each end is snapped on its own and the window accumulates its own running
     maximum of theta. For a smooth crossing, ``s_star`` holds the cell's left
@@ -534,13 +533,12 @@ def _reference_locate(c, s_range):
     j = min(int(np.searchsorted(th, phi_star, side="left")), len(th) - 1)
     s_loc = c.s[i0 : i1 + 1]
     if th[j] - phi_star <= schur.ANGLE_TOL:
-        return (i0, i1), clen, SStarResult(float(s_loc[j]), i0 + j, False, phi_star, None, window), False
+        return (i0, i1), window, clen, (float(s_loc[j]), i0 + j, False, phi_star, None), False
     if j > 0 and s_loc[j] == s_loc[j - 1]:
         beta_minus = float(phi_star - th[j - 1])
-        return (i0, i1), clen, SStarResult(float(s_loc[j - 1]), i0 + j - 1, True, phi_star,
-                                           beta_minus, window), False
-    return (i0, i1), clen, SStarResult(float(s_loc[j - 1]), i0 + j - 1, False, phi_star, None,
-                                       window), True
+        return (i0, i1), window, clen, (float(s_loc[j - 1]), i0 + j - 1, True, phi_star,
+                                        beta_minus), False
+    return (i0, i1), window, clen, (float(s_loc[j - 1]), i0 + j - 1, False, phi_star, None), True
 
 
 def _reference_window(pair, s_range):
@@ -550,7 +548,8 @@ def _reference_window(pair, s_range):
     evaluations its bisection made.
     """
     c, ct = pair.c, pair.c_tilde
-    rows, clen, star, crossing = _reference_locate(c, s_range)
+    rows, window, clen, pivot, crossing = _reference_locate(c, s_range)
+    star = PivotWindow(rows, window, clen, *pivot, None, None)
     i = star.index
     seg = c.segments()[int(np.searchsorted(c.jump_marks, i))]
     evals = []
@@ -571,11 +570,16 @@ def _reference_window(pair, s_range):
     else:
         n_t = pchip(c.s[seg], ct.tangent[seg])(star.s_star)
     n = np.array([math.cos(star.chord_angle), math.sin(star.chord_angle)])
-    return PivotWindow(rows, clen, star, n, unit(n_t)), (len(evals) if crossing else None)
+    return replace(star, pivot_plane=n, pivot_space=unit(n_t)), (len(evals) if crossing else None)
 
 
 def _window_repr(w):
-    return repr((w.rows, w.chord_length, w.star, w.pivot_plane.tolist(), w.pivot_space.tolist()))
+    return repr(replace(w, pivot_plane=w.pivot_plane.tolist(), pivot_space=w.pivot_space.tolist()))
+
+
+def _rows(ws):
+    """The windows of a ``PivotWindow`` over many, one ``row`` each."""
+    return [ws.row(k) for k in range(len(ws.rows))]
 
 
 def _engine_ranges(pair):
@@ -605,7 +609,7 @@ class _CountingCells:
 def test_windows_match_scalar_reference(gap_pair, monkeypatch):
     ranges = _engine_ranges(gap_pair)
     reference, ref_evals = zip(*(_reference_window(gap_pair, r) for r in ranges))
-    stars = [w.star for w in reference]
+    stars = reference
     s = gap_pair.c.s
     assert any(st.jump_interior for st in stars)
     assert any(st.s_star == s[st.index] and not st.jump_interior for st in stars)
@@ -621,7 +625,7 @@ def test_windows_match_scalar_reference(gap_pair, monkeypatch):
         return bisect_lanes(_CountingCells(f, np.arange(len(a)), counts), target, a, b, tol)
 
     monkeypatch.setattr(schur, "bisect_lanes", counting_bisect)
-    windows = gap_pair.windows(ranges)
+    windows = _rows(gap_pair.windows(ranges))
     assert [_window_repr(w) for w in windows] == [_window_repr(w) for w in reference]
     # one block, so one lane-wise bisection whose lanes are the crossings in
     # order, each evaluating its cubic as often as the scalar bisection does
@@ -634,14 +638,15 @@ def test_windows_match_scalar_reference(gap_pair, monkeypatch):
 
 
 def test_star_fields_are_python_numbers(gap_pair):
-    windows = gap_pair.windows(_engine_ranges(gap_pair))
+    windows = _rows(gap_pair.windows(_engine_ranges(gap_pair)))
     for w in windows:
-        star = w.star
+        star = w
         assert (type(star.s_star), type(star.index), type(star.chord_angle)) == (float, int, float)
         assert star.beta_minus is None or type(star.beta_minus) is float
+        assert type(star.jump_interior) is bool and (star.beta_minus is None) != star.jump_interior
         assert [type(v) for v in (*star.window, w.chord_length, *w.rows)] == [float] * 3 + [int] * 2
     # on the straight stretch the lifted chord angle is clamped to theta(s')
-    star = gap_pair.window((0.35, 0.55)).star
+    star = gap_pair.window((0.35, 0.55))
     assert star.chord_angle == gap_pair.c.theta[star.index] and type(star.chord_angle) is float
 
 
@@ -649,7 +654,7 @@ def test_whole_curve_window_takes_the_block_path(gap_pair):
     reference, _ = _reference_window(gap_pair, None)
     assert reference.rows == (0, len(gap_pair.c.s) - 1)
     assert _window_repr(gap_pair.window(None)) == _window_repr(reference)
-    mixed = gap_pair.windows([None, (0.2, 2.8), None])
+    mixed = _rows(gap_pair.windows([None, (0.2, 2.8), None]))
     assert _window_repr(mixed[0]) == _window_repr(mixed[2]) == _window_repr(reference)
     assert _window_repr(mixed[1]) == _window_repr(_reference_window(gap_pair, (0.2, 2.8))[0])
 
@@ -670,10 +675,18 @@ def test_windows_starting_off_a_running_max_record_match_reference(gap_pair):
     first = np.array([w.rows[0] for w in reference])
     assert np.sum(np.maximum.accumulate(theta)[first] > theta[first]) == 6 * 8
     # on the stretch the pivot lands past the dip, where the window's own maximum is back
-    assert any(w.star.index > w.rows[0] and w.star.s_star < 0.6 for w in reference)
+    assert any(w.index > w.rows[0] and w.s_star < 0.6 for w in reference)
     expected = [_window_repr(w) for w in reference]
-    assert [_window_repr(w) for w in pair.windows(ranges)] == expected
+    assert [_window_repr(w) for w in _rows(pair.windows(ranges))] == expected
     assert [_window_repr(pair.window(r)) for r in ranges] == expected
+
+
+def test_windows_of_no_ranges(gap_pair):
+    none = gap_pair.windows([])
+    assert none.pivot_plane.shape == (0, 2) and none.pivot_space.shape == (0, 3)
+    assert _rows(none) == []
+    min_slack, _ = gap_pair.monotonicity_minima(none)
+    assert min_slack.shape == gap_pair.chords(none).chord_slack.shape == (0,)
 
 
 def test_windows_raise_for_the_first_failing_window(gap_pair):
@@ -692,11 +705,11 @@ def test_windows_raise_for_the_first_failing_window(gap_pair):
 
 def test_windows_in_small_blocks_match_one_block(gap_pair, monkeypatch):
     ranges = _engine_ranges(gap_pair)
-    whole = [_window_repr(w) for w in gap_pair.windows(ranges)]
+    whole = [_window_repr(w) for w in _rows(gap_pair.windows(ranges))]
     monkeypatch.setattr(schur, "WINDOW_BLOCK", 7)
-    assert [_window_repr(w) for w in gap_pair.windows(ranges)] == whole
+    assert [_window_repr(w) for w in _rows(gap_pair.windows(ranges))] == whole
     monkeypatch.setattr(schur, "WINDOW_BLOCK", 1)
-    assert [_window_repr(w) for w in gap_pair.windows(ranges[:20])] == whole[:20]
+    assert [_window_repr(w) for w in _rows(gap_pair.windows(ranges[:20]))] == whole[:20]
 
 
 def test_expansion_matches_one_window_at_a_time(gap_pair, monkeypatch):
@@ -722,7 +735,7 @@ def test_sweep_columns_match_single_window_reports(gap_pair):
     windows = gap_pair.windows(ranges)
     min_slack, argmin_s = gap_pair.monotonicity_minima(windows)
     chords = gap_pair.chords(windows)
-    for k, w in enumerate(windows):
+    for k, w in enumerate(_rows(windows)):
         mono, chord = gap_pair.monotonicity(w), gap_pair.chord(w)
         assert (min_slack[k], argmin_s[k]) == (mono.min_slack, mono.argmin_s)
         assert chords.row(k) == chord
