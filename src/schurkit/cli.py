@@ -175,10 +175,15 @@ def _jumps_from_spec(entries, length: float, geometry: str, where: str) -> tuple
             if geometry != "space3":
                 raise SpecError(f"{loc}: a rotation direction is only valid for space3")
             direction = tuple(_vector(e[2], 3, f"{loc}.direction"))
+            if not any(direction):
+                raise SpecError(f"{loc}.direction: a rotation direction must be a nonzero vector")
         if not 0.0 < s_j < length:
             raise SpecError(f"{loc}: jump location {s_j} must lie strictly inside (0, {length})")
         if not 0.0 <= alpha <= math.pi + 1e-12:
             raise SpecError(f"{loc}: jump angle {alpha} outside [0, pi]")
+        if geometry == "space3" and alpha > 0.0 and direction is None:
+            raise SpecError(f"{loc}: a space3 jump with a positive angle needs a rotation "
+                            "direction, [s, alpha, [dx, dy, dz]]")
         jumps.append(Jump(s_j, alpha, direction))
     locs = [j.location for j in jumps]
     if any(b <= a for a, b in zip(locs, locs[1:])):

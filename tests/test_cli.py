@@ -255,6 +255,27 @@ def test_invalid_input_exit_2(tmp_path, capsys, command, patch, flags):
     assert "schurkit: input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "jump",
+    [[1.0, 0.3], [1.0, 0.3, [0.0, 0.0, 0.0]], [1.0, 0.0, [-0.0, 0.0, 0.0]]],
+    ids=["no-direction", "zero-direction", "zero-direction-no-turn"],
+)
+def test_space3_jump_direction_is_a_schema_error(tmp_path, capsys, jump):
+    spec = write_spec(tmp_path / "c.json", {"geometry": "space3", "length": 2.0,
+                                            "curvature": {"preset": "constant", "value": 0.5},
+                                            "jumps": [jump]})
+    assert main(["reconstruct", spec, "-o", str(tmp_path / "out.csv"), *STEP]) == 2
+    err = capsys.readouterr().err
+    assert "schurkit: input error" in err and "jumps[0]" in err and "direction" in err
+
+
+def test_space3_jump_without_turn_needs_no_direction(tmp_path):
+    spec = write_spec(tmp_path / "c.json", {"geometry": "space3", "length": 2.0,
+                                            "curvature": {"preset": "constant", "value": 0.5},
+                                            "jumps": [[1.0, 0.0]]})
+    assert main(["reconstruct", spec, "-o", str(tmp_path / "out.csv"), *STEP]) == 0
+
+
 @pytest.mark.parametrize("case", ["spec-dir", "spec-not-utf8", "spec-too-deep", "report-no-dir",
                                   "csv-no-dir", "seed-not-int"])
 def test_io_and_environment_errors_exit_2(tmp_path, capsys, monkeypatch, specs, case):

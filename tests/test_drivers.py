@@ -20,8 +20,8 @@ from schurkit.curves import (
     sinusoidal_curvature,
     tabulated_curvature,
 )
-from schurkit.errors import IntegrationError
-from schurkit.minkowski import minkowski_dot, reconstruct_timelike_3d
+from schurkit.errors import CausalError, IntegrationError
+from schurkit.minkowski import _lorentz_project, minkowski_dot, reconstruct_timelike_3d
 from schurkit.numerics import (
     DEFAULT_CONTROL,
     SampledFunction,
@@ -274,6 +274,24 @@ def test_frame_driver_matches_loop(geometry):
     assert np.max(np.abs(states - ref_states)) <= 1e-12 * max(1.0, np.max(np.abs(ref_states)))
 
 
+def _small_groups(monkeypatch):
+    """Blocks of 50 steps: groups of 7 with a ragged last group (50 = 7 * 7 + 1)."""
+    monkeypatch.setattr(numerics, "SCAN_BLOCK", 50)
+    assert math.isqrt(numerics.SCAN_BLOCK) == 7
+
+
+@pytest.mark.parametrize("geometry", sorted(FRAME_CASES))
+def test_frame_groups_continue_the_products(geometry, monkeypatch):
+    # 2540 steps: 50 full blocks, then a last block of 40 in groups of 6 (40 = 6 * 6 + 4)
+    build, fld, hook, y0 = FRAME_CASES[geometry]
+    control = StepControl()
+    ref = rk4_integrate(fld, y0.copy(), (0.0, 2.54), control, hook)
+    _small_groups(monkeypatch)
+    states = _curve_states(build(2.54, control))
+    ref_states = ref.values[:, : states.shape[1]]
+    assert np.max(np.abs(states - ref_states)) <= 1e-12 * max(1.0, np.max(np.abs(ref_states)))
+
+
 @pytest.mark.parametrize("geometry", sorted(FRAME_CASES))
 def test_frame_driver_is_fourth_order(geometry):
     build = FRAME_CASES[geometry][0]
@@ -336,3 +354,30 @@ def test_drivers_name_first_non_finite_state():
     loop_frame = _message(lambda: rk4_integrate(
         lambda s, y: float(_blows_up(s)) * np.array([y[1], -y[0]]), [1.0, 0.0], span))
     assert _message(lambda: rk4_frames(generator, _no_projection, np.eye(2)[:, :1], span)) == loop_frame
+
+
+def test_frame_failures_in_a_later_group_name_the_first_step(monkeypatch):
+    # s = 0.538 ends step 537, the third step of group 5 in the block of steps 500..549
+    def blows_up(s):
+        return np.where(np.asarray(s) > 0.5372, np.inf, 1.0)
+
+    def rotation(s):
+        a = np.zeros((len(s), 2, 2))
+        a[:, 0, 1], a[:, 1, 0] = blows_up(s), -blows_up(s)
+        return a
+
+    def leaves_cone(s):
+        # x' = T, then T' = 1e4 E1 from s = 0.5372: one step pushes T out of the cone
+        a = np.zeros((len(s), 4, 4))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 2] = np.where(s > 0.5372, 1e4, 0.0)
+        return a
+
+    loop = _message(lambda: rk4_integrate(
+        lambda s, y: float(blows_up(s)) * np.array([y[1], -y[0]]), [1.0, 0.0], (0.0, 1.0)))
+    assert "s=0.538" in loop
+    frame0 = np.concatenate([np.zeros((1, 3)), np.eye(3)])
+    _small_groups(monkeypatch)
+    assert _message(lambda: rk4_frames(rotation, _no_projection, np.eye(2)[:, :1], (0.0, 1.0))) == loop
+    with pytest.raises(CausalError, match=r"cone at s=0\.538$"):
+        rk4_frames(leaves_cone, _lorentz_project, frame0, (0.0, 1.0))

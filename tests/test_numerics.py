@@ -10,11 +10,13 @@ from schurkit.numerics import (
     SampledFunction,
     StepControl,
     bisect_monotone,
+    cross_rows,
     cumulative_integral_uniform,
     finite_diff,
     grid_step,
     integrate_sampled,
     nearest_index,
+    orthonormal_rows,
     pchip,
 )
 
@@ -216,6 +218,27 @@ def test_nearest_index_of_an_array_matches_the_scan_of_each_value():
     expected = [scan(v) for v in values]
     assert nearest_index(grid, values).tolist() == expected
     assert [nearest_index(grid, float(v)) for v in values] == expected
+
+
+def test_cross_rows_matches_np_cross_bit_for_bit():
+    # half the entries from a pool of signed zeros, subnormals, extreme magnitudes
+    # (whose products overflow or underflow), infinities and NaN
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     3.0, np.inf, -np.inf, np.nan])
+    n = 100_000
+    u, v = (np.where(rng.random((n, 3)) < 0.5, rng.choice(pool, (n, 3)), rng.standard_normal((n, 3)))
+            for _ in range(2))
+    with np.errstate(all="ignore"):
+        got, expected = cross_rows(u, v), np.cross(u, v)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_orthonormal_rows_completes_the_frame_with_np_cross():
+    rng = np.random.default_rng(12)
+    u, v, w = orthonormal_rows(rng.standard_normal((300, 3)), rng.standard_normal((300, 3)))
+    assert np.array_equal(w, np.cross(u, v))
 
 
 @pytest.mark.parametrize("columns", [None, 3])

@@ -9,10 +9,14 @@ path, so report bytes do not depend on where the corpus runs. Each job
 prints one line (``raised=`` only when the CLI leaks an exception)::
 
     <workload> <seed> <index> <kind> exit=<code> [raised=<type>] report=<sha256|-> csv=<sha256|->
+        hypotheses=<flags> conclusion=<flag> checks=<flags>
 
-Diffing the lines of two trees, e.g. this checkout against a ``git
-worktree`` of another commit, shows every job whose exit code, report or
-table changed::
+(all on one line). The flags are the report's ``passed`` values in report
+order, ``T`` true, ``F`` false and ``-`` null (not verified); each field
+reads ``-`` for a job that wrote no report. Diffing the lines of two trees,
+e.g. this checkout against a ``git worktree`` of another commit, shows
+every job whose exit code, report or table changed, and whether its
+verdicts changed with it::
 
     python tools/corpus.py > new.txt
     python tools/corpus.py --src ../parent/src > old.txt
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import os
 import sys
 import tempfile
@@ -45,6 +50,22 @@ def _digest(path: str | None) -> str:
     if path is None or not Path(path).exists():
         return "-"
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _flag(passed) -> str:
+    return "-" if passed is None else "T" if passed else "F"
+
+
+def _verdicts(path: str | None) -> str:
+    """The report's hypothesis, conclusion and conclusion-check ``passed`` flags."""
+    if path is None or not Path(path).exists():
+        return "hypotheses=- conclusion=- checks=-"
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    conclusion = report.get("conclusion", {})
+    hypotheses = "".join(_flag(h["passed"]) for h in report.get("hypotheses", []))
+    checks = "".join(_flag(c["passed"]) for c in conclusion.get("checks", []))
+    return (f"hypotheses={hypotheses or '-'} conclusion={_flag(conclusion.get('passed'))} "
+            f"checks={checks or '-'}")
 
 
 def main(argv=None) -> int:
@@ -76,7 +97,8 @@ def main(argv=None) -> int:
                     raised = f" raised={type(exc).__name__}" if exc is not None else ""
                     print(f"{workload} {seed} {index} {job.kind} exit={code}{raised} "
                           f"report={_digest(outputs.get('report'))} "
-                          f"csv={_digest(outputs.get('csv'))}", flush=True)
+                          f"csv={_digest(outputs.get('csv'))} {_verdicts(outputs.get('report'))}",
+                          flush=True)
     finally:
         os.chdir(saved_cwd)
         if saved_seed is None:
