@@ -308,12 +308,14 @@ def jump_rotation(tangent: np.ndarray, alpha: float, direction: np.ndarray) -> n
 
     The rotation moves the tangent toward the component of ``direction``
     orthogonal to it; applied to a full frame it keeps the frame orthonormal.
+    ProfileError when that component is below 1e-9 of |direction| (the test
+    is scale-free, as a direction is).
     """
     t = unit(tangent)
     d = np.asarray(direction, dtype=float)
     e = d - np.dot(d, t) * t
     n = float(np.linalg.norm(e))
-    if n < 1e-9:
+    if not n > 1e-9 * float(np.linalg.norm(d)):
         raise ProfileError("jump direction is (nearly) collinear with the tangent")
     e = e / n
     c, s = math.cos(alpha), math.sin(alpha)
@@ -466,13 +468,8 @@ def reconstruct_space_profile(
     k = profile.curvature
 
     def generator(s):
-        a = np.zeros((len(s), 4, 4))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 2] = k(s)
-        a[:, 2, 1] = -a[:, 1, 2]
-        a[:, 2, 3] = torsion(s)
-        a[:, 3, 2] = -a[:, 2, 3]
-        return a
+        kk, tau = k(s), torsion(s)
+        return {(0, 1): 1.0, (1, 2): kk, (2, 1): -kk, (2, 3): tau, (3, 2): -tau}
 
     def segment(state, span, control):
         return rk4_frames(generator, _frenet_project, state.reshape(4, 3), span, control)

@@ -142,11 +142,8 @@ def reconstruct_timelike_3d(
 
     def generator(s):
         kk, psi = k(s), spin(s)
-        a = np.zeros((len(s), 4, 4))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 2] = a[:, 2, 1] = kk * np.cos(psi)
-        a[:, 1, 3] = a[:, 3, 1] = kk * np.sin(psi)
-        return a
+        a, b = kk * np.cos(psi), kk * np.sin(psi)
+        return {(0, 1): 1.0, (1, 2): a, (2, 1): a, (1, 3): b, (3, 1): b}
 
     def segment(state, span, control):
         return rk4_frames(generator, _lorentz_project, state.reshape(4, 3), span, control)

@@ -150,15 +150,6 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of an (n, d) array scaled to unit length (einsum norms, so not
-    ``unit`` bit for bit)."""
-    n = np.sqrt(np.einsum("ij,ij->i", v, v))
-    if np.any(n < 1e-14):
-        raise NormalizationError("cannot normalize a (near-)zero vector")
-    return v / n[:, None]
-
-
 def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross products of matching rows of two (n, 3) arrays.
 
@@ -176,9 +167,26 @@ def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def orthonormal_rows(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise Gram-Schmidt of (n, 3) arrays: unit u, v made unit and
-    orthogonal to u, and their cross product completing a right-handed frame."""
-    u = _unit_rows(u)
-    v = _unit_rows(v - np.einsum("ij,ij->i", v, u)[:, None] * u)
+    orthogonal to u, and their cross product completing a right-handed frame.
+
+    Written out per component, like ``cross_rows``, so that short rows pay no
+    reduction or broadcasting overheads. NormalizationError when a row of u,
+    or of v once u is taken out, is (nearly) zero.
+    """
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    n = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+    if np.any(n < 1e-14):
+        raise NormalizationError("cannot normalize a (near-)zero vector")
+    u = np.empty_like(u)
+    u[:, 0], u[:, 1], u[:, 2] = u0 / n, u1 / n, u2 / n
+    u0, u1, u2 = u.T
+    d = v0 * u0 + v1 * u1 + v2 * u2
+    v0, v1, v2 = v0 - d * u0, v1 - d * u1, v2 - d * u2
+    n = np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if np.any(n < 1e-14):
+        raise NormalizationError("cannot normalize a (near-)zero vector")
+    v = np.empty_like(u)
+    v[:, 0], v[:, 1], v[:, 2] = v0 / n, v1 / n, v2 / n
     return u, v, cross_rows(u, v)
 
 
@@ -206,10 +214,12 @@ def orthonormal_complement(v: np.ndarray) -> np.ndarray:
 
 # Steps per block of the array drivers. Their temporaries grow with the block,
 # so the block bounds their memory whatever the segment. The frame driver holds
-# several 4x4 matrices per step, hence its smaller block; a full block takes
-# about 2 isqrt(SCAN_BLOCK) batched products (see _prefix_states).
+# an (m, m) propagator per step, hence its smaller block; each of its blocks
+# also pays a fixed cost (one generator call and the few dozen entry products
+# of _entry_propagators), and a full block takes about 2 isqrt(SCAN_BLOCK)
+# batched products (see _prefix_states).
 ANGLE_BLOCK = 4096
-SCAN_BLOCK = 1024
+SCAN_BLOCK = 2048
 
 
 def _rk4_grid(span: tuple[float, float], control: StepControl) -> tuple[np.ndarray, float]:
@@ -301,8 +311,52 @@ def rk4_angle(
     return SampledFunction(s_grid, out)
 
 
+def _add_entry(entries: dict, key: tuple[int, int], x) -> None:
+    """Add ``x`` to entry ``key`` of a matrix given by its entries (absent ones are zero)."""
+    entries[key] = entries[key] + x if key in entries else x
+
+
+def _entry_product(a: dict, b: dict) -> dict:
+    """Entries ``{(i, j): values}`` of the product of two matrices given by their entries."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if l == k:
+                _add_entry(out, (i, j), x * y)
+    return out
+
+
+def _plus_identity(a: dict, c: float, m: int) -> dict:
+    """Entries of I + c A for the (m, m) matrix A given by its entries."""
+    out = {key: c * x for key, x in a.items()}
+    for i in range(m):
+        _add_entry(out, (i, i), 1.0)
+    return out
+
+
+def _entry_propagators(a1: dict, am: dict, a3: dict, h: float, nb: int, m: int) -> np.ndarray:
+    """The (nb, m, m) RK4 propagators I + h/6 (A1 + 2 K2 + 2 K3 + A3 (I + h K3)).
+
+    K2 = Am (I + h/2 A1) and K3 = Am (I + h/2 K2). The stage matrices are
+    given by their entries (arrays over the steps, or constants), so every
+    product works on the few entries that can be nonzero.
+    """
+    k2 = _entry_product(am, _plus_identity(a1, 0.5 * h, m))
+    k3 = _entry_product(am, _plus_identity(k2, 0.5 * h, m))
+    terms = ((a1, 1.0), (k2, 2.0), (k3, 2.0), (_entry_product(a3, _plus_identity(k3, h, m)), 1.0))
+    total = {}
+    for entries, w in terms:
+        for key, x in entries.items():
+            _add_entry(total, key, x if w == 1.0 else w * x)
+    p = np.zeros((nb, m, m))
+    p[:, range(m), range(m)] = 1.0
+    for (i, j), x in total.items():
+        p[:, i, j] += (h / 6.0) * x
+    return p
+
+
 def rk4_frames(
-    generator: Callable[[np.ndarray], np.ndarray],
+    generator: Callable[[np.ndarray], dict],
     project: Callable[[np.ndarray, np.ndarray], None],
     frame0,
     span: tuple[float, float],
@@ -312,33 +366,36 @@ def rk4_frames(
     """RK4 for a linear frame system Y' = A(s) Y with all steps at once.
 
     ``frame0`` is the (m, d) initial frame and ``generator(s)`` returns the
-    (len(s), m, m) matrices A at the given points. One RK4 step is
+    entries of A that can be nonzero, as ``{(i, j): values}`` with values an
+    array over ``s`` or a float constant. One RK4 step is
     Y_{n+1} = P_n Y_n with P_n = I + h/6 (A1 + 2 K2 + 2 K3 + A3 (I + h K3)),
-    K2 = Am (I + h/2 A1) and K3 = Am (I + h/2 K2). Blocks of ``SCAN_BLOCK``
-    propagators are built by batched products and applied to the last state
-    of the previous block by ``_prefix_states``, in groups of isqrt(block)
-    steps. Per block, ``project(s, Y)`` repairs the new
-    states in place after the products (explicit RK4 does not keep a frame
-    orthonormal, so every frame system needs one), and ``check(s_end, P)``,
-    when given, sees the propagators (labelled by their step ends) before
-    them; either may raise. Returns the (n+1, m, d) frames on
-    ``_rk4_grid``'s grid; raises IntegrationError at the first non-finite
-    state.
+    K2 = Am (I + h/2 A1) and K3 = Am (I + h/2 K2). Per block of
+    ``SCAN_BLOCK`` steps the generator is called once, on the block's step
+    starts, midpoints and ends in that order; the propagators are built from
+    its entries (``_entry_propagators``) and applied to the last state of the
+    previous block by ``_prefix_states``, in groups of isqrt(block) steps.
+    Per block, ``project(s, Y)`` repairs the new states in place after the
+    products (explicit RK4 does not keep a frame orthonormal, so every frame
+    system needs one), and ``check(s_end, P)``, when given, sees the
+    (nb, m, m) propagators (labelled by their step ends) before them; either
+    may raise. Returns the (n+1, m, d) frames on ``_rk4_grid``'s grid; raises
+    IntegrationError at the first non-finite state.
     """
     y0 = np.asarray(frame0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
     _require_finite(s_grid[:1], y0[None], "initial state")
-    n = len(s_grid) - 1
-    eye = np.eye(len(y0))
+    n, m = len(s_grid) - 1, len(y0)
     out = np.empty((n + 1,) + y0.shape)
     out[0] = y0
     for lo in range(0, n, SCAN_BLOCK):
         hi = min(lo + SCAN_BLOCK, n)
-        s0 = s_grid[lo:hi]
-        a1, am, a3 = generator(s0), generator(s0 + 0.5 * h), generator(s0 + h)
-        k2 = am @ (eye + 0.5 * h * a1)
-        k3 = am @ (eye + 0.5 * h * k2)
-        p = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + a3 @ (eye + h * k3))
+        s0, nb = s_grid[lo:hi], hi - lo
+        entries = generator(np.concatenate((s0, s0 + 0.5 * h, s0 + h)))
+        a1, am, a3 = (
+            {key: x if np.ndim(x) == 0 else x[k * nb : (k + 1) * nb] for key, x in entries.items()}
+            for k in range(3)
+        )
+        p = _entry_propagators(a1, am, a3, h, nb, m)
         if check is not None:
             check(s_grid[lo + 1 : hi + 1], p)
         rows = out[lo + 1 : hi + 1]
@@ -356,10 +413,15 @@ def _uniform_runs(s: np.ndarray):
     """Yield (i0, i1) index ranges of maximal constant-spacing runs.
 
     The splitting threshold tolerates representation noise of the values so
-    a nominally uniform grid never shatters into micro-runs.
+    a nominally uniform grid never shatters into micro-runs. A grid whose
+    every spacing is within the first run's threshold of the first spacing is
+    one run, found by one array test instead of the loop.
     """
     d = np.diff(s)
     allow = 8.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
+    if len(d) and not (np.abs(d - d[0]) > max(1e-12 * abs(d[0]), allow)).any():
+        yield 0, len(d)
+        return
     start = 0
     for i in range(1, len(d)):
         if abs(d[i] - d[start]) > max(1e-12 * abs(d[start]), allow):

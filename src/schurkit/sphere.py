@@ -159,12 +159,8 @@ def reconstruct_spherical(
         raise NormalizationError("initial spherical frame must satisfy |c|=|T|=1, c.T=0")
 
     def generator(s):
-        a = np.zeros((len(s), 3, 3))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 0] = -1.0
-        a[:, 1, 2] = kg(s)
-        a[:, 2, 1] = -a[:, 1, 2]
-        return a
+        k = kg(s)
+        return {(0, 1): 1.0, (1, 0): -1.0, (1, 2): k, (2, 1): -k}
 
     def segment(state, span, control):
         return rk4_frames(

@@ -276,6 +276,27 @@ def test_space3_jump_without_turn_needs_no_direction(tmp_path):
     assert main(["reconstruct", spec, "-o", str(tmp_path / "out.csv"), *STEP]) == 0
 
 
+def test_space3_jump_direction_test_is_scale_free(tmp_path, capsys):
+    def reconstruct(direction):
+        spec = write_spec(tmp_path / "c.json", {"geometry": "space3", "length": 2.0,
+                                                "curvature": {"preset": "constant", "value": 0.5},
+                                                "jumps": [[1.0, 0.3, direction]]})
+        out = tmp_path / "out.csv"
+        code = main(["reconstruct", spec, "-o", str(out), *STEP])
+        return code, read_csv(out)[1] if code == 0 else None
+
+    code, unit_rows = reconstruct([0.0, 0.0, 1.0])
+    assert code == 0
+    code, tiny_rows = reconstruct([0.0, 0.0, 1e-10])  # orthogonal to the tangent, just short
+    assert code == 0
+    tiny, unit = np.array(tiny_rows, dtype=float), np.array(unit_rows, dtype=float)
+    assert np.allclose(tiny, unit, rtol=0.0, atol=1e-12, equal_nan=True)  # NaN: curvature at the jump
+    # the plane curve's tangent at s = 1 is (cos 0.5, sin 0.5, 0): no rotation plane
+    capsys.readouterr()
+    assert reconstruct([math.cos(0.5), math.sin(0.5), 0.0])[0] == 3
+    assert "collinear with the tangent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["spec-dir", "spec-not-utf8", "spec-too-deep", "report-no-dir",
                                   "csv-no-dir", "seed-not-int"])
 def test_io_and_environment_errors_exit_2(tmp_path, capsys, monkeypatch, specs, case):

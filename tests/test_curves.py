@@ -130,11 +130,7 @@ def test_frenet_frame_stays_orthonormal():
     from schurkit.curves import _frenet_project
 
     def generator(s):
-        a = np.zeros((len(s), 4, 4))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 2], a[:, 2, 1] = k(s), -k(s)
-        a[:, 2, 3], a[:, 3, 2] = tau(s), -tau(s)
-        return a
+        return {(0, 1): 1.0, (1, 2): k(s), (2, 1): -k(s), (2, 3): tau(s), (3, 2): -tau(s)}
 
     y0 = np.concatenate([np.zeros((1, 3)), np.eye(3)])
     frames = rk4_frames(generator, _frenet_project, y0, (0.0, 3.0)).values

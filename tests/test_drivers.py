@@ -306,6 +306,55 @@ def test_frame_driver_is_fourth_order(geometry):
 
 
 # ---------------------------------------------------------------------------
+# the generator's entries against the dense propagator formula
+# ---------------------------------------------------------------------------
+
+# geometry -> (m, entries of A from two coefficient arrays); each pattern holds
+# float constants besides its arrays
+ENTRY_PATTERNS = {
+    "space3": (4, lambda k, t: {(0, 1): 1.0, (1, 2): k, (2, 1): -k, (2, 3): 0.7, (3, 2): -0.7}),
+    "sphere": (3, lambda k, t: {(0, 1): 1.0, (1, 0): -1.0, (1, 2): k, (2, 1): -k}),
+    "minkowski3": (4, lambda k, t: {(0, 1): 1.0, (1, 2): k, (2, 1): k, (1, 3): t, (3, 1): t}),
+}
+
+
+def _dense(entries, n, m):
+    a = np.zeros((n, m, m))
+    for (i, j), x in entries.items():
+        a[:, i, j] = x
+    return a
+
+
+@pytest.mark.parametrize("geometry", sorted(ENTRY_PATTERNS))
+def test_entry_propagators_match_the_dense_formula(geometry):
+    m, pattern = ENTRY_PATTERNS[geometry]
+    rng = np.random.default_rng(len(geometry))
+    span = (0.0, 2 * numerics.SCAN_BLOCK * 1e-3 + 0.1)  # two full blocks and one of 100 steps
+    s_grid, h = _rk4_grid(span, DEFAULT_CONTROL)
+    calls, propagators = [], []
+
+    def generator(s):
+        entries = pattern(*rng.uniform(-3.0, 3.0, (2, len(s))))
+        calls.append((s, entries))
+        return entries
+
+    rk4_frames(generator, _no_projection, np.eye(m)[:, :2], span,
+               check=lambda s_end, p: propagators.append(p.copy()))
+    sizes = [numerics.SCAN_BLOCK, numerics.SCAN_BLOCK, 100]
+    assert [len(s) for s, _ in calls] == [3 * nb for nb in sizes]
+    eye = np.eye(m)
+    for lo, nb, (s, entries), p in zip(np.cumsum([0] + sizes), sizes, calls, propagators):
+        s0 = s_grid[lo : lo + nb]
+        assert np.array_equal(s, np.concatenate((s0, s0 + 0.5 * h, s0 + h)))
+        a1, am, a3 = np.split(_dense(entries, 3 * nb, m), 3)
+        k2 = am @ (eye + 0.5 * h * a1)
+        k3 = am @ (eye + 0.5 * h * k2)
+        dense = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + a3 @ (eye + h * k3))
+        assert p.shape == (nb, m, m)
+        assert np.max(np.abs(p - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
+# ---------------------------------------------------------------------------
 # high curvature: the per-block projection keeps the frames the checks expect
 # ---------------------------------------------------------------------------
 
@@ -347,9 +396,7 @@ def test_drivers_name_first_non_finite_state():
     assert _message(lambda: rk4_angle(_blows_up, [0.0, 0.0, 0.0], span)) == loop_angle
 
     def generator(s):
-        a = np.zeros((len(s), 2, 2))
-        a[:, 0, 1], a[:, 1, 0] = _blows_up(s), -_blows_up(s)
-        return a
+        return {(0, 1): _blows_up(s), (1, 0): -_blows_up(s)}
 
     loop_frame = _message(lambda: rk4_integrate(
         lambda s, y: float(_blows_up(s)) * np.array([y[1], -y[0]]), [1.0, 0.0], span))
@@ -362,16 +409,11 @@ def test_frame_failures_in_a_later_group_name_the_first_step(monkeypatch):
         return np.where(np.asarray(s) > 0.5372, np.inf, 1.0)
 
     def rotation(s):
-        a = np.zeros((len(s), 2, 2))
-        a[:, 0, 1], a[:, 1, 0] = blows_up(s), -blows_up(s)
-        return a
+        return {(0, 1): blows_up(s), (1, 0): -blows_up(s)}
 
     def leaves_cone(s):
         # x' = T, then T' = 1e4 E1 from s = 0.5372: one step pushes T out of the cone
-        a = np.zeros((len(s), 4, 4))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 2] = np.where(s > 0.5372, 1e4, 0.0)
-        return a
+        return {(0, 1): 1.0, (1, 2): np.where(s > 0.5372, 1e4, 0.0)}
 
     loop = _message(lambda: rk4_integrate(
         lambda s, y: float(blows_up(s)) * np.array([y[1], -y[0]]), [1.0, 0.0], (0.0, 1.0)))

@@ -9,6 +9,7 @@ from schurkit.errors import BracketError, DomainError, GridError
 from schurkit.numerics import (
     SampledFunction,
     StepControl,
+    _uniform_runs,
     bisect_monotone,
     cross_rows,
     cumulative_integral_uniform,
@@ -69,6 +70,36 @@ def test_simpson_constant_is_length():
 def test_simpson_odd_interval_count():
     s = np.linspace(0.0, 1.0, 100)  # 99 intervals, 3/8 rule absorbs the tail
     assert abs(integrate_sampled(s, np.exp(s)) - (math.e - 1.0)) < 1e-9
+
+
+def _uniform_runs_loop(s):
+    """The run split spacing by spacing: the reference for ``_uniform_runs``."""
+    d = np.diff(s)
+    allow = 8.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
+    start = 0
+    for i in range(1, len(d)):
+        if abs(d[i] - d[start]) > max(1e-12 * abs(d[start]), allow):
+            yield start, i
+            start = i
+    yield start, len(d)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "offset-uniform", "piecewise", "drifting", "short"])
+def test_uniform_runs_match_the_loop(kind):
+    if kind == "uniform":
+        grids = [np.linspace(0.0, math.pi, 3143), 0.25 + 1e-3 * np.arange(2001)]
+    elif kind == "offset-uniform":  # spacings wobble by a few ulps of the values
+        grids = [1e4 + np.linspace(0.0, 1.0, 997), np.linspace(-7.0, -3.0, 4001)]
+    elif kind == "piecewise":
+        a = np.linspace(0.0, 1.0, 501)
+        grids = [np.concatenate((a, 1.0 + np.linspace(0.0, 2.0, 301)[1:], [3.5, 3.5 + 1e-9]))]
+    elif kind == "drifting":  # each spacing within the threshold of its neighbour, not of the first
+        grids = [np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 3e-13 * np.arange(4000))))),
+                 np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 1e-15 * np.arange(4000)))))]
+    else:
+        grids = [np.array([0.0]), np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.5])]
+    for s in grids:
+        assert list(_uniform_runs(s)) == list(_uniform_runs_loop(s))
 
 
 # ---------------------------------------------------------------------------
