@@ -313,6 +313,9 @@ def jump_rotation(tangent: np.ndarray, alpha: float, direction: np.ndarray) -> n
     """
     t = unit(tangent)
     d = np.asarray(direction, dtype=float)
+    big = float(np.max(np.abs(d)))
+    if big > 0:
+        d = d / big  # in units of its largest component: no norm under- or overflows
     e = d - np.dot(d, t) * t
     n = float(np.linalg.norm(e))
     if not n > 1e-9 * float(np.linalg.norm(d)):

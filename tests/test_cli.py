@@ -287,10 +287,12 @@ def test_space3_jump_direction_test_is_scale_free(tmp_path, capsys):
 
     code, unit_rows = reconstruct([0.0, 0.0, 1.0])
     assert code == 0
-    code, tiny_rows = reconstruct([0.0, 0.0, 1e-10])  # orthogonal to the tangent, just short
-    assert code == 0
-    tiny, unit = np.array(tiny_rows, dtype=float), np.array(unit_rows, dtype=float)
-    assert np.allclose(tiny, unit, rtol=0.0, atol=1e-12, equal_nan=True)  # NaN: curvature at the jump
+    unit = np.array(unit_rows, dtype=float)
+    for scale in (1e-10, 1e300):  # orthogonal to the tangent, short or long
+        code, rows = reconstruct([0.0, 0.0, scale])
+        assert code == 0
+        # NaN: the curvature at the jump
+        assert np.allclose(np.array(rows, dtype=float), unit, rtol=0.0, atol=1e-12, equal_nan=True)
     # the plane curve's tangent at s = 1 is (cos 0.5, sin 0.5, 0): no rotation plane
     capsys.readouterr()
     assert reconstruct([math.cos(0.5), math.sin(0.5), 0.0])[0] == 3

@@ -93,7 +93,7 @@ def test_uniform_runs_match_the_loop(kind):
     elif kind == "piecewise":
         a = np.linspace(0.0, 1.0, 501)
         grids = [np.concatenate((a, 1.0 + np.linspace(0.0, 2.0, 301)[1:], [3.5, 3.5 + 1e-9]))]
-    elif kind == "drifting":  # each spacing within the threshold of its neighbour, not of the first
+    elif kind == "drifting":  # splits once the drift passes the threshold, or never
         grids = [np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 3e-13 * np.arange(4000))))),
                  np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 1e-15 * np.arange(4000)))))]
     else:
