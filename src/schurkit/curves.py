@@ -308,8 +308,8 @@ def jump_rotation(tangent: np.ndarray, alpha: float, direction: np.ndarray) -> n
 
     The rotation moves the tangent toward the component of ``direction``
     orthogonal to it; applied to a full frame it keeps the frame orthonormal.
-    ProfileError when that component is below 1e-9 of |direction| (the test
-    is scale-free, as a direction is).
+    ProfileError when that component is not above 1e-9 of the direction's
+    largest component (the test is scale-free, as a direction is).
     """
     t = unit(tangent)
     d = np.asarray(direction, dtype=float)
@@ -318,7 +318,7 @@ def jump_rotation(tangent: np.ndarray, alpha: float, direction: np.ndarray) -> n
         d = d / big  # in units of its largest component: no norm under- or overflows
     e = d - np.dot(d, t) * t
     n = float(np.linalg.norm(e))
-    if not n > 1e-9 * float(np.linalg.norm(d)):
+    if not n > 1e-9:
         raise ProfileError("jump direction is (nearly) collinear with the tangent")
     e = e / n
     c, s = math.cos(alpha), math.sin(alpha)

@@ -1,7 +1,7 @@
 """Record the end-to-end benchmark of one checkout as ``BENCH_<n>.json``.
 
 Runs the checkout's own, unchanged ``bench/run.py --workload all --seed S
---seconds T`` in a fresh interpreter and writes its final JSON line as it
+--seconds 30`` in a fresh interpreter and writes its final JSON line as it
 is, together with the checkout's commit, the Python and numpy versions, the
 number of usable CPUs (``nproc``) and the CPU model. Standard library only::
 
@@ -9,9 +9,9 @@ number of usable CPUs (``nproc``) and the CPU model. Standard library only::
     python tools/bench_record.py 0 --checkout ../parent --seed 41
     python tools/bench_record.py 1 --seed 41
 
-Both files of a comparison should be recorded with the same seed and
-seconds on the same host. The file goes to this repository's root unless
-``--out`` says otherwise.
+Both files of a comparison should be recorded with the same seed on the
+same host; every record runs for the benchmark's 30 seconds. The file goes
+to this repository's root unless ``--out`` says otherwise.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout whose bench/run.py and src are run (default: this one)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, default=None,
                         help="output file (default: BENCH_<n>.json at this repository's root)")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     command = ["bench/run.py", "--workload", "all", "--seed", str(args.seed),
-               "--seconds", str(args.seconds)]
+               "--seconds", "30"]
     proc = subprocess.run([sys.executable, *command], cwd=checkout,
                           capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
