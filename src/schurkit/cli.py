@@ -30,11 +30,13 @@ failure (out of memory included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +66,7 @@ from .minkowski import (
 )
 from .numerics import StepControl, unit
 from .reports import Census, _json_float
+from . import schur
 from .schur import ComparisonPair
 from .sphere import (
     ProjectionConfig,
@@ -336,8 +339,9 @@ def _build_aligned(spec_a, path_a, spec_b, path_b, control) -> tuple[BuiltCurve,
 # output helpers
 # ---------------------------------------------------------------------------
 
-CSV_CHUNK = 4096  # rows formatted per write, so a table never sits in memory as text
+CSV_CHUNK = 4096  # values formatted per pass, so a table never sits in memory as text
 _G17_WIDTH = 24  # bytes of the longest %.17g field, "-1.7976931348623157e+308"
+_FIELD = _G17_WIDTH + 1  # a CSV field and its separator
 
 
 def _open_output(path: str, mode: str = "w"):
@@ -349,45 +353,43 @@ def _open_output(path: str, mode: str = "w"):
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length ``columns`` (float arrays, or sequences of floats or
-    strings) as CSV rows under ``header``.
+    """Write equal-length numeric ``columns`` (float or boolean arrays, or
+    sequences of floats) as CSV rows under ``header``. ``columns`` may also be
+    an iterator of such blocks of columns, whose rows are written in turn as
+    it yields them.
 
-    Floats print as ``%.17g`` (round-trip exact; ``nan``, ``inf``, ``-0``),
-    byte for byte as Python's ``%`` writes them, by the array formatter
-    ``_format_g17``; strings print as they are. Rows are formatted and
-    written a chunk at a time.
+    Values print as ``%.17g`` (round-trip exact; ``nan``, ``inf``, ``-0``;
+    booleans as ``0``/``1``), byte for byte as Python's ``%`` writes them, by
+    the array formatter ``_format_g17``. Rows are formatted and written a
+    chunk at a time: all columns of ``CSV_CHUNK // len(block)`` rows. A write
+    that fails, a block's computation included, leaves no partial file.
     """
+    blocks = columns if isinstance(columns, Iterator) else (columns,)
     with _open_output(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        n = len(columns[0]) if columns else 0
-        if not n:
-            return
-        text = [isinstance(c[0], str) for c in columns]
-        for lo in range(0, n, CSV_CHUNK):
-            f.write(_csv_rows([c[lo : lo + CSV_CHUNK] for c in columns], text))
+        try:
+            f.write((",".join(header) + "\n").encode())
+            for block in blocks:
+                rows = max(1, CSV_CHUNK // len(block))
+                for lo in range(0, len(block[0]), rows):
+                    f.write(_csv_rows([c[lo : lo + rows] for c in block]))
+        except BaseException:
+            f.close()
+            if os.path.isfile(path):  # not a device such as /dev/null
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
-def _csv_rows(chunk: list, text: list[bool]) -> np.ndarray:
-    """The CSV bytes of one chunk of rows.
+def _csv_rows(chunk: list) -> np.ndarray:
+    """The CSV bytes of one chunk of rows, given as its columns.
 
-    Each field is laid out NUL-padded at a fixed width with its separator
-    right after it, in one byte array; one boolean compress drops the padding.
+    The values are formatted row-major in one ``_format_g17`` pass, each as a
+    NUL-padded field that ends in its comma; the last field of a row ends in a
+    newline instead, and one boolean compress drops the padding.
     """
-    cells = [np.array([v.encode() for v in c]) if t else np.asarray(c, dtype=float)
-             for c, t in zip(chunk, text)]
-    widths = [c.itemsize if t else _G17_WIDTH for c, t in zip(cells, text)]
-    out = np.zeros((len(cells[0]), sum(widths) + len(widths)), np.uint8)
-    end = 0
-    for c, t, w in zip(cells, text, widths):
-        field = out[:, end : end + w]
-        if t:
-            field[:] = c.view(np.uint8).reshape(-1, w)
-        else:
-            _format_g17(c, field)
-        end += w + 1
-        out[:, end - 1] = ord(",")
-    out[:, -1] = ord("\n")
-    return out[out != 0]
+    fields = _format_g17(np.array(chunk, dtype=float).T.ravel()).reshape(len(chunk[0]), -1)
+    fields[:, -1] = ord("\n")
+    return fields[fields != 0]
 
 
 @functools.cache
@@ -403,18 +405,20 @@ def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
     ``ascii4[q]`` is the ASCII of the 4-digit group ``q`` as one little-endian
     word and ``zeros4[q]`` its trailing-zero count (4 for 0000).
-    ``layout[(E + 6) * 17 + nd - 1]`` lists, for decimal exponent ``E``
-    (-6..16) and ``nd`` significant digits, the source byte of each output
-    byte. ``_format_g17`` builds 24-byte source rows: the 17 digits at bytes
-    0 and 4..19, then constants: ``.0e`` at 1..3, ``-56`` at 20..22 (they are
-    ``words``) and NUL at 23.
+    ``layout[((E + 6) * 17 + nd - 1) * 2 + neg]`` lists, for decimal exponent
+    ``E`` (-6..16), ``nd`` significant digits and the sign bit ``neg``, the
+    source byte of each of the ``_FIELD`` output bytes. ``_format_g17`` builds
+    28-byte source rows: the 17 digits at bytes 0 and 4..19, then constants
+    (they are ``words``): ``.0e`` at 1..3, ``-56`` at 20..22, NUL at 23 and
+    25..27, and the comma at 24, which ends every field.
     """
     quad = np.arange(10_000)
     ascii4 = sum((48 + quad // 10**j % 10) << (8 * (3 - j)) for j in range(4)).astype("<u4")
     zeros4 = np.select([quad % 10**j == 0 for j in (4, 3, 2, 1)], [4, 3, 2, 1], 0)
-    dot, zero, exp, minus, five, six, nul = 1, 2, 3, 20, 21, 22, 23
+    dot, zero, exp, minus, five, six, nul, comma = 1, 2, 3, 20, 21, 22, 23, 24
     digit = [0, *range(4, 20)]
-    layout = np.full((23 * 17, _G17_WIDTH - 2), nul, np.intp)
+    layout = np.full((23 * 17, 2, _FIELD), nul, np.intp)
+    layout[:, :, -1] = comma
     for e in range(-6, 17):
         for nd in range(1, 18):
             if e < -4:  # d.ddde-0X
@@ -424,9 +428,11 @@ def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
                 picks = [zero, dot, *[zero] * (-e - 1), *digit[:nd]]
             else:  # ddd.ddd, or ddd000 when nothing follows the point
                 picks = [*digit[: e + 1], *([dot, *digit[e + 1 : nd]] if nd > e + 1 else [])]
-            layout[(e + 6) * 17 + nd - 1, : len(picks)] = picks
-    words = np.frombuffer(b"0.0e-56\0", "<u4")
-    return ascii4, zeros4, layout, words
+            row = layout[(e + 6) * 17 + nd - 1]
+            row[0, : len(picks)] = picks
+            row[1, : len(picks) + 1] = [minus, *picks]
+    words = np.frombuffer(b"0.0e-56\0,\0\0\0", "<u4")
+    return ascii4, zeros4, layout.reshape(-1, _FIELD), words
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,9 +459,9 @@ def _decade_step(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return below.astype(np.intp) - above
 
 
-def _format_g17(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"%.17g" % v`` for each double of ``x`` into the rows of ``out``
-    (uint8, ``_G17_WIDTH`` wide, zero-filled), NUL-padded: the same bytes.
+def _format_g17(x: np.ndarray) -> np.ndarray:
+    """CSV fields of ``"%.17g" % v`` for each double of ``x``: rows of ``_FIELD``
+    bytes (uint8), the same bytes NUL-padded to ``_G17_WIDTH``, then a comma.
 
     A value with ``1e-6 <= |v| < 1e17`` is scaled by the exact power ``10**k``
     that brings ``|v| * 10**k`` into ``[1e16, 1e17)``; Dekker's product gives
@@ -463,9 +469,10 @@ def _format_g17(x: np.ndarray, out: np.ndarray) -> None:
     ``hi + rint(lo)`` is its round-half-even integer: the 17 significant
     digits. They are laid out by the ``%g`` rules (fixed notation for decimal
     exponents -4..16, ``e-05``/``e-06`` below; trailing zeros and a bare
-    point dropped) through a 4-digit ASCII table. Zeros print as ``0``/``-0``.
-    Everything else (nan, inf, other magnitudes, an exact tie in ``lo``)
-    is formatted by Python, one value at a time.
+    point dropped) through a 4-digit ASCII table, with the sign, padding and
+    comma, in one byte gather. Zeros print as ``0``/``-0``. Everything else
+    (nan, inf, other magnitudes, an exact tie in ``lo``) is formatted by
+    Python, one value at a time.
     """
     ascii4, zeros4, layout, words = _g17_tables()
     a = np.abs(x)
@@ -495,22 +502,22 @@ def _format_g17(x: np.ndarray, out: np.ndarray) -> None:
     lead, rest = np.divmod(n17, 10**16)
     upper, lower = np.divmod(rest, 10**8)
     quads = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    src = np.empty((len(x), 6), "<u4")
+    src = np.empty((len(x), 7), "<u4")
     src[:, 0] = words[0] + lead
     for j, q in enumerate(quads, start=1):
         src[:, j] = ascii4[q]
-    src[:, 5] = words[1]
+    src[:, 5:] = words[1:]
     q1, q2, q3, q4 = quads
     tail = zeros4[q4] + (q4 == 0) * (zeros4[q3] + (q3 == 0) * (zeros4[q2] + (q2 == 0) * zeros4[q1]))
-    at = layout[(22 - k) * 17 + 16 - tail]
-    at += np.arange(0, src.size * 4, 24)[:, None]  # row offsets into the flat source bytes
-    out[:, 0] = np.signbit(x) * ord("-")
-    out[:, 1:-1] = src.view(np.uint8).ravel().take(at)
+    at = layout[((22 - k) * 17 + 16 - tail) * 2 + np.signbit(x)]
+    at += np.arange(0, src.size * 4, 28)[:, None]  # row offsets into the flat source bytes
+    out = src.view(np.uint8).ravel().take(at)
 
     slow = np.flatnonzero(~exact & (x != 0))
     if slow.size:
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_G17_WIDTH}")
-        out[slow] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
+        out[slow, :-1] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
+    return out
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -835,6 +842,13 @@ def cmd_verify(args) -> int:
 # subcommand: sweep
 # ---------------------------------------------------------------------------
 
+def _running_min(worst: float | None, values: np.ndarray) -> float:
+    """``min`` of the values seen so far (``worst``, None before any) and
+    ``values``, as one ``min`` over all of them in order takes it, NaN included."""
+    values = values.tolist()
+    return min(values if worst is None else [worst, *values])
+
+
 def cmd_sweep(args) -> int:
     if args.theorem not in ("monotonicity", "chord"):
         raise SpecError("sweep supports the windowed checks: monotonicity, chord")
@@ -850,23 +864,37 @@ def cmd_sweep(args) -> int:
     pair = ComparisonPair(c, ct, args.tol)
     anchors = np.linspace(0.0, built_c.length, args.grid)
     snapped = np.unique(c.s[c.nearest_row(anchors, side="minus")])
-    ends = np.column_stack([snapped[i] for i in np.triu_indices(len(snapped), k=1)])
-    windows = pair.windows(ends)
-    min_slack, _ = pair.monotonicity_minima(windows)
-    chord = pair.chords(windows)
-    mono_ok = min_slack >= -args.tol
-    ok = mono_ok & chord.passed
-    worst_mono = min(min_slack.tolist(), default=math.inf)
-    worst_chord = min(chord.chord_slack.tolist(), default=math.inf)
-    mono_passed, chord_passed = bool(mono_ok.all()), bool(chord.chord_passed.all())
-    all_passed = bool(ok.all())
+    # the windows are the anchor pairs in ``np.triu_indices`` order: row i holds
+    # (i, j) for j > i and starts at window first[i]
+    n = len(snapped)
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    total = int(first[-1])
+    worst_mono = worst_chord = None
+    mono_passed = chord_passed = all_passed = True
+
+    def blocks():
+        """The CSV columns of each ``WINDOW_BLOCK`` windows; the worsts and flags run along."""
+        nonlocal worst_mono, worst_chord, mono_passed, chord_passed, all_passed
+        for lo in range(0, total, schur.WINDOW_BLOCK):
+            k = np.arange(lo, min(lo + schur.WINDOW_BLOCK, total))
+            i = first.searchsorted(k, side="right") - 1
+            ends = np.column_stack([snapped[i], snapped[k - first[i] + i + 1]])
+            windows = pair.windows(ends)
+            min_slack, _ = pair.monotonicity_minima(windows)
+            chord = pair.chords(windows)
+            mono_ok = min_slack >= -args.tol
+            ok = mono_ok & chord.passed
+            worst_mono = _running_min(worst_mono, min_slack)
+            worst_chord = _running_min(worst_chord, chord.chord_slack)
+            mono_passed &= bool(mono_ok.all())
+            chord_passed &= bool(chord.chord_passed.all())
+            all_passed &= bool(ok.all())
+            yield [*ends.T, chord.s_star, windows.jump_interior, min_slack, chord.plane_chord,
+                   chord.space_chord, chord.chord_slack, chord.bound_slack, ok]
 
     header = ["s1", "s2", "s_star", "jump_interior", "min_slack",
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
-    write_csv(args.out, header, [
-        *ends.T, chord.s_star, windows.jump_interior, min_slack, chord.plane_chord,
-        chord.space_chord, chord.chord_slack, chord.bound_slack, ok,
-    ])
+    write_csv(args.out, header, blocks())
 
     hypotheses_ok = pair.census.all_passed
     report = {
@@ -884,7 +912,7 @@ def cmd_sweep(args) -> int:
             ],
             hypotheses_ok,
         ),
-        "notes": [f"pairs evaluated: {len(ends)}"],
+        "notes": [f"pairs evaluated: {total}"],
     }
     if args.report:
         write_report(report, args.report)

@@ -55,8 +55,9 @@ DEFAULT_TOL = DEFAULT_CONTROL.tol
 ANGLE_TOL = 1e-9  # angular slack of the s* search: lifting the chord angle, landing on a row
 S_STAR_TOL = 1e-13  # bisection tolerance of an off-grid s*
 # Windows derived together by ``ComparisonPair.windows``; the engine's
-# temporaries grow with the block, so it bounds them for any sweep or expansion.
-WINDOW_BLOCK = 256
+# temporaries grow with the block, so it bounds them for any sweep or expansion
+# (a sweep streams its windows through the engine this many at a time).
+WINDOW_BLOCK = 1024
 
 
 def _length_scaled_passed(slack, tol: float, length):
@@ -157,6 +158,12 @@ class PivotWindow:
             self.chord_angle[k].item(), self.beta_minus[k].item() if gap else None,
             self.pivot_plane[k], self.pivot_space[k],
         )
+
+
+def _derivative_slack(t_space: np.ndarray, t_plane: np.ndarray, chord_length: float,
+                      pivot_space: np.ndarray, pivot_plane: np.ndarray) -> np.ndarray:
+    """The derivative of I(s) on a window's rows, from c~'s and c's tangents on them."""
+    return chord_length * (t_space @ pivot_space - t_plane @ pivot_plane)
 
 
 def _window_error(a: float, b: float) -> ValueError:
@@ -452,13 +459,6 @@ class ComparisonPair:
         """
         return self.windows([s_range]).row(0)
 
-    def _derivative_slack(self, rows, chord_length: float, pivot_plane: np.ndarray,
-                          pivot_space: np.ndarray) -> tuple[slice, np.ndarray]:
-        """A window's rows and the derivative of I(s) on them."""
-        sl = slice(rows[0], rows[1] + 1)
-        tangents = self.c_tilde.tangent[sl] @ pivot_space - self.c.tangent[sl] @ pivot_plane
-        return sl, chord_length * tangents
-
     def monotonicity(self, w: PivotWindow) -> MonotonicityReport:
         """Windowed monotonicity with the pivot fixed by the chord direction.
 
@@ -468,7 +468,8 @@ class ComparisonPair:
         reduces to |chord| (<T~, N~> - <T, N>).
         """
         c, ct, clen = self.c, self.c_tilde, w.chord_length
-        sl, slack = self._derivative_slack(w.rows, clen, w.pivot_plane, w.pivot_space)
+        sl = slice(w.rows[0], w.rows[1] + 1)
+        slack = _derivative_slack(ct.tangent[sl], c.tangent[sl], clen, w.pivot_space, w.pivot_plane)
         inclusion = build_inclusion(w.pivot_plane, w.pivot_space)
         iota_pos = inclusion.apply(c.position[sl])
         i_samples = (ct.position[sl] - iota_pos) @ (clen * w.pivot_space)
@@ -489,11 +490,13 @@ class ComparisonPair:
         for pivots in (ws.pivot_plane, ws.pivot_space):
             if np.any(np.abs(np.sqrt(row_dots(pivots, pivots)) - 1.0) > 1e-9):
                 raise NormalizationError("build_inclusion expects unit vectors")
+        s, plane, space = self.c.s, self.c.tangent, self.c_tilde.tangent
         min_slack, argmin_s = np.empty(len(ws.rows)), np.empty(len(ws.rows))
-        for k, (rows, clen) in enumerate(zip(ws.rows.tolist(), ws.chord_length.tolist())):
-            sl, slack = self._derivative_slack(rows, clen, ws.pivot_plane[k], ws.pivot_space[k])
-            j = int(np.argmin(slack))
-            min_slack[k], argmin_s[k] = slack[j], self.c.s[sl][j]
+        for k, ((i0, i1), clen, n, n_tilde) in enumerate(zip(
+                ws.rows.tolist(), ws.chord_length.tolist(), ws.pivot_plane, ws.pivot_space)):
+            slack = _derivative_slack(space[i0 : i1 + 1], plane[i0 : i1 + 1], clen, n_tilde, n)
+            j = slack.argmin()
+            min_slack[k], argmin_s[k] = slack[j], s[i0 + j]
         return min_slack, argmin_s
 
     def full_range(self, s_star) -> MonotonicityReport:

@@ -565,6 +565,73 @@ def test_sweep_peak_memory_per_window(tmp_path, specs, monkeypatch):
     assert per_window <= 400, per_window
 
 
+def test_sweep_peak_memory_does_not_grow_with_the_grid(tmp_path, specs, monkeypatch):
+    # the sweep streams its windows a block at a time: 9950 more windows leave the
+    # traced peak within 1 MB (about 267 B per window when every window is held)
+    monkeypatch.setattr(cli, "CSV_CHUNK", 64)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--theorem", "chord", specs["circle"], specs["helix"], "--step", "0.01",
+            "-o", str(out)]
+    assert main([*argv, "--grid", "4"]) == 0  # first-use caches are built outside the trace
+    peaks = []
+    tracemalloc.start()
+    try:
+        for grid in (50, 150):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*argv, "--grid", str(grid)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) - 1 == 11175
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+
+def _sweep_and_verify_outputs(tmp_path, specs, name):
+    """The CSV and report bytes of a grid-12 chord sweep, and a 40-pair chord verify's report."""
+    out, rep, verify = (tmp_path / f"{name}.{ext}" for ext in ("csv", "sweep.json", "verify.json"))
+    pair = [specs["circle"], specs["helix"], *STEP]
+    assert main(["sweep", "--theorem", "chord", *pair, "--grid", "12",
+                 "-o", str(out), "--report", str(rep)]) == 0
+    assert main(["verify", "--theorem", "chord", *pair, "--pairs", "40",
+                 "--report", str(verify)]) == 0
+    return out.read_bytes(), rep.read_bytes(), verify.read_bytes()
+
+
+def test_sweep_and_expansion_bytes_do_not_depend_on_the_block_size(tmp_path, specs,
+                                                                    monkeypatch):
+    import schurkit.schur as schur
+
+    whole = _sweep_and_verify_outputs(tmp_path, specs, "whole")
+    ends = [tuple(map(float, row.split(b",")[:2])) for row in whole[0].splitlines()[1:]]
+    # the 66 pairs s1 < s2 of 12 anchors, in np.triu_indices order
+    assert len(ends) == 66 and len({s for pair in ends for s in pair}) == 12
+    assert all(a < b for a, b in ends) and ends == sorted(set(ends))
+    monkeypatch.setattr(schur, "WINDOW_BLOCK", 7)  # 10 sweep blocks, 6 expansion blocks
+    assert _sweep_and_verify_outputs(tmp_path, specs, "blocks") == whole
+
+
+def test_sweep_failing_in_a_later_block_leaves_no_csv(tmp_path, specs, monkeypatch, capsys):
+    import schurkit.schur as schur
+    from schurkit.errors import NormalizationError
+
+    chords, calls = schur.ComparisonPair.chords, []
+
+    def chords_then_fail(pair, ws):
+        calls.append(len(ws.rows))
+        if len(calls) == 2:
+            raise NormalizationError("second block")
+        return chords(pair, ws)
+
+    monkeypatch.setattr(schur, "WINDOW_BLOCK", 7)
+    monkeypatch.setattr(schur.ComparisonPair, "chords", chords_then_fail)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--theorem", "chord", specs["circle"], specs["helix"], "--grid", "12",
+                 "-o", str(out), *STEP]) == 3
+    assert calls == [7, 7] and not out.exists()
+    assert capsys.readouterr().err == "schurkit: numeric failure: second block\n"
+
+
 def test_sweep_grid_over_window_budget_exit_2(tmp_path, specs, monkeypatch, capsys):
     class Built(Exception):
         pass
@@ -706,11 +773,11 @@ def test_write_csv_matches_row_format_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_CHUNK", 3)
     a = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e-300, 2.0])
     b = a[::-1].copy()
-    flags = [str(i % 2) for i in range(len(a))]
+    flags = [float(i % 2) for i in range(len(a))]
     path = tmp_path / "t.csv"
     cli.write_csv(str(path), ["a", "b", "flag"], [a, b, flags])
     expected = "a,b,flag\n" + "".join(
-        f"{x:.17g},{y:.17g},{f}\n" for x, y, f in zip(a.tolist(), b.tolist(), flags)
+        f"{x:.17g},{y:.17g},{f:.17g}\n" for x, y, f in zip(a.tolist(), b.tolist(), flags)
     )
     assert path.read_text() == expected
 

@@ -1,8 +1,12 @@
-"""Byte-identity corpus: 69 seeded CLI jobs, one digest line each.
+"""Byte-identity corpus: 71 seeded CLI jobs, one digest line each.
 
 Runs verify-mix jobs 0..23 at seeds 7 and 8, export-tables jobs 0..11 at
 seed 7, and sweep-dense jobs 0..2 at seed 7 and 0..5 at seed 8 (the job
-generators of ``bench/workloads.py``) in-process through
+generators of ``bench/workloads.py``), plus two jobs that cross a
+``schur.WINDOW_BLOCK`` boundary: sweep-dense seed 7 job 0 with ``--grid 60``
+(1770 windows) and seed 7 job 1, a chord verify, with ``--pairs 1500``. The
+extra arguments follow the job's own, so they override it, and the job's
+kind names them (``sweep:chord+grid=60``). The jobs run in-process through
 ``schurkit.cli.main``, with the benchmark's own job runner
 (``bench/run.py``: the same argv, ``SCHURKIT_SEED`` and output files). Specs are written to a temporary directory and passed by relative
 path, so report bytes do not depend on where the corpus runs. Each job
@@ -37,12 +41,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-JOBS = (
-    ("verify-mix", 7, range(24)),
-    ("verify-mix", 8, range(24)),
-    ("export-tables", 7, range(12)),
-    ("sweep-dense", 7, range(3)),
-    ("sweep-dense", 8, range(6)),
+JOBS = (  # workload, seed, job indices, extra arguments
+    ("verify-mix", 7, range(24), ()),
+    ("verify-mix", 8, range(24), ()),
+    ("export-tables", 7, range(12), ()),
+    ("sweep-dense", 7, range(3), ()),
+    ("sweep-dense", 8, range(6), ()),
+    ("sweep-dense", 7, (0,), ("--grid", "60")),
+    ("sweep-dense", 7, (1,), ("--pairs", "1500")),
 )
 
 
@@ -86,16 +92,18 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            for workload, seed, indices in JOBS:
-                runner = bench_run.JobRunner(cli, workloads, Path(f"{workload}-{seed}"))
+            for workload, seed, indices, extra in JOBS:
+                suffix = "+" + "=".join(extra).lstrip("-") if extra else ""
+                runner = bench_run.JobRunner(cli, workloads, Path(f"{workload}-{seed}{suffix}"))
                 runner.workdir.mkdir()
                 make = workloads.WORKLOADS[workload][0]
                 for index in indices:
                     job = make(seed, index)
+                    job.args = [*job.args, *extra]
                     argv, outputs, _ = runner.materialise(job)
                     code, exc, _ = runner.call(job, argv)
                     raised = f" raised={type(exc).__name__}" if exc is not None else ""
-                    print(f"{workload} {seed} {index} {job.kind} exit={code}{raised} "
+                    print(f"{workload} {seed} {index} {job.kind}{suffix} exit={code}{raised} "
                           f"report={_digest(outputs.get('report'))} "
                           f"csv={_digest(outputs.get('csv'))} {_verdicts(outputs.get('report'))}",
                           flush=True)
