@@ -42,7 +42,6 @@ from .sphere import (
     ProjectionConfig,
     SphericalCurve,
     closed_form_cross_norm,
-    companion_project,
     cone_project,
     curvature_dominance_check,
     geodesic_curvature_of,

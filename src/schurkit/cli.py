@@ -751,7 +751,7 @@ def cmd_verify(args) -> int:
 
     elif theorem == "spherical":
         config = _parse_plane(args.plane) if args.plane else "auto"
-        verification = spherical_schur_verify(c, ct, config, control, args.tol)
+        verification = spherical_schur_verify(c, ct, config, args.tol)
         census = verification.census
         report["config"]["plane"] = {
             "u": [float(v) for v in verification.config.normal],

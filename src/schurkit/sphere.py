@@ -27,7 +27,6 @@ from .curves import (
     theta_from_tangent,
 )
 from .errors import (
-    AlignmentError,
     DegenerateSpeedError,
     DegenerateTriangleError,
     IntegrationError,
@@ -45,7 +44,6 @@ from .numerics import (
     grid_step,
     orthonormal_complement,
     orthonormal_rows,
-    pchip,
     rk4_frames,
     unit,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "reconstruct_spherical",
     "geodesic_curvature_of",
     "cone_project",
-    "companion_project",
     "projected_arclength",
     "space_curvature",
     "closed_form_cross_norm",
@@ -70,7 +67,6 @@ __all__ = [
     "jump_angle_transform",
     "hinge_compare",
     "spherical_schur_verify",
-    "reparametrize_projected_pair",
     "rotate_spherical",
 ]
 
@@ -231,10 +227,10 @@ class ProjectionConfig:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.u, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # a NaN norm fails too
             raise NormalizationError("plane normal u must be a unit vector")
-        if not self.d > 0:
-            raise ProfileError(f"plane offset d must be positive, got {self.d}")
+        if not 0 < self.d < math.inf:
+            raise ProfileError(f"plane offset d must be positive and finite, got {self.d}")
         if not self.epsilon_min > 0:
             raise ProfileError("epsilon_min must be positive")
 
@@ -291,21 +287,6 @@ def cone_project(
     """
     _, _, r, plane, _ = _cone(curve, config)
     return r, plane
-
-
-def companion_project(c_tilde: SphericalCurve, r: SampledFunction) -> SampledCurve:
-    """Space curve R(s) c~(s) sharing the projected speed profile.
-
-    R' is taken by per-segment finite differences of the R samples.
-    """
-    keep = c_tilde.single_rows
-    if len(r.s_grid) != int(keep.sum()) or np.max(
-        np.abs(r.s_grid - c_tilde.s[keep])
-    ) > 1e-12 * max(1.0, float(c_tilde.s[-1])):
-        raise AlignmentError("R(s) grid does not match the companion curve grid")
-    r_rows = c_tilde.expand(r.values)
-    return _scaled_curve(c_tilde, r_rows, c_tilde.segment_derivatives(r_rows),
-                         "companion projection")[0]
 
 
 def projected_arclength(
@@ -399,8 +380,10 @@ class ProjectedPair:
     """A spherical pair with its shared projection data.
 
     ``plane_curve`` is the cone section of c (a plane curve in 3D
-    coordinates), ``space_curve`` the companion R(s) c~(s). Both share R and
-    tau; their measured curvatures and transformed jump angles are recorded.
+    coordinates), ``space_curve`` the companion R(s) c~(s), both on c's rows.
+    Both share R and hence the arc length tau, which parametrizes the plane
+    comparison on those rows with no resampling; their measured curvatures
+    and transformed jump angles are recorded.
     """
 
     config: ProjectionConfig
@@ -487,19 +470,13 @@ def curvature_dominance_check(
     return DominanceReport(min_dom >= -tol and min_pos >= -tol, min_pos, min_dom, location, tol)
 
 
-# ---------------------------------------------------------------------------
-# reparametrization to projected arc length
-# ---------------------------------------------------------------------------
-
-def reparametrize_projected_pair(
-    pair: ProjectedPair, control: StepControl = DEFAULT_CONTROL
-) -> tuple[SampledCurve, SampledCurve]:
-    """Unit-speed resampling of both projected curves on a shared tau grid.
+def _rowwise_pair(pair: ProjectedPair) -> tuple[SampledCurve, SampledCurve]:
+    """Both projected curves on c's rows, parametrized by their shared tau.
 
     The plane curve is expressed in 2D coordinates of the projection plane
     (oriented so it turns counterclockwise) with its cumulative tangent angle
-    attached; the companion stays in 3D. Monotone cubic interpolation maps
-    each smooth segment onto a uniform tau sub-grid.
+    attached; the companion stays in 3D. R scales both, so tau is their
+    common arc length and nothing is resampled.
     """
     plane, space = pair.plane_curve, pair.space_curve
     e1 = orthonormal_complement(pair.config.normal)
@@ -514,34 +491,11 @@ def reparametrize_projected_pair(
     raw = np.arctan2(txy[:, 1], txy[:, 0])
     d = np.mod(np.diff(raw) + math.pi, 2.0 * math.pi) - math.pi
     if float(np.sum(d)) < 0.0:
-        e2, xy[:, 1], txy[:, 1] = -e2, -xy[:, 1], -txy[:, 1]
-
-    tau_rows = plane.expand(pair.tau.values)
-    # every per-row column of both curves is resampled per segment; one cubic
-    # per column block keeps only that block's slopes and coefficients alive
-    blocks = (xy, txy, space.position, space.tangent)
-
-    parts_tau, parts = [], []
-    for seg in plane.segments():
-        t_seg = tau_rows[seg]
-        s_seg = plane.s[seg]
-        n = control.segment_steps(float(t_seg[-1] - t_seg[0]))
-        tau_new = t_seg[0] + (t_seg[-1] - t_seg[0]) * np.arange(n + 1) / n
-        tau_new[-1] = t_seg[-1]
-        s_new = pchip(t_seg, s_seg)(tau_new)
-        s_new[0], s_new[-1] = s_seg[0], s_seg[-1]
-        parts_tau.append(tau_new)
-        parts.append([pchip(s_seg, block[seg])(s_new) for block in blocks])
-
-    tau_grid = np.concatenate(parts_tau)
-    marks = np.cumsum([len(t) for t in parts_tau[:-1]], dtype=int) - 1
-    p2d, t2d, p3d, t3d = (np.concatenate(cols) for cols in zip(*parts))
-    t2d /= np.linalg.norm(t2d, axis=1)[:, None]
-    t3d /= np.linalg.norm(t3d, axis=1)[:, None]
-    plane2d = SampledCurve(tau_grid, p2d, t2d, marks)
+        xy[:, 1], txy[:, 1] = -xy[:, 1], -txy[:, 1]
+    tau = plane.expand(pair.tau.values)
+    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
     plane2d.theta = theta_from_tangent(plane2d)
-    space3d = SampledCurve(tau_grid.copy(), p3d, t3d, marks.copy())
-    return plane2d, space3d
+    return plane2d, SampledCurve(tau, space.position, space.tangent, space.jump_marks)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +579,6 @@ def spherical_schur_verify(
     c: SphericalCurve,
     c_tilde: SphericalCurve,
     config: ProjectionConfig | str = "auto",
-    control: StepControl = DEFAULT_CONTROL,
     tol: float = DEFAULT_CONTROL.tol,
     curvature_tol: float = CURVATURE_TOL,
 ) -> SphericalVerification:
@@ -633,9 +586,11 @@ def spherical_schur_verify(
 
     Censuses the spherical hypotheses, projects the pair, checks curvature
     and jump-angle dominance of the projections, runs the plane machinery on
-    the arc-length-reparametrized pair, and closes with the hinge argument:
-    the projected triangles share the side lengths R(0) and R(L), so the
-    ordered chords order the apex angles and with them the spherical chords.
+    c's rows parametrized by the shared projected arc length tau (R scales
+    both curves, so tau is common to them and nothing is resampled), and
+    closes with the hinge argument: the projected triangles share the side
+    lengths R(0) and R(L), so the ordered chords order the apex angles and
+    with them the spherical chords.
     """
     _require_aligned(c, c_tilde)
     census = Census()
@@ -685,9 +640,9 @@ def spherical_schur_verify(
         1e-6 - pair.speed_identity_error,
     )
 
-    plane2d, space3d = reparametrize_projected_pair(pair, control)
-    # the verification reports the spherical census above; mono.census is taken only if read
-    projected = ComparisonPair(plane2d, space3d, tol, curvature_tol)
+    # the verification reports the spherical census above, never mono.census: the
+    # plane hypothesis census needs a uniform grid, and tau rows are not one
+    projected = ComparisonPair(*_rowwise_pair(pair), tol, curvature_tol)
     window = projected.window(None)
     mono, chords = projected.monotonicity(window), projected.chord(window)
 

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import schurkit
 import schurkit.cli as cli
 from schurkit.cli import main
+from schurkit.sphere import spherical_schur_verify
 
 STEP = ["--step", "2e-3"]  # coarser grid keeps the CLI suite quick
 
@@ -868,6 +869,22 @@ def test_verify_minkowski_plane_pair(tmp_path, specs):
         "--report", str(rep), *STEP,
     ])
     assert code == 0
+
+
+def test_spherical_path_never_takes_the_plane_census(tmp_path, specs, sphere_polygon_pair,
+                                                    monkeypatch):
+    # the plane census needs a uniform grid; the projected pair sits on tau rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("hypothesis_census called on the projected pair")
+
+    monkeypatch.setattr(schurkit.schur, "hypothesis_census", refuse)
+    assert spherical_schur_verify(*sphere_polygon_pair).passed
+    rep = tmp_path / "rep.json"
+    assert main([
+        "verify", "--theorem", "spherical", specs["sphere_small"], specs["sphere_great"],
+        "--report", str(rep), *STEP,
+    ]) == 0
+    assert json.loads(rep.read_text())["conclusion"]["passed"] is True
 
 
 def test_verify_spherical_explicit_plane(tmp_path, specs):

@@ -9,7 +9,8 @@ import pytest
 import schurkit
 
 MODULES = ("curves", "schur", "sphere", "minkowski")
-RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d")
+RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d",
+           "reparametrize_projected_pair", "companion_project")
 
 
 def _package_imports() -> dict[str, list[str]]:

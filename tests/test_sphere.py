@@ -16,7 +16,6 @@ from schurkit.sphere import (
     ProjectionConfig,
     auto_projection_config,
     closed_form_cross_norm,
-    companion_project,
     cone_project,
     curvature_dominance_check,
     geodesic_curvature_of,
@@ -25,7 +24,6 @@ from schurkit.sphere import (
     project_pair,
     projected_arclength,
     reconstruct_spherical,
-    reparametrize_projected_pair,
     rotate_spherical,
     space_curvature,
     spherical_schur_verify,
@@ -169,16 +167,20 @@ def test_companion_matches_primary_projection():
     c = reconstruct_spherical(sinusoidal_curvature(0.9, 0.3), (), 1.5)
     cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
-    q = companion_project(c, r)
+    pair = project_pair(c, c, cfg)
+    q = pair.space_curve
+    assert np.array_equal(pair.R.values, r.values)
     assert np.max(np.abs(q.position - p.position)) < 1e-9
+    assert np.max(np.abs(q.tangent - p.tangent)) < 1e-9
 
 
 def test_companion_constant_scaling():
-    c = reconstruct_spherical(constant_curvature(0.3), (), 1.5)
+    # a latitude circle has constant height <c, u> = cos(rho) about its axis, so
+    # the plane <x, u> = rho0 cos(rho) scales it by R = rho0 everywhere
+    c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     rho0 = 1.7
-    keep_s = c.s.copy()
-    r = SampledFunction(keep_s, np.full(len(keep_s), rho0))
-    q = companion_project(c, r)
+    cfg = ProjectionConfig(tuple(latitude_axis()), rho0 * math.cos(RHO))
+    q = project_pair(c, c, cfg).space_curve
     assert np.max(np.abs(q.position - rho0 * c.position)) < 1e-12
     # measured speed is rho0 everywhere
     h = grid_step(q.s)
@@ -203,7 +205,7 @@ def test_project_pair_curves_match_front_doors(sphere_polygon_pair):
     assert np.array_equal(pair.plane_curve.position, plane.position)
     assert np.array_equal(pair.plane_curve.tangent, plane.tangent)
     assert np.array_equal(pair.R.values, r.values)
-    assert np.array_equal(pair.space_curve.position, companion_project(arm_t, r).position)
+    assert np.array_equal(pair.space_curve.position, arm.expand(r.values)[:, None] * arm_t.position)
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +512,22 @@ def test_verify_censuses_dominance_violation(sphere_small_great):
     assert not v.census.get("geodesic_curvature_dominance").passed
 
 
-def test_reparametrized_pair_is_unit_speed(sphere_polygon_pair):
+def test_rowwise_pair_is_parametrized_by_tau(sphere_polygon_pair):
     arm, arm_t = sphere_polygon_pair
-    cfg = auto_projection_config(arm)
-    pair = project_pair(arm, arm_t, cfg)
-    plane2d, space3d = reparametrize_projected_pair(pair)
+    v = spherical_schur_verify(arm, arm_t)
+    plane2d, space3d = v.monotonicity.pair.c, v.monotonicity.pair.c_tilde
+    assert plane2d.dim == 2 and space3d.dim == 3
     for curve in (plane2d, space3d):
+        assert np.array_equal(curve.s, arm.expand(v.pair.tau.values))
+        assert np.array_equal(curve.jump_marks, arm.jump_marks)
         for seg in curve.segments():
-            s_seg = curve.s[seg]
-            h = grid_step(s_seg)
-            vel = finite_diff_array(curve.position[seg], h, 1)
-            speed = np.linalg.norm(vel, axis=1)
-            assert np.max(np.abs(speed[2:-2] - 1.0)) < 1e-5
-    assert plane2d.theta is not None
-    assert np.all(np.diff(plane2d.theta) >= -1e-9)
+            assert np.all(np.diff(curve.s[seg]) > 0)
+        assert np.array_equal(curve.s[arm.jump_marks], curve.s[arm.jump_marks + 1])
+        assert np.max(np.abs(np.linalg.norm(curve.tangent, axis=1) - 1.0)) < 1e-12
+    assert np.min(np.diff(plane2d.theta)) >= -1e-12  # straight arms: rounding only
+    assert v.census.all_passed
+    assert v.conclusion_passed and v.passed and v.signs_consistent
+    assert v.chords.chord_passed and v.monotonicity.conclusion_passed
 
 
 def test_projection_config_validation():
@@ -533,6 +537,10 @@ def test_projection_config_validation():
         ProjectionConfig((1.0, 0.0, 0.0), -0.5)
     with pytest.raises(ProfileError):
         ProjectionConfig((1.0, 0.0, 0.0), 1.0, epsilon_min=0.0)
+    with pytest.raises(NormalizationError):
+        ProjectionConfig((math.nan, 0.0, 0.0), 1.0)
+    with pytest.raises(ProfileError):
+        ProjectionConfig((1.0, 0.0, 0.0), math.inf)
 
 
 def test_frame_drift_suggests_smaller_step():
