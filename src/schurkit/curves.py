@@ -25,17 +25,17 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_CONTROL,
-    CellCubics,
     SampledFunction,
     StepControl,
     TWO_PI,
+    angle_step,
     finite_diff_array,
     grid_step,
     integrate_sampled,
     nearest_index,
     orthonormal_rows,
-    pchip_cells,
     rk4_angle,
+    rk4_frame_step,
     rk4_frames,
     unit,
 )
@@ -155,6 +155,12 @@ class CurvatureProfile:
 # sampled curves
 # ---------------------------------------------------------------------------
 
+def _no_extension(rows, s):
+    """The extension of a curve that was not reconstructed (built by hand): it has none."""
+    raise ProfileError("this curve has no extension between its rows (it was built by hand, "
+                       "not by a reconstruction), so nothing can be evaluated off its grid")
+
+
 @dataclass
 class SampledCurve:
     """Arc-length-indexed samples of position and unit tangent.
@@ -164,6 +170,12 @@ class SampledCurve:
     one-sided tangents. For plane curves ``theta`` holds the cumulative
     (unwrapped) tangent angle on the same rows, and for Minkowski-plane
     curves the rapidity.
+
+    ``between(rows, s)`` extends the rows off the grid: lane k's tangent
+    angle (a plane curve, which keeps ``theta``) or tangent (any other curve)
+    at s[k], by one RK4 step of length s[k] - s[rows[k]] from row rows[k] on
+    the curve's own field. The reconstructions set it for the rows they
+    return; a curve built by hand has ``_no_extension``.
     """
 
     s: np.ndarray
@@ -171,6 +183,7 @@ class SampledCurve:
     tangent: np.ndarray
     jump_marks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     theta: np.ndarray | None = None
+    between: Callable[[np.ndarray, np.ndarray], np.ndarray] = _no_extension
 
     def __post_init__(self) -> None:
         self.s = np.asarray(self.s, dtype=float)
@@ -220,19 +233,15 @@ class SampledCurve:
             out[seg] = finite_diff_array(values[seg], grid_step(self.s[seg]), order)
         return out
 
-    def cell_cubics(self, values: np.ndarray, rows) -> CellCubics:
-        """Monotone cubics (``numerics.pchip``) of per-row ``values`` on the cells [row, row+1].
-
-        One lane per entry of ``rows``. Only the knots ``row-1 .. row+2`` of
-        the smooth segment holding each cell are read. PCHIP slopes are local,
-        so on that cell the cubic is the one fitted to the whole segment.
-        """
-        rows = np.asarray(rows, dtype=int)
-        bounds = np.concatenate(([0], self.jump_marks + 1, [len(self.s)]))
-        seg = np.searchsorted(self.jump_marks, rows)
-        start, stop = bounds[seg], bounds[seg + 1]
-        knots = np.clip(rows[:, None] + np.arange(-1, 3), start[:, None], stop[:, None] - 1)
-        return pchip_cells(self.s[knots], values[knots], rows > start, rows + 2 < stop)
+    def tangent_between(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Lane k's tangent at s[k] from ``between`` (of a plane curve: its angle's
+        unit vector, padded with zeros to the curve's dimension)."""
+        value = self.between(rows, s)
+        if self.theta is None:
+            return value
+        out = np.zeros((len(value), self.dim))
+        out[:, 0], out[:, 1] = np.cos(value), np.sin(value)
+        return out
 
     def nearest_row(self, value, side: str = "minus"):
         """Row index of the sample closest to arc length ``value`` (an index array for an array).
@@ -358,6 +367,25 @@ def apply_jump(
 # reconstruction
 # ---------------------------------------------------------------------------
 
+def _angle_between(rate: Callable, s: np.ndarray, theta: np.ndarray, rows: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """A plane curve's ``between``: theta's RK4 step from row rows[k] to x[k]."""
+    s0 = s[rows]
+    return theta[rows] + angle_step(rate, s0, x - s0)[2]
+
+
+def _frames_between(generator: Callable, frames: np.ndarray, s: np.ndarray, rows: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Lane k's frame at x[k] by one RK4 step from the stored (n, m, d) frame of row rows[k]."""
+    s0 = s[rows]
+    return rk4_frame_step(generator, frames[rows], s0, x - s0)
+
+
+def _tangent_row(frames: Callable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A frame curve's ``between``: the tangent row (row 1) of its extended frames."""
+    return frames(rows, x)[:, 1]
+
+
 def reconstruct_piecewise(
     integrate: Callable[[np.ndarray, tuple[float, float], StepControl], SampledFunction],
     state0,
@@ -410,7 +438,8 @@ def reconstruct_plane(
     )
     th = vals[:, 2]
     tang = np.column_stack([np.cos(th), np.sin(th)])
-    return SampledCurve(s, vals[:, 0:2], tang, marks, th)
+    return SampledCurve(s, vals[:, 0:2], tang, marks, th,
+                        partial(_angle_between, profile.curvature, s, th))
 
 
 _FRAME3 = (
@@ -494,14 +523,16 @@ def reconstruct_space_profile(
     s, vals, marks = reconstruct_piecewise(
         segment, state0, profile.segment_intervals(), rotate, control
     )
-    return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks)
+    frames = partial(_frames_between, generator, vals.reshape(-1, 4, 3), s)
+    return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks, between=partial(_tangent_row, frames))
 
 
 def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
     """Image of a plane curve in 3-space: a zero third coordinate is padded.
 
-    ``theta`` is kept; it reads the same on the image (the tangent angle in
-    the first coordinate plane, or a Minkowski-plane curve's rapidity).
+    ``theta`` and ``between`` are kept; they read the same on the image (the
+    tangent angle in the first coordinate plane, or a Minkowski-plane curve's
+    rapidity).
     """
     m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     return SampledCurve(
@@ -510,6 +541,7 @@ def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
         curve.tangent @ m.T,
         curve.jump_marks.copy(),
         None if curve.theta is None else curve.theta.copy(),
+        curve.between,
     )
 
 

@@ -1,18 +1,18 @@
 """Deterministic numerical kernel shared by every curve module.
 
 Fixed-step RK4 (two array drivers that take all steps of a segment at
-once), composite Simpson quadrature on sampled grids, monotone bisection
-(one bracket, or many lane by lane), a monotone cubic interpolant (over a
-grid, or on one cell per lane), and finite-difference derivatives. All
-routines are pure functions of their inputs: two runs (and the two curves
-of a comparison pair) see bit-identical grids, so pointwise inequality
-checks never incur interpolation error.
+once, and single steps of any length that extend a solution between its
+grid points), composite Simpson quadrature on sampled grids, monotone
+bisection (one bracket, or many lane by lane), and finite-difference
+derivatives. All routines are pure functions of their inputs: two runs
+(and the two curves of a comparison pair) see bit-identical grids, so
+pointwise inequality checks never incur interpolation error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -253,8 +253,9 @@ def _prefix_states(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     last one padded with identities. One batched ``matmul`` per position in
     the group forms every group's prefix products, the group totals carry the
     start state from group to group, and one batched ``matmul`` applies each
-    group's prefixes to its start state: about two products per step, in
-    about 2 sqrt(m) calls.
+    group's prefixes, stacked as one (group d, d) matrix, to its start state:
+    about two products per step, in about sqrt(m) + 1 batched calls and
+    sqrt(m) single products.
     """
     m, d = len(p), p.shape[-1]
     group = math.isqrt(m)
@@ -266,7 +267,21 @@ def _prefix_states(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     starts[0] = y
     for i in range(1, len(q)):
         np.matmul(q[i - 1, -1], starts[i - 1], out=starts[i])
-    return (q @ starts[:, None]).reshape((-1,) + y.shape)[:m]
+    return (q.reshape(len(q), group * d, d) @ starts).reshape((-1,) + y.shape)[:m]
+
+
+def angle_step(rate: Callable, s0: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 steps of a = rate(s) from the points s0 over h (a number, or one per
+    point): the rate at the step starts and midpoints, and the increments of a, in the
+    classical step's operation order (the two midpoint stages evaluate the rate at
+    the same point). One ``rate`` call takes the starts, midpoints and ends together.
+    """
+    n = len(s0)
+    k = np.asarray(rate(np.concatenate((s0, s0 + 0.5 * h, s0 + h))), dtype=float)
+    if k.ndim == 0:  # a constant rate given as one number
+        k = np.full(3 * n, k)
+    k1, k2, k4 = k[:n], k[n : 2 * n], k[2 * n :]
+    return k1, k2, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
 
 
 def rk4_angle(
@@ -295,11 +310,8 @@ def rk4_angle(
     out[0] = y0
     for lo in range(0, n, ANGLE_BLOCK):
         hi = min(lo + ANGLE_BLOCK, n)
-        s0 = s_grid[lo:hi]
-        # the two midpoint stages evaluate the rate at the same point
-        k1, k2, k4 = (np.asarray(rate(s), dtype=float) for s in (s0, s0 + 0.5 * h, s0 + h))
         rows = out[lo : hi + 1]
-        rows[1:, 2] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+        k1, k2, rows[1:, 2] = angle_step(rate, s_grid[lo:hi], h)
         np.cumsum(rows[:, 2], out=rows[:, 2])
         a = rows[:-1, 2]
         stages = (a, a + 0.5 * h * k1, a + 0.5 * h * k2, a + h * k2)
@@ -353,6 +365,30 @@ def _entry_propagators(a1: dict, am: dict, a3: dict, h: float, nb: int, m: int) 
     for (i, j), x in total.items():
         p[:, i, j] += (h / 6.0) * x
     return p
+
+
+def rk4_frame_step(generator: Callable, frames: np.ndarray, s0: np.ndarray,
+                   delta: np.ndarray) -> np.ndarray:
+    """Lane k's (m, d) frame moved by one classical RK4 step of Y' = A(s) Y of length
+    delta[k] from s0[k], with ``rk4_frames``' generator and stage points.
+
+    The stages act on the frames through lane-wise (m, m) matrices A, so a step
+    costs a few dozen array operations however many lanes it takes, and each
+    lane's result does not depend on the others. It is ``rk4_frames``' step
+    P Y up to rounding (before the projection ``rk4_frames`` applies), and a step of zero
+    length returns the frame itself.
+    """
+    n, m = frames.shape[:2]
+    a = np.zeros((3, n, m, m))  # A at the step starts, midpoints and ends
+    for (i, j), x in generator(np.concatenate((s0, s0 + 0.5 * delta, s0 + delta))).items():
+        a[:, :, i, j] = x if np.ndim(x) == 0 else x.reshape(3, n)
+    a1, am, a3 = a
+    h = delta[:, None, None]
+    k1 = a1 @ frames
+    k2 = am @ (frames + 0.5 * h * k1)
+    k3 = am @ (frames + 0.5 * h * k2)
+    k4 = a3 @ (frames + h * k3)
+    return frames + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_frames(
@@ -559,151 +595,6 @@ def bisect_lanes(
             a, b, fa = a[keep], b[keep], fa[keep]
     roots[live] = 0.5 * (a + b)
     return roots
-
-
-# ---------------------------------------------------------------------------
-# monotone cubic interpolation
-# ---------------------------------------------------------------------------
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, clipped to keep the end cell's shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
-
-
-def _pchip_interior_slope(h0, h1, m0, m1):
-    """Fritsch-Butland slope at the knot between secants m0 (cell width h0) and m1 (h1).
-
-    The weighted harmonic mean of the two secants, or zero at a local extremum
-    or next to a flat secant.
-    """
-    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
-    same = (np.sign(m1) == np.sign(m0)) & (m1 != 0) & (m0 != 0)
-    return np.divide(1.0, whmean, out=np.zeros_like(whmean), where=same)
-
-
-def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Monotone piecewise-cubic Hermite interpolant of ``y`` (rows) over ``x``.
-
-    Interior slopes are the Fritsch-Butland weighted harmonic means of the
-    neighbouring secants (zero at a local extremum or a flat secant), end
-    slopes are Moler's one-sided estimates. ``y`` may be (n,) or (n, d);
-    queries off ``[x[0], x[-1]]`` extrapolate the end cubics. The slopes, the
-    coefficients and the power-sum evaluation on left-closed cells repeat
-    SciPy's ``PchipInterpolator`` operation for operation, so values agree
-    bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 2 or not np.all(np.diff(x) > 0):
-        raise ValueError("pchip needs at least 2 strictly increasing abscissae")
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    m = np.diff(y, axis=0) / h
-    d = np.empty_like(y)
-    if len(x) == 2:
-        d[0] = d[1] = m[0]
-    else:
-        d[1:-1] = _pchip_interior_slope(h[:-1], h[1:], m[:-1], m[1:])
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c2, c3 = (m - d[:-1]) / h - t, t / h
-
-    def evaluate(q):
-        q = np.asarray(q, dtype=float)
-        i = np.minimum(np.maximum(np.searchsorted(x, q, side="right") - 1, 0), len(x) - 2)
-        u = (q - x[i]).reshape(q.shape + (1,) * (y.ndim - 1))
-        # the accumulator starts at 0.0 as in PPoly, which turns -0.0 into 0.0
-        return 0.0 + y[i] + d[i] * u + c2[i] * (u * u) + c3[i] * (u * u * u)
-
-    return evaluate
-
-
-@dataclass(frozen=True)
-class CellCubics:
-    """``pchip``'s cubic on one cell per lane, evaluated as ``pchip`` evaluates it.
-
-    Lane k's cell is [x0[k], x1[k]]; ``y0``/``y1`` hold ``0.0 + y`` at its
-    knots (the evaluation's accumulator starts at 0.0) and ``d``, ``c2``,
-    ``c3`` the cubic's coefficients on the cell. Where ``right[k]`` is set the
-    fit goes on past x1, and ``pchip`` evaluates a query at x1 on that next
-    cell, where the cubic terms vanish and leave ``0.0 + y[x1]``.
-    """
-
-    x0: np.ndarray
-    x1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
-    d: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    right: np.ndarray
-
-    def _lanes(self, a: np.ndarray) -> np.ndarray:
-        """Per-lane ``a`` shaped to broadcast against the values."""
-        return a.reshape(a.shape + (1,) * (self.y0.ndim - 1))
-
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        """Lane k's cubic at q[k]."""
-        u = self._lanes(q - self.x0)
-        v = self.y0 + self.d * u + self.c2 * (u * u) + self.c3 * (u * u * u)
-        on_next = self.right & (q >= self.x1)
-        return np.where(self._lanes(on_next), self.y1, v) if on_next.any() else v
-
-    def take(self, idx) -> CellCubics:
-        """The cubics of lanes ``idx``."""
-        return CellCubics(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-    def columns(self, cols) -> CellCubics:
-        """Every lane's cubics of the value columns ``cols`` (an index or a slice)."""
-        return CellCubics(self.x0, self.x1, self.y0[:, cols], self.y1[:, cols], self.d[:, cols],
-                          self.c2[:, cols], self.c3[:, cols], self.right)
-
-    def lane(self, k: int) -> Callable[[float], float]:
-        """Lane k's cubic of scalar values on Python floats: the same IEEE operations
-        without array overheads, for a single bisection."""
-        x0, x1, y0, y1, d, c2, c3, right = (getattr(self, f.name)[k].item() for f in fields(self))
-
-        def cubic(q: float) -> float:
-            if right and q >= x1:
-                return y1
-            u = q - x0
-            return y0 + d * u + c2 * (u * u) + c3 * (u * u * u)
-
-        return cubic
-
-
-def pchip_cells(x: np.ndarray, y: np.ndarray, left: np.ndarray, right: np.ndarray) -> CellCubics:
-    """``pchip``'s cubic on the middle cell of each lane's four knots.
-
-    Lane k has knots ``x[k, 0..3]`` with values ``y[k, 0..3]`` (rows of
-    (k, 4) or (k, 4, d) arrays), and its cell is [x[k, 1], x[k, 2]].
-    ``left[k]`` / ``right[k]`` say whether knot 0 / knot 3 belongs to the
-    lane's fit; where one does not, its entries are ignored and the slope on
-    that side of the cell is the fit's end slope (or, with neither, the
-    secant of a two-knot fit). Every lane repeats ``pchip``'s operations on
-    its knots, and PCHIP slopes depend only on neighbouring secants, so each
-    cubic is the one a fit over all of the lane's knots has on that cell,
-    bit for bit.
-    """
-    values = (1,) * (y.ndim - 2)
-    # the slopes at knots 1 and 2 side by side: knot 1 has secants (l, c) and its
-    # outer knot on the left, knot 2 has secants (c, r) and its outer knot on the right
-    outer = np.array((left, right)).T.reshape((-1, 2) + values)
-    with np.errstate(divide="ignore", invalid="ignore"):  # ignored knots may repeat a neighbour
-        h = np.diff(x, axis=1).reshape(x.shape[:1] + (3,) + values)
-        m = np.diff(y, axis=1) / h
-        # where a knot has no outer neighbour: the end slope towards the far knot, or the secant
-        end = _pchip_end_slope(h[:, 1:2], h[:, ::-2], m[:, 1:2], m[:, ::-2])
-        d = np.where(outer, _pchip_interior_slope(h[:, :2], h[:, 1:], m[:, :2], m[:, 1:]),
-                     np.where(outer[:, ::-1], end, m[:, 1:2]))
-    hc, mc, d0, d1 = h[:, 1], m[:, 1], d[:, 0], d[:, 1]
-    t = (d0 + d1 - 2 * mc) / hc
-    return CellCubics(x[:, 1], x[:, 2], 0.0 + y[:, 1], 0.0 + y[:, 2], d0,
-                      (mc - d0) / hc - t, t / hc, right.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -202,23 +203,21 @@ def _gap_pivots(c: SampledCurve, c_tilde: SampledCurve, rows: np.ndarray,
 
 
 def _pivots(c: SampledCurve, c_tilde: SampledCurve, index: np.ndarray, s_star: np.ndarray,
-            chord_angle: np.ndarray, beta_minus: np.ndarray,
-            interpolated: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+            chord_angle: np.ndarray, beta_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot directions N (plane) and N~ (space), one row per located s*.
 
     At a jump-interior pivot (``beta_minus`` not NaN), N is the chord
     direction inside the gap and N~ sits at the proportional angle along
     c~'s minimizing tangent arc, which keeps both partial gap angles
-    dominated. Off the grid, N~ is c~'s tangent interpolated on the cell at
-    s*, read from ``interpolated`` where the caller has it already; all N~
-    are normalised together, each as ``unit`` would.
+    dominated. Off the grid, N~ is c~'s tangent at s* by one RK4 step from
+    the cell's row (``SampledCurve.between``); all N~ are normalised
+    together, each as ``unit`` would.
     """
     gap = ~np.isnan(beta_minus)
     off_grid = ~gap & (np.abs(s_star - c.s[index]) > 1e-12 * np.maximum(1.0, np.abs(s_star)))
     raw = c_tilde.tangent[index]
     if off_grid.any():
-        raw[off_grid] = (c_tilde.cell_cubics(c_tilde.tangent, index[off_grid])(s_star[off_grid])
-                         if interpolated is None else interpolated[off_grid])
+        raw[off_grid] = c_tilde.tangent_between(index[off_grid], s_star[off_grid])
     if gap.any():
         raw[gap] = _gap_pivots(c, c_tilde, index[gap], beta_minus[gap])
     norms = np.sqrt(row_dots(raw, raw))
@@ -226,6 +225,20 @@ def _pivots(c: SampledCurve, c_tilde: SampledCurve, index: np.ndarray, s_star: n
         raise NormalizationError("cannot normalize a (near-)zero vector")
     plane = np.array([(math.cos(a), math.sin(a)) for a in chord_angle.tolist()]).reshape(-1, 2)
     return plane, raw / norms[:, None]
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """``between(rows, x)`` on fixed rows, one lane each, in ``bisect_lanes``' protocol."""
+
+    between: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rows: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.between(self.rows, x)
+
+    def take(self, idx) -> _Lanes:
+        return _Lanes(self.between, self.rows[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +350,6 @@ class ComparisonPair:
         return hypothesis_census(self.c, self.c_tilde, self.tol, self.curvature_tol)
 
     @cached_property
-    def _crossing_values(self) -> np.ndarray:
-        """Per row, what a smooth crossing fits on its cell: the segment-wise running
-        maximum of theta, which its s* inverts, then c~'s tangent, which its N~
-        interpolates at s*."""
-        c = self.c
-        theta_max = np.concatenate([np.maximum.accumulate(c.theta[sl]) for sl in c.segments()])
-        return np.column_stack([theta_max, self.c_tilde.tangent])
-
-    @cached_property
     def _theta_record(self) -> np.ndarray:
         """Running maximum of theta over the whole curve.
 
@@ -361,8 +365,9 @@ class ComparisonPair:
         ``ranges`` holds (s', s'') pairs or None (the whole curve), or is an
         (n, 2) array of ends. ``WINDOW_BLOCK`` windows at a time, as arrays:
         the row snap, the chord, the lifted chord angle and the branch, then
-        one lane-wise bisection for the smooth crossings' s* over cubics
-        fitted lane by lane, then the pivots, normalised together. Each lane
+        one lane-wise bisection for the smooth crossings' s* on theta's
+        extension over each crossing's cell (``SampledCurve.between``), then
+        the pivots, normalised together. Each lane
         takes the scalar steps, so every window equals ``window``'s. When
         windows fail, the first failing one in input order raises.
         """
@@ -423,29 +428,27 @@ class ComparisonPair:
             j[k], at[k], before[k] = i0[k] + local, th[local], th[local - 1]
 
         # lands on (or within tolerance of) a row; strictly inside a jump's angular
-        # gap; or a smooth crossing, where theta is inverted on the cell [j-1, j].
+        # gap; or a smooth crossing, where theta's RK4 extension from row j-1 is
+        # inverted on the cell [j-1, j] (theta(j-1) < phi* < theta(j), a record).
         # Off a row j > i0, since phi* >= theta(s'), the maximum at i0.
         on_row, prev = at - phi_star <= ANGLE_TOL, j - 1
         gap = ~on_row & (s[j] == s[prev])
         index = np.where(on_row, j, prev)
         s_star = s[index]
         crossing = (~(on_row | gap)).nonzero()[0]
-        interpolated = None
         if crossing.size:
             rows = index[crossing]
-            cells = c.cell_cubics(self._crossing_values, rows)
-            theta_cells = cells.columns(0)
+            theta_at = _Lanes(c.between, rows)
             a, b = s[rows], s[rows + 1]
-            if crossing.size == 1:  # one lane: the scalar bisection on floats, no array overheads
-                cubic, target = theta_cells.lane(0), float(phi_star[crossing[0]])
-                s_star[crossing] = bisect_monotone(lambda x: cubic(x) - target,
-                                                   (float(a[0]), float(b[0])), tol=S_STAR_TOL)
+            if crossing.size == 1:  # one lane: the scalar bisection, without the lane bookkeeping
+                target = float(phi_star[crossing[0]])
+                s_star[crossing] = bisect_monotone(
+                    lambda x: float(theta_at(np.array([x]))[0]) - target,
+                    (float(a[0]), float(b[0])), tol=S_STAR_TOL)
             else:
-                s_star[crossing] = bisect_lanes(theta_cells, phi_star[crossing], a, b, tol=S_STAR_TOL)
-            interpolated = np.empty((len(ends), self.c_tilde.dim))
-            interpolated[crossing] = cells.columns(slice(1, None))(s_star[crossing])
+                s_star[crossing] = bisect_lanes(theta_at, phi_star[crossing], a, b, tol=S_STAR_TOL)
         beta = np.where(gap, phi_star - before, np.nan)
-        planes, spaces = _pivots(c, self.c_tilde, index, s_star, phi_star, beta, interpolated)
+        planes, spaces = _pivots(c, self.c_tilde, index, s_star, phi_star, beta)
         return PivotWindow(np.column_stack([i0, i1]), np.column_stack([s[i0], s[i1]]), clen,
                            s_star, index, gap, phi_star, beta, planes, spaces)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +24,9 @@ from .curves import (
     SampledCurve,
     _require_aligned,
     _collapse_jump_rows,
+    _tangent_row,
+    _frames_between,
+    _no_extension,
     reconstruct_piecewise,
     theta_from_tangent,
 )
@@ -73,11 +77,17 @@ __all__ = [
 
 @dataclass
 class SphericalCurve(SampledCurve):
-    """Unit-sphere curve with its full moving frame {c, T, V} sampled."""
+    """Unit-sphere curve with its full moving frame {c, T, V} sampled.
+
+    ``frames_between(rows, s)`` extends the frames as ``between`` extends
+    the tangent: lane k's (3, 3) frame {c, T, V} at s[k] by one RK4 step from
+    row rows[k].
+    """
 
     normal: np.ndarray | None = None
     geodesic_curvature: SampledFunction | None = None
     jumps: tuple[Jump, ...] = ()
+    frames_between: Callable[[np.ndarray, np.ndarray], np.ndarray] = _no_extension
 
     def frame_drift(self) -> float:
         """Worst deviation of {c, T, V} from an orthonormal frame with V = c x T."""
@@ -101,10 +111,13 @@ def _sphere_step_drift(s_end: np.ndarray, p: np.ndarray) -> None:
     """Refuse RK4 steps that move an orthonormal {c, T, V} frame off it by over 1e-6.
 
     From an orthonormal frame Y the step gives P Y, whose |c|^2, |T|^2 and
-    <c, T> are the entries (0,0), (1,1) and (0,1) of P P^T.
+    <c, T> are the entries (0,0), (1,1) and (0,1) of P P^T, sums over the
+    first two rows of P written out per component.
     """
-    gram = np.einsum("nij,nkj->nik", p[:, :2], p[:, :2])
-    drift = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
+    (c0, c1, c2), (t0, t1, t2) = p[:, 0].T, p[:, 1].T
+    drift = np.maximum(np.maximum(np.abs(c0 * c0 + c1 * c1 + c2 * c2 - 1.0),
+                                  np.abs(t0 * t0 + t1 * t1 + t2 * t2 - 1.0)),
+                       np.abs(c0 * t0 + c1 * t1 + c2 * t2))
     bad = drift > 1e-6
     if bad.any():
         i = int(np.argmax(bad))
@@ -179,9 +192,10 @@ def reconstruct_spherical(
         turn,
         control,
     )
+    frames = partial(_frames_between, generator, vals.reshape(-1, 3, 3), s)
     curve = SphericalCurve(
-        s, vals[:, 0:3], vals[:, 3:6], marks,
-        normal=vals[:, 6:9], jumps=profile.jumps,
+        s, vals[:, 0:3], vals[:, 3:6], marks, between=partial(_tangent_row, frames),
+        normal=vals[:, 6:9], jumps=profile.jumps, frames_between=frames,
     )
     kg_vals = np.asarray(kg(s), dtype=float)
     curve.geodesic_curvature = _collapse_jump_rows(curve, kg_vals)
@@ -194,16 +208,24 @@ def geodesic_curvature_of(curve: SphericalCurve) -> SampledFunction:
     return _collapse_jump_rows(curve, np.einsum("ij,ij->i", dT, curve.normal))
 
 
+def _rotated_frames(frames: Callable, r: np.ndarray, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A rotated curve's ``frames_between``: the original's extended frames, rotated."""
+    return frames(rows, s) @ r.T
+
+
 def rotate_spherical(curve: SphericalCurve, rotation: np.ndarray) -> SphericalCurve:
     """Image of a spherical curve under a rotation matrix (frame included)."""
     r = np.asarray(rotation, dtype=float)
+    frames = partial(_rotated_frames, curve.frames_between, r)
     out = SphericalCurve(
         curve.s.copy(),
         curve.position @ r.T,
         curve.tangent @ r.T,
         curve.jump_marks.copy(),
+        between=partial(_tangent_row, frames),
         normal=curve.normal @ r.T,
         jumps=curve.jumps,
+        frames_between=frames,
     )
     out.geodesic_curvature = curve.geodesic_curvature
     return out
@@ -470,18 +492,23 @@ def curvature_dominance_check(
     return DominanceReport(min_dom >= -tol and min_pos >= -tol, min_pos, min_dom, location, tol)
 
 
-def _rowwise_pair(pair: ProjectedPair) -> tuple[SampledCurve, SampledCurve]:
+def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
+                  c_tilde: SphericalCurve) -> tuple[SampledCurve, SampledCurve]:
     """Both projected curves on c's rows, parametrized by their shared tau.
 
     The plane curve is expressed in 2D coordinates of the projection plane
     (oriented so it turns counterclockwise) with its cumulative tangent angle
     attached; the companion stays in 3D. R scales both, so tau is their
-    common arc length and nothing is resampled.
+    common arc length and nothing is resampled. Off the rows, a tau label in
+    the cell of row i is mapped linearly onto s in [s_i, s_i+1], and both
+    curves there are the exact cone sections of c's and c~'s extended frames:
+    R = d/<c, u> and the tangent along R' c + R T (R' c~ + R T~).
     """
     plane, space = pair.plane_curve, pair.space_curve
-    e1 = orthonormal_complement(pair.config.normal)
-    e2 = np.cross(pair.config.normal, e1)
-    origin = pair.config.d * pair.config.normal
+    u, offset = pair.config.normal, pair.config.d
+    e1 = orthonormal_complement(u)
+    e2 = np.cross(u, e1)
+    origin = offset * u
     xy = np.column_stack(
         [(plane.position - origin) @ e1, (plane.position - origin) @ e2]
     )
@@ -492,10 +519,30 @@ def _rowwise_pair(pair: ProjectedPair) -> tuple[SampledCurve, SampledCurve]:
     d = np.mod(np.diff(raw) + math.pi, 2.0 * math.pi) - math.pi
     if float(np.sum(d)) < 0.0:
         xy[:, 1], txy[:, 1] = -xy[:, 1], -txy[:, 1]
-    tau = plane.expand(pair.tau.values)
-    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
+        e2 = -e2
+    tau, s, basis = plane.expand(pair.tau.values), c.s, np.column_stack([e1, e2])
+
+    def velocity(curve: SphericalCurve, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """R' f + R g of ``curve``'s extended frame {f, g, ...} at the s of tau label x[k]."""
+        s0 = s[rows]
+        at = s0 + (x - tau[rows]) * ((s[rows + 1] - s0) / (tau[rows + 1] - tau[rows]))
+        frame = c.frames_between(rows, at)
+        height, slope = (frame[:, :2] @ u).T  # <c, u> and <T, u>
+        r, dr = offset / height, -offset * slope / height**2
+        if curve is not c:
+            frame = curve.frames_between(rows, at)
+        return dr[:, None] * frame[:, 0] + r[:, None] * frame[:, 1]
+
+    def plane_theta(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The projected curve's tangent angle, lifted from row rows[k]'s."""
+        vx, vy = (velocity(c, rows, x)[:, None] @ basis)[:, 0].T
+        tx, ty = txy[rows].T
+        return plane2d.theta[rows] + np.arctan2(tx * vy - ty * vx, tx * vx + ty * vy)
+
+    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks, between=plane_theta)
     plane2d.theta = theta_from_tangent(plane2d)
-    return plane2d, SampledCurve(tau, space.position, space.tangent, space.jump_marks)
+    return plane2d, SampledCurve(tau, space.position, space.tangent, space.jump_marks,
+                                 between=partial(velocity, c_tilde))
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +687,10 @@ def spherical_schur_verify(
         1e-6 - pair.speed_identity_error,
     )
 
-    # the verification reports the spherical census above, never mono.census: the
-    # plane hypothesis census needs a uniform grid, and tau rows are not one
-    projected = ComparisonPair(*_rowwise_pair(pair), tol, curvature_tol)
+    # the projected pair takes the spherical census above: the plane hypothesis
+    # census needs a uniform grid, and tau rows are not one
+    projected = ComparisonPair(*_rowwise_pair(pair, c, c_tilde), tol, curvature_tol)
+    projected.census = census
     window = projected.window(None)
     mono, chords = projected.monotonicity(window), projected.chord(window)
 

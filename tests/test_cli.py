@@ -857,6 +857,51 @@ def test_verify_plane_vs_plane_identical(tmp_path, specs):
     assert abs(mono["slack"]) < 1e-9  # identical curves: exact equality
 
 
+def _linear_plane(intercept, slope, length):
+    return {"geometry": "plane", "length": length,
+            "curvature": {"preset": "linear", "intercept": intercept, "slope": slope}}
+
+
+@pytest.mark.parametrize("step", ["0.2", "0.05"])
+def test_smooth_self_pair_passes_at_coarse_steps(tmp_path, step):
+    # off-grid pivots come from one RK4 step on the curve's own field, so a smooth
+    # curve compared with itself reads zero slack up to rounding on a coarse grid
+    spec = write_spec(tmp_path / "self.json", _linear_plane(1.3425, -0.5713, 1.7782))
+    sweep, verify = tmp_path / "sweep.json", tmp_path / "verify.json"
+    assert main(["sweep", "--theorem", "chord", spec, spec, "--grid", "5", "--step", step,
+                 "-o", str(tmp_path / "s.csv"), "--report", str(sweep)]) == 0
+    assert main(["verify", "--theorem", "monotonicity", spec, spec, "--step", step,
+                 "--report", str(verify)]) == 0
+    worst = json.loads(sweep.read_text())["conclusion"]["checks"][0]
+    mono = json.loads(verify.read_text())["conclusion"]["checks"][0]
+    assert (worst["name"], mono["name"]) == ("worst_monotonicity_slack", "monotonicity")
+    assert min(worst["slack"], mono["slack"]) >= -1e-10
+
+
+def test_smooth_dominated_pair_passes_at_a_coarse_step(tmp_path):
+    spec_c = write_spec(tmp_path / "c.json", _linear_plane(1.3815, -0.275, 2.0779))
+    spec_t = write_spec(tmp_path / "t.json", _linear_plane(1.3805, -0.275, 2.0779))
+    rep = tmp_path / "sweep.json"
+    assert main(["sweep", "--theorem", "chord", spec_c, spec_t, "--grid", "5", "--step", "0.2",
+                 "-o", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["conclusion"]["passed"] is True
+
+
+@pytest.mark.parametrize("step", ["0.05", "0.2"])
+def test_tabulated_pair_passes_at_coarse_steps(tmp_path, step):
+    # a curvature knot inside an RK4 step; the failure at coarse steps was the interpolated pivot
+    def spec(name, k0):
+        return write_spec(tmp_path / name, {
+            "geometry": "plane", "length": 1.1574, "convex": False,
+            "curvature": {"samples": [[0.0, k0], [0.5, 0.3658]]}})
+
+    rep = tmp_path / "sweep.json"
+    assert main(["sweep", "--theorem", "chord", spec("c.json", 0.5676), spec("t.json", 0.0),
+                 "--grid", "5", "--step", step, "-o", str(tmp_path / "s.csv"),
+                 "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["conclusion"]["checks"][0]["slack"] >= -1e-10
+
+
 def test_verify_minkowski_plane_pair(tmp_path, specs):
     flat = write_spec(tmp_path / "mink_flat.json", {
         "geometry": "minkowski2",

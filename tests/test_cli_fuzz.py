@@ -177,8 +177,8 @@ def run(command, spec, spec_t, flags) -> tuple[int, str, list]:
                           "curvature": {"preset": "constant", "value": 1.0},
                           "jumps": [[0.050044957972271556, 1e-10], [0.05004495797227156, 0.0]]},
           None, ["--step", "0.01"]))
-# a denormal torsion: secants of c~'s tangent overflow the harmonic-mean weights of
-# numerics.pchip, which warned on stderr
+# a denormal torsion: secants of c~'s tangent overflowed the harmonic-mean weights of
+# the monotone cubic that once interpolated N~, which warned on stderr
 @example(("sweep", {"geometry": "plane", "length": 1.17345602169644,
                     "curvature": {"samples": [[0.0, 0.44658561943126074], [0.5, 0.5302482093635379]]},
                     "initial": {"point": [0.0, 1e-05], "angle": 1e-06}},

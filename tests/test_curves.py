@@ -14,6 +14,7 @@ from schurkit.curves import (
     curvature_magnitude,
     embed_plane_curve,
     jump_rotation,
+    linear_curvature,
     reconstruct_plane,
     reconstruct_space_frenet,
     reconstruct_space_profile,
@@ -22,7 +23,7 @@ from schurkit.curves import (
     total_turning,
 )
 from schurkit.errors import JumpAngleError, ProfileError
-from schurkit.numerics import StepControl, pchip
+from schurkit.numerics import StepControl
 
 TWO_PI = 2.0 * math.pi
 
@@ -352,25 +353,35 @@ def test_tangent_angle_total_matches_profile():
     assert np.all(np.diff(c.theta) >= -1e-12)
 
 
-def test_cell_cubics_match_whole_segment_fit():
-    profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
-    c = reconstruct_plane(profile, control=StepControl(step_h=1e-2))
-    for seg in c.segments():
-        middle = (seg.start + seg.stop) // 2
-        for row in (seg.start, seg.start + 1, middle, seg.stop - 3, seg.stop - 2):
-            q = np.linspace(c.s[row], c.s[row + 1], 9)  # both knots included
-            for values in (c.theta, c.tangent):
-                whole = pchip(c.s[seg], values[seg])(q)
-                assert np.array_equal(c.cell_cubics(values, [row] * len(q))(q), whole)
-            scalar = c.cell_cubics(c.theta, [row]).lane(0)
-            assert [scalar(x) for x in q.tolist()] == pchip(c.s[seg], c.theta[seg])(q).tolist()
+def _cells(c):
+    """Left rows of the smooth cells [row, row + 1] (no jump row pair)."""
+    rows = np.arange(len(c.s) - 1)
+    return rows[c.s[rows + 1] > c.s[rows]]
 
 
-def test_cell_cubics_of_stacked_columns_match_each_column_alone():
+def test_plane_extension_reproduces_the_grid():
     profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
-    c = reconstruct_plane(profile, control=StepControl(step_h=1e-2))
-    rows = np.array([0, 1, 35, 68, 69, 71, 72, 120, 199, 200])  # segment ends included
-    q = c.s[rows] + 0.37 * (c.s[rows + 1] - c.s[rows])
-    stacked = c.cell_cubics(np.column_stack([c.theta, c.tangent]), rows)
-    assert np.array_equal(stacked.columns(0)(q), c.cell_cubics(c.theta, rows)(q))
-    assert np.array_equal(stacked.columns(slice(1, None))(q), c.cell_cubics(c.tangent, rows)(q))
+    c = reconstruct_plane(profile)
+    rows = _cells(c)
+    assert np.array_equal(c.between(rows, c.s[rows]), c.theta[rows])
+    step = c.between(rows, c.s[rows + 1])
+    assert np.all(np.abs(step - c.theta[rows + 1]) <= 4 * np.spacing(np.abs(c.theta[rows + 1])))
+    embedded = embed_plane_curve(c)
+    assert np.array_equal(embedded.between(rows, c.s[rows]), c.theta[rows])
+    assert np.array_equal(embedded.tangent_between(rows, c.s[rows]), embedded.tangent[rows])
+
+
+def test_space_extension_reproduces_the_grid():
+    profile = CurvatureProfile(2.0, sinusoidal_curvature(0.8, 0.3, 2.0),
+                               (Jump(0.9, 0.5, (0.0, 0.0, 1.0)),), convex=False)
+    ct = reconstruct_space_profile(profile, linear_curvature(0.3, 0.4))
+    rows = _cells(ct)
+    assert np.array_equal(ct.tangent_between(rows, ct.s[rows]), ct.tangent[rows])
+    assert np.max(np.abs(ct.tangent_between(rows, ct.s[rows + 1]) - ct.tangent[rows + 1])) < 1e-12
+
+
+def test_curve_built_by_hand_has_no_extension():
+    s = np.linspace(0.0, 1.0, 11)
+    c = SampledCurve(s, np.zeros((11, 2)), np.tile([1.0, 0.0], (11, 1)), theta=np.zeros(11))
+    with pytest.raises(ProfileError, match="no extension between its rows"):
+        c.between(np.array([3]), np.array([0.35]))

@@ -10,7 +10,7 @@ import schurkit
 
 MODULES = ("curves", "schur", "sphere", "minkowski")
 RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d",
-           "reparametrize_projected_pair", "companion_project")
+           "reparametrize_projected_pair", "companion_project", "CellCubics", "pchip_cells", "pchip")
 
 
 def _package_imports() -> dict[str, list[str]]:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from schurkit.numerics import (
     integrate_sampled,
     nearest_index,
     orthonormal_rows,
-    pchip,
 )
 
 CONTROL = StepControl()
@@ -270,41 +268,3 @@ def test_orthonormal_rows_completes_the_frame_with_np_cross():
     rng = np.random.default_rng(12)
     u, v, w = orthonormal_rows(rng.standard_normal((300, 3)), rng.standard_normal((300, 3)))
     assert np.array_equal(w, np.cross(u, v))
-
-
-@pytest.mark.parametrize("columns", [None, 3])
-@pytest.mark.parametrize("kind", ["random", "increasing", "flat-runs", "sign-changes", "zigzag"])
-def test_pchip_matches_scipy_bit_for_bit(columns, kind):
-    from scipy.interpolate import PchipInterpolator
-
-    rng = np.random.default_rng(sum(map(ord, kind)) + (columns or 0))
-    for n in (2, 3, 4, 17, 400):
-        shape = (n,) if columns is None else (n, columns)
-        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
-        if kind == "random":
-            y = rng.normal(size=shape)
-        elif kind == "increasing":
-            y = np.cumsum(rng.uniform(0.0, 1.0, shape), axis=0)
-        elif kind == "flat-runs":
-            y = np.cumsum(rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.4), axis=0)
-        elif kind == "sign-changes":
-            y = np.round(rng.normal(size=shape), 1)
-        else:  # equal steps and alternating secants: the weighted mean is exactly 0
-            x = np.arange(float(n))
-            y = np.zeros(shape)
-            y[1::2] = 1.0
-        q = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 300)])
-        expected = PchipInterpolator(x, y, axis=0)(q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = pchip(x, y)(q)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
-        assert np.array_equal(pchip(x, y)(x[1]), PchipInterpolator(x, y, axis=0)(x[1]))
-
-
-def test_pchip_rejects_non_increasing_abscissae():
-    with pytest.raises(ValueError):
-        pchip(np.array([0.0, 1.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        pchip(np.array([0.0]), np.zeros(1))

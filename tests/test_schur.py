@@ -10,7 +10,6 @@ from schurkit import schur
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
-    SampledCurve,
     constant_curvature,
     embed_plane_curve,
     reconstruct_plane,
@@ -20,7 +19,7 @@ from schurkit.curves import (
     tabulated_curvature,
 )
 from schurkit.errors import HypothesisViolationError, NormalizationError, ProfileError
-from schurkit.numerics import bisect_lanes, bisect_monotone, orthonormal_complement, pchip, unit
+from schurkit.numerics import bisect_lanes, bisect_monotone, orthonormal_complement, unit
 from schurkit.schur import (
     ComparisonPair,
     PivotWindow,
@@ -487,11 +486,14 @@ def test_full_range_auto_pivot_at_jump_row():
 # window engine: many windows at once against a one-window scalar reference
 # ---------------------------------------------------------------------------
 
+GAP_K = tabulated_curvature([[0.0, 0.8], [0.3, 0.0], [0.6, 0.0], [1.2, 1.1], [3.0, 0.7]])
+
+
 @pytest.fixture(scope="module")
 def gap_pair():
     """Two large plane jumps on a curvature with a straight stretch, and a dominated
     space companion: windows get on-grid, jump-interior and off-grid pivots."""
-    k = tabulated_curvature([[0.0, 0.8], [0.3, 0.0], [0.6, 0.0], [1.2, 1.1], [3.0, 0.7]])
+    k = GAP_K
     c = reconstruct_plane(CurvatureProfile(3.0, k, (Jump(1.0, 0.6), Jump(2.0, 0.5))))
     ct = reconstruct_space_profile(
         CurvatureProfile(3.0, lambda s: 0.5 * k(s),
@@ -542,23 +544,26 @@ def _reference_locate(c, s_range):
 
 
 def _reference_window(pair, s_range):
-    """One window the scalar way: whole-segment ``pchip`` fits and ``bisect_monotone``.
+    """One window the scalar way: theta at x is one RK4 step of theta' = k from the
+    cell's row, theta_i + (x - s_i)/6 (k(s_i) + 4 k(mid) + k(x)), and ``bisect_monotone``
+    inverts it; off the grid N~ is c~'s tangent at s* from its own RK4 step.
 
-    Returns the window and, for a smooth crossing, the number of cubic
+    Returns the window and, for a smooth crossing, the number of theta
     evaluations its bisection made.
     """
     c, ct = pair.c, pair.c_tilde
     rows, window, clen, pivot, crossing = _reference_locate(c, s_range)
     star = PivotWindow(rows, window, clen, *pivot, None, None)
     i = star.index
-    seg = c.segments()[int(np.searchsorted(c.jump_marks, i))]
     evals = []
     if crossing:
-        theta = pchip(c.s[seg], np.maximum.accumulate(c.theta[seg]))
+        s0, theta0 = float(c.s[i]), float(c.theta[i])
 
         def g(x):
             evals.append(x)
-            return float(theta(x)) - star.chord_angle
+            h = x - s0
+            k1, k2, k4 = (float(GAP_K(v)) for v in (s0, s0 + 0.5 * h, s0 + h))
+            return theta0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4) - star.chord_angle
 
         root = bisect_monotone(g, (float(c.s[i]), float(c.s[i + 1])), tol=1e-13)
         star = replace(star, s_star=root)
@@ -568,7 +573,7 @@ def _reference_window(pair, s_range):
     elif star.s_star == c.s[i]:
         n_t = ct.tangent[i]
     else:
-        n_t = pchip(c.s[seg], ct.tangent[seg])(star.s_star)
+        n_t = ct.tangent_between(np.array([i]), np.array([star.s_star]))[0]
     n = np.array([math.cos(star.chord_angle), math.sin(star.chord_angle)])
     return replace(star, pivot_plane=n, pivot_space=unit(n_t)), (len(evals) if crossing else None)
 
@@ -593,7 +598,8 @@ def _engine_ranges(pair):
 
 
 class _CountingCells:
-    """Counts the evaluations of each lane through ``bisect_lanes``' take protocol."""
+    """Counts the evaluations of each lane of theta's extension through ``bisect_lanes``'
+    take protocol."""
 
     def __init__(self, f, lanes, counts):
         self.f, self.lanes, self.counts = f, lanes, counts
@@ -621,18 +627,18 @@ def test_windows_match_scalar_reference(gap_pair, monkeypatch):
 
     def counting_bisect(f, target, a, b, tol):
         counts = np.zeros(len(a), dtype=int)
-        counted.append((f.x0.tolist(), counts))
+        counted.append((a.tolist(), counts))
         return bisect_lanes(_CountingCells(f, np.arange(len(a)), counts), target, a, b, tol)
 
     monkeypatch.setattr(schur, "bisect_lanes", counting_bisect)
     windows = _rows(gap_pair.windows(ranges))
     assert [_window_repr(w) for w in windows] == [_window_repr(w) for w in reference]
-    # one block, so one lane-wise bisection whose lanes are the crossings in
-    # order, each evaluating its cubic as often as the scalar bisection does
+    # one block, so one lane-wise bisection whose lanes are the crossings' cells in
+    # order, each evaluating theta's step as often as the scalar bisection does
     (cells, counts), = counted
     assert cells == [float(s[row]) for row, _ in crossing]
     assert counts.tolist() == [n for _, n in crossing]
-    # single windows take the scalar bisection on the same cubics
+    # single windows take the scalar bisection on the same steps
     for r, w in zip(ranges[::7], reference[::7]):
         assert _window_repr(gap_pair.window(r)) == _window_repr(w)
 
@@ -666,8 +672,9 @@ def test_windows_starting_off_a_running_max_record_match_reference(gap_pair):
     theta = c.theta.copy()
     theta[400:405] -= 1e-10 * np.arange(1, 6)
     theta[450] -= 1e-10
-    pair = ComparisonPair(SampledCurve(c.s, c.position, c.tangent, c.jump_marks, theta),
-                          gap_pair.c_tilde)
+    # the extension keeps stepping from the reconstructed rows; no crossing cell starts
+    # in a dip, where k = 0 and theta does not rise
+    pair = ComparisonPair(replace(c, theta=theta), gap_pair.c_tilde)
     assert pair.census.all_passed
     starts = [float(c.s[i]) for i in (*range(398, 407), 449, 450, 451)]
     ranges = [(a, b) for a in starts for b in (0.5, 0.58, 0.7, 0.9, 1.0, 1.3, 2.2, 2.9)]

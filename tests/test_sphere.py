@@ -67,6 +67,37 @@ def test_frame_conservation():
     assert c.frame_drift() <= 1e-9
 
 
+def test_sphere_extension_reproduces_the_grid():
+    c = reconstruct_spherical(sinusoidal_curvature(0.5, 0.3), ((1.1, 0.4),), 2.5)
+    rows = np.arange(len(c.s) - 1)
+    rows = rows[c.s[rows + 1] > c.s[rows]]  # smooth cells only
+    stored = np.stack([c.position, c.tangent, c.normal], axis=1)
+    assert np.array_equal(c.frames_between(rows, c.s[rows]), stored[rows])
+    assert np.array_equal(c.between(rows, c.s[rows]), c.tangent[rows])
+    assert np.max(np.abs(c.frames_between(rows, c.s[rows + 1]) - stored[rows + 1])) < 1e-12
+    turned = rotate_spherical(c, random_rotation(np.random.default_rng(5)))
+    assert np.max(np.abs(turned.tangent_between(rows, c.s[rows]) - turned.tangent[rows])) < 1e-15
+
+
+def _unit_steps(n):
+    p = np.zeros((n, 3, 3))
+    p[:, range(3), range(3)] = 1.0
+    return p
+
+
+def test_step_drift_check_names_the_first_offending_step():
+    import schurkit.sphere as sphere
+    from schurkit.errors import IntegrationError
+
+    s_end = 0.1 * np.arange(1, 9)
+    p = _unit_steps(8)
+    p[2, 1, 0] = 5e-7  # <c, T> of the stepped frame: within the bound
+    sphere._sphere_step_drift(s_end, p)
+    p[4, 1, 0], p[6, 1, 0] = 2e-6, 3e-6
+    with pytest.raises(IntegrationError, match=r"frame drift 2e-06 at s=0\.5 exceeds 1e-6"):
+        sphere._sphere_step_drift(s_end, p)
+
+
 def test_length_cap():
     with pytest.raises(ProfileError):
         reconstruct_spherical(constant_curvature(0.0), (), 3.5)
@@ -510,6 +541,26 @@ def test_verify_censuses_dominance_violation(sphere_small_great):
     small, great = sphere_small_great
     v = spherical_schur_verify(great, small)  # reversed roles violate dominance
     assert not v.census.get("geodesic_curvature_dominance").passed
+
+
+def test_projected_pair_takes_the_spherical_census(sphere_polygon_pair):
+    v = spherical_schur_verify(*sphere_polygon_pair)
+    assert v.monotonicity.census is v.census
+    assert v.monotonicity.passed is True
+
+
+@pytest.mark.parametrize("fixture", ["sphere_polygon_pair", "sphere_small_great"])
+def test_rowwise_pair_extends_its_rows_through_the_cone_section(request, fixture):
+    v = spherical_schur_verify(*request.getfixturevalue(fixture))
+    plane2d, space3d = v.monotonicity.pair.c, v.monotonicity.pair.c_tilde
+    tau = plane2d.s
+    rows = np.arange(len(tau) - 1)
+    rows = rows[tau[rows + 1] > tau[rows]]
+    for x, row in ((tau[rows], rows), (tau[rows + 1], rows + 1)):
+        assert np.max(np.abs(plane2d.between(rows, x) - plane2d.theta[row])) < 1e-12
+        tangent = space3d.tangent_between(rows, x)
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        assert np.max(np.abs(tangent - space3d.tangent[row])) < 1e-12
 
 
 def test_rowwise_pair_is_parametrized_by_tau(sphere_polygon_pair):
