@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 
 from .numerics import (
     DEFAULT_CONTROL,
-    SampledFunction,
     StepControl,
     bisect_monotone,
-    finite_diff,
 )
 from .curves import (
     BudgetResult,

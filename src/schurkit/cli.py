@@ -78,7 +78,9 @@ from .sphere import (
 )
 
 GEOMETRIES = ("plane", "space3", "sphere", "minkowski2", "minkowski3")
-MAX_ROWS = 10_000_000  # grid rows per curve and windows per sweep; more is refused before allocating
+# grid rows per curve, windows per sweep and expansion pairs per verify; more is
+# refused before allocating (or, for pairs, before drawing)
+MAX_ROWS = 10_000_000
 THEOREMS = (
     "budget",
     "monotonicity",
@@ -558,13 +560,13 @@ def cmd_reconstruct(args) -> int:
     jump[curve.jump_marks] = 1.0
 
     if built.geometry in ("plane", "space3"):
-        kappa = curve.expand(curvature_magnitude(curve).values)
+        kappa = curvature_magnitude(curve)
         dims = "xy" if built.geometry == "plane" else "xyz"
     elif built.geometry == "sphere":
-        kappa = curve.expand(geodesic_curvature_of(curve).values)
+        kappa = geodesic_curvature_of(curve)
         dims = "xyz"
     else:
-        kappa = timelike_curvature(curve).values
+        kappa = timelike_curvature(curve)
         dims = "tx" if built.geometry == "minkowski2" else "txy"
 
     header = ["s", *dims, *(f"t{d}" for d in dims), "curvature", "jump"]
@@ -609,15 +611,11 @@ def cmd_project(args) -> int:
         config = auto_projection_config(curve)
     pair = project_pair(curve, curve if built_t is None else built_t.curve, config)
 
-    r_rows = curve.expand(pair.R.values)
-    tau_rows = curve.expand(pair.tau.values)
-    k_rows = curve.expand(pair.plane_curvature.values)
     header = ["s", "R", "tau", "px", "py", "pz", "k_projected"]
-    cols = [curve.s, r_rows, tau_rows, *pair.plane_curve.position.T, k_rows]
+    cols = [curve.s, pair.R, pair.tau, *pair.plane_curve.position.T, pair.plane_curvature]
     if built_t is not None:
-        kq_rows = curve.expand(pair.space_curvature.values)
         header += ["qx", "qy", "qz", "k_companion"]
-        cols += [*pair.space_curve.position.T, kq_rows]
+        cols += [*pair.space_curve.position.T, pair.space_curvature]
     write_csv(args.out, header, cols)
     return 0
 
@@ -700,8 +698,9 @@ def _comparison_curves(built_c, built_t):
 
 def cmd_verify(args) -> int:
     control = _control(args)
-    if args.pairs < 1:
-        raise SpecError(f"--pairs must be at least 1, got {args.pairs}")
+    if not 1 <= args.pairs <= MAX_ROWS:
+        raise SpecError(f"--pairs must be between 1 and the budget of {MAX_ROWS} "
+                        f"expansion pairs, got {args.pairs}")
     theorem = args.theorem
     seed_text = os.environ.get("SCHURKIT_SEED", "0")
     try:

@@ -18,14 +18,12 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
-    DomainError,
     JumpAngleError,
     NormalizationError,
     ProfileError,
 )
 from .numerics import (
     DEFAULT_CONTROL,
-    SampledFunction,
     StepControl,
     TWO_PI,
     angle_step,
@@ -155,10 +153,12 @@ class CurvatureProfile:
 # sampled curves
 # ---------------------------------------------------------------------------
 
-def _no_extension(rows, s):
-    """The extension of a curve that was not reconstructed (built by hand): it has none."""
-    raise ProfileError("this curve has no extension between its rows (it was built by hand, "
-                       "not by a reconstruction), so nothing can be evaluated off its grid")
+def _no_extension(*args):
+    """The extension of a curve that no reconstruction returned (built by hand, or a
+    modified copy): it has none. As a class default it is called as a method."""
+    raise ProfileError("this curve has no extension between its rows (it was built by hand "
+                       "or copied with changes, not returned by a reconstruction), so "
+                       "nothing can be evaluated off its grid")
 
 
 @dataclass
@@ -174,8 +174,14 @@ class SampledCurve:
     ``between(rows, s)`` extends the rows off the grid: lane k's tangent
     angle (a plane curve, which keeps ``theta``) or tangent (any other curve)
     at s[k], by one RK4 step of length s[k] - s[rows[k]] from row rows[k] on
-    the curve's own field. The reconstructions set it for the rows they
-    return; a curve built by hand has ``_no_extension``.
+    the curve's own field. The reconstructions set it, after construction,
+    for the rows they return; a curve built by hand, and any copy made by
+    ``dataclasses.replace``, has ``_no_extension`` until one is attached, so
+    a modified copy never extends from the original's rows.
+
+    Per-row measurements (curvatures and the like) are (n,) arrays on these
+    rows, NaN on both rows of each jump where they are one-sided
+    (``jump_masked``).
     """
 
     s: np.ndarray
@@ -183,7 +189,8 @@ class SampledCurve:
     tangent: np.ndarray
     jump_marks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     theta: np.ndarray | None = None
-    between: Callable[[np.ndarray, np.ndarray], np.ndarray] = _no_extension
+    between: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        default=_no_extension, init=False)
 
     def __post_init__(self) -> None:
         self.s = np.asarray(self.s, dtype=float)
@@ -209,18 +216,10 @@ class SampledCurve:
         out.append(slice(start, len(self.s)))
         return out
 
-    @property
-    def single_rows(self) -> np.ndarray:
-        """Row mask keeping one row per grid point: each plus-side jump row is dropped."""
-        keep = np.ones(len(self.s), dtype=bool)
-        keep[self.jump_marks + 1] = False
-        return keep
-
-    def expand(self, collapsed: np.ndarray) -> np.ndarray:
-        """Inverse of ``values[single_rows]``: the plus-side row copies the minus side."""
-        out = np.empty(len(self.s))
-        out[self.single_rows] = collapsed
-        out[self.jump_marks + 1] = out[self.jump_marks]
+    def jump_masked(self, values: np.ndarray) -> np.ndarray:
+        """A float copy of per-row ``values`` with NaN on both rows of each jump."""
+        out = np.array(values, dtype=float)
+        out[self.jump_marks] = out[self.jump_marks + 1] = np.nan
         return out
 
     def segment_derivatives(self, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -254,13 +253,6 @@ class SampledCurve:
         plus = side == "plus"
         best = s.searchsorted(s[nearest_index(s, value)], side="right" if plus else "left") - plus
         return int(best) if best.ndim == 0 else best
-
-    def index_of(self, value: float, side: str = "minus", atol: float = 1e-9) -> int:
-        """Like nearest_row but requires ``value`` to sit on the grid."""
-        best = self.nearest_row(value, side)
-        if abs(self.s[best] - value) > atol * max(1.0, abs(value)):
-            raise DomainError(f"s={value!r} is not on this curve's grid")
-        return best
 
     def validate(self, tol_tangent: float = 1e-5) -> None:
         """Check unit tangents (to 1e-9) and position'/tangent agreement off the jumps."""
@@ -387,7 +379,8 @@ def _tangent_row(frames: Callable, rows: np.ndarray, x: np.ndarray) -> np.ndarra
 
 
 def reconstruct_piecewise(
-    integrate: Callable[[np.ndarray, tuple[float, float], StepControl], SampledFunction],
+    integrate: Callable[[np.ndarray, tuple[float, float], StepControl],
+                        tuple[np.ndarray, np.ndarray]],
     state0,
     intervals: Sequence[tuple[float, float]],
     jump_map: Callable[[int, np.ndarray], np.ndarray] | None,
@@ -395,9 +388,9 @@ def reconstruct_piecewise(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate consecutive smooth segments joined by jumps.
 
-    ``integrate(state, span, control)`` returns one segment's trajectory
-    (through ``numerics.rk4_angle`` or ``numerics.rk4_frames``) starting
-    from the flat ``state``; its rows are flattened to states.
+    ``integrate(state, span, control)`` returns one segment's grid and
+    states (through ``numerics.rk4_angle`` or ``numerics.rk4_frames``)
+    starting from the flat ``state``; its states are flattened to rows.
     Between segments ``idx`` and ``idx + 1`` the end state (a copy the map
     may modify) passes through ``jump_map(idx, state)`` (None for one
     interval). The jump point is stored twice: the last row of one segment
@@ -410,9 +403,9 @@ def reconstruct_piecewise(
         if idx:
             jump_marks.append(sum(len(g) for g in grids) - 1)
             state = jump_map(idx - 1, state)
-        traj = integrate(state, span, control)
-        grids.append(traj.s_grid)
-        values.append(traj.values.reshape(len(traj.s_grid), -1))
+        grid, states = integrate(state, span, control)
+        grids.append(grid)
+        values.append(states.reshape(len(grid), -1))
         state = values[-1][-1].copy()
     return np.concatenate(grids), np.concatenate(values), np.asarray(jump_marks, dtype=int)
 
@@ -437,9 +430,9 @@ def reconstruct_plane(
         partial(rk4_angle, profile.curvature), state0, profile.segment_intervals(), turn, control
     )
     th = vals[:, 2]
-    tang = np.column_stack([np.cos(th), np.sin(th)])
-    return SampledCurve(s, vals[:, 0:2], tang, marks, th,
-                        partial(_angle_between, profile.curvature, s, th))
+    curve = SampledCurve(s, vals[:, 0:2], np.column_stack([np.cos(th), np.sin(th)]), marks, th)
+    curve.between = partial(_angle_between, profile.curvature, s, th)
+    return curve
 
 
 _FRAME3 = (
@@ -524,7 +517,9 @@ def reconstruct_space_profile(
         segment, state0, profile.segment_intervals(), rotate, control
     )
     frames = partial(_frames_between, generator, vals.reshape(-1, 4, 3), s)
-    return SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks, between=partial(_tangent_row, frames))
+    curve = SampledCurve(s, vals[:, 0:3], vals[:, 3:6], marks)
+    curve.between = partial(_tangent_row, frames)
+    return curve
 
 
 def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
@@ -535,14 +530,15 @@ def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
     rapidity).
     """
     m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    return SampledCurve(
+    out = SampledCurve(
         curve.s.copy(),
         curve.position @ m.T,
         curve.tangent @ m.T,
         curve.jump_marks.copy(),
         None if curve.theta is None else curve.theta.copy(),
-        curve.between,
     )
+    out.between = curve.between
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +575,6 @@ def check_convex_budget(
     return BudgetResult(total <= TWO_PI + tol, total, TWO_PI - total)
 
 
-def _collapse_jump_rows(curve: SampledCurve, values: np.ndarray) -> SampledFunction:
-    """Collapse duplicated jump rows to single NaN-masked samples."""
-    vals = np.array(values, dtype=float)
-    vals[curve.jump_marks] = np.nan
-    keep = curve.single_rows
-    return SampledFunction(curve.s[keep], vals[keep])
-
-
-def curvature_magnitude(curve: SampledCurve) -> SampledFunction:
-    """|T'|(s) by per-segment finite differences, masked (NaN) at jumps."""
-    dT = curve.segment_derivatives(curve.tangent)
-    return _collapse_jump_rows(curve, np.linalg.norm(dT, axis=1))
+def curvature_magnitude(curve: SampledCurve) -> np.ndarray:
+    """|T'| on the curve's rows by per-segment finite differences, NaN on jump rows."""
+    return curve.jump_masked(np.linalg.norm(curve.segment_derivatives(curve.tangent), axis=1))

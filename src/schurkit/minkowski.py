@@ -23,7 +23,6 @@ from .errors import AlignmentError, CausalError, NormalizationError, ProfileErro
 from .numerics import (
     CURVATURE_TOL,
     DEFAULT_CONTROL,
-    SampledFunction,
     StepControl,
     finite_diff_array,
     grid_step,
@@ -153,17 +152,17 @@ def reconstruct_timelike_3d(
     return SampledCurve(s, vals[:, 0:3], vals[:, 3:6])
 
 
-def timelike_curvature(curve: SampledCurve) -> SampledFunction:
-    """Curvature measured back from a jump-free time-like curve's samples.
+def timelike_curvature(curve: SampledCurve) -> np.ndarray:
+    """Curvature on a jump-free time-like curve's rows, measured back from its samples.
 
     The finite difference of the rapidity (``theta``) where the curve keeps
     it; otherwise the magnitude sqrt(max(-<T', T'>, 0)) of the space-like T'.
     """
     h = grid_step(curve.s)
     if curve.theta is not None:
-        return SampledFunction(curve.s, finite_diff_array(curve.theta, h, 1))
+        return finite_diff_array(curve.theta, h, 1)
     dT = finite_diff_array(curve.tangent, h, 1)
-    return SampledFunction(curve.s, np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0)))
+    return np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +246,7 @@ def _timelike_census(c: SampledCurve, c_tilde: SampledCurve) -> Census:
         census.add(name, drift <= 1e-9, 1e-9 - drift)
         future = future and bool(np.all(curve.tangent[:, 0] > 0))
     census.add("future_directed", future)
-    dominance = worst_dominance(timelike_curvature(c).values, timelike_curvature(c_tilde).values,
-                                c.s)
+    dominance = worst_dominance(timelike_curvature(c), timelike_curvature(c_tilde), c.s)
     if dominance is None:
         census.add("curvature_dominance", None, note="no smooth samples")
         census.add("convexity", None, note="no smooth samples")

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+SAMPLES_MIN = 16  # fewest RK4 steps per smooth segment, whatever its length
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class StepControl:
     """Grid policy shared by reconstructions and comparisons.
 
     ``step_h`` is an upper bound on the integration step: a smooth segment of
-    length ``ell`` is covered with ``n = max(samples_min, ceil(ell/step_h))``
+    length ``ell`` is covered with ``n = max(SAMPLES_MIN, ceil(ell/step_h))``
     uniform steps, so the effective step divides the segment exactly and is
     never larger than ``step_h``. ``tol`` is the slack tolerance used by the
     inequality checks downstream.
@@ -41,21 +42,18 @@ class StepControl:
 
     step_h: float = 1e-3
     tol: float = 1e-6
-    samples_min: int = 16
 
     def __post_init__(self) -> None:
         if not self.step_h > 0:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.samples_min < 16:
-            raise ValueError(f"samples_min must be >= 16, got {self.samples_min}")
 
     def segment_steps(self, length: float) -> int:
         """Number of uniform RK4 steps used to cover one smooth segment."""
         if not length > 0:
             raise ValueError(f"segment length must be positive, got {length}")
-        return max(self.samples_min, int(math.ceil(length / self.step_h - 1e-12)))
+        return max(SAMPLES_MIN, int(math.ceil(length / self.step_h - 1e-12)))
 
 
 DEFAULT_CONTROL = StepControl()
@@ -80,52 +78,6 @@ def nearest_index(grid: np.ndarray, value):
     below, above = grid.take((i - 1, i), mode="clip")
     best = np.minimum(np.maximum(i - (value - below <= np.abs(above - value)), 0), len(grid) - 1)
     return int(best) if best.ndim == 0 else best
-
-
-@dataclass
-class SampledFunction:
-    """Scalar or vector samples on a strictly increasing arc-length grid.
-
-    NaN entries mark samples where the quantity is undefined (for example
-    curvature at a tangent jump).
-    """
-
-    s_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.s_grid = np.asarray(self.s_grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.s_grid.ndim != 1:
-            raise ValueError("s_grid must be one-dimensional")
-        if len(self.s_grid) != len(self.values):
-            raise ValueError(
-                f"grid/value length mismatch: {len(self.s_grid)} vs {len(self.values)}"
-            )
-        if len(self.s_grid) >= 2 and not np.all(np.diff(self.s_grid) > 0):
-            raise ValueError("s_grid must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.s_grid)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.s_grid[0]), float(self.s_grid[-1])
-
-    def __call__(self, s):
-        """Linear interpolation (per component for vector values)."""
-        s = np.asarray(s, dtype=float)
-        if self.values.ndim == 1:
-            return np.interp(s, self.s_grid, self.values)
-        cols = [np.interp(s, self.s_grid, col) for col in self.values.T]
-        return np.stack(cols, axis=-1)
-
-    def index_of(self, s: float, atol: float = 1e-9) -> int:
-        """Index of the grid point equal to ``s`` (within ``atol``)."""
-        best = nearest_index(self.s_grid, s)
-        if not abs(self.s_grid[best] - s) <= atol * max(1.0, abs(s)):
-            raise DomainError(f"s={s!r} is not a grid point of this sampled function")
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +242,7 @@ def rk4_angle(
     span: tuple[float, float],
     control: StepControl = DEFAULT_CONTROL,
     trig: tuple[Callable, Callable] = (np.cos, np.sin),
-) -> SampledFunction:
+) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for (x, y, a)' = (cos a, sin a, rate(s)) with all steps at once.
 
     The angle's derivative does not depend on the state, so the angle is a
@@ -299,8 +251,9 @@ def rk4_angle(
     classical RK4 step's operation order. Blocks of ``ANGLE_BLOCK`` steps
     continue the sums from the previous block's last row, which leaves them
     unchanged. ``rate`` must accept arrays; ``trig`` swaps (cos, sin) for
-    (cosh, sinh) in the Minkowski plane. The grid is ``_rk4_grid``'s; raises
-    IntegrationError at the first non-finite state.
+    (cosh, sinh) in the Minkowski plane. Returns ``_rk4_grid``'s grid and the
+    (n+1, 3) states on it; raises IntegrationError at the first non-finite
+    state.
     """
     y0 = np.asarray(y0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
@@ -320,7 +273,7 @@ def rk4_angle(
             rows[1:, col] = (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
             np.cumsum(rows[:, col], out=rows[:, col])
         _require_finite(s_grid[lo + 1 : hi + 1], rows[1:])
-    return SampledFunction(s_grid, out)
+    return s_grid, out
 
 
 def _add_entry(entries: dict, key: tuple[int, int], x) -> None:
@@ -398,7 +351,7 @@ def rk4_frames(
     span: tuple[float, float],
     control: StepControl = DEFAULT_CONTROL,
     check: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> SampledFunction:
+) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for a linear frame system Y' = A(s) Y with all steps at once.
 
     ``frame0`` is the (m, d) initial frame and ``generator(s)`` returns the
@@ -414,8 +367,8 @@ def rk4_frames(
     products (explicit RK4 does not keep a frame orthonormal, so every frame
     system needs one), and ``check(s_end, P)``, when given, sees the
     (nb, m, m) propagators (labelled by their step ends) before them; either
-    may raise. Returns the (n+1, m, d) frames on ``_rk4_grid``'s grid; raises
-    IntegrationError at the first non-finite state.
+    may raise. Returns ``_rk4_grid``'s grid and the (n+1, m, d) frames on it;
+    raises IntegrationError at the first non-finite state.
     """
     y0 = np.asarray(frame0, dtype=float)
     s_grid, h = _rk4_grid(span, control)
@@ -438,7 +391,7 @@ def rk4_frames(
         rows[...] = _prefix_states(p, out[lo])
         project(s_grid[lo + 1 : hi + 1], rows)
         _require_finite(s_grid[lo + 1 : hi + 1], rows)
-    return SampledFunction(s_grid, out)
+    return s_grid, out
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +594,3 @@ def finite_diff_array(values: np.ndarray, h: float, order: int) -> np.ndarray:
         raise ValueError(f"order must be 1 or 2, got {order}")
     return out
 
-
-def finite_diff(f: SampledFunction, order: int = 1) -> SampledFunction:
-    """Derivative estimate of a sampled function on its own (uniform) grid."""
-    h = grid_step(f.s_grid)
-    return SampledFunction(f.s_grid, finite_diff_array(f.values, h, order))

@@ -299,8 +299,7 @@ def hypothesis_census(
     curvature_tol = tol if curvature_tol is None else curvature_tol
     census = Census()
 
-    k_c = curvature_magnitude(c)
-    dominance = worst_dominance(k_c.values, curvature_magnitude(c_tilde).values, k_c.s_grid)
+    dominance = worst_dominance(curvature_magnitude(c), curvature_magnitude(c_tilde), c.s)
     if dominance is None:
         census.add("curvature_dominance", None, note="no smooth samples")
     else:

@@ -12,7 +12,7 @@ the spherical chord comparison to the plane one plus a hinge argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -23,7 +23,6 @@ from .curves import (
     Jump,
     SampledCurve,
     _require_aligned,
-    _collapse_jump_rows,
     _tangent_row,
     _frames_between,
     _no_extension,
@@ -41,7 +40,6 @@ from .errors import (
 from .numerics import (
     CURVATURE_TOL,
     DEFAULT_CONTROL,
-    SampledFunction,
     StepControl,
     cumulative_integral_uniform,
     finite_diff_array,
@@ -81,13 +79,16 @@ class SphericalCurve(SampledCurve):
 
     ``frames_between(rows, s)`` extends the frames as ``between`` extends
     the tangent: lane k's (3, 3) frame {c, T, V} at s[k] by one RK4 step from
-    row rows[k].
+    row rows[k]. Like ``between`` it is attached after construction, and a
+    copy made by ``dataclasses.replace`` has none. ``geodesic_curvature`` is
+    the input kg on the rows, NaN on both rows of each jump.
     """
 
     normal: np.ndarray | None = None
-    geodesic_curvature: SampledFunction | None = None
+    geodesic_curvature: np.ndarray | None = None
     jumps: tuple[Jump, ...] = ()
-    frames_between: Callable[[np.ndarray, np.ndarray], np.ndarray] = _no_extension
+    frames_between: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        default=_no_extension, init=False)
 
     def frame_drift(self) -> float:
         """Worst deviation of {c, T, V} from an orthonormal frame with V = c x T."""
@@ -192,20 +193,23 @@ def reconstruct_spherical(
         turn,
         control,
     )
-    frames = partial(_frames_between, generator, vals.reshape(-1, 3, 3), s)
-    curve = SphericalCurve(
-        s, vals[:, 0:3], vals[:, 3:6], marks, between=partial(_tangent_row, frames),
-        normal=vals[:, 6:9], jumps=profile.jumps, frames_between=frames,
-    )
-    kg_vals = np.asarray(kg(s), dtype=float)
-    curve.geodesic_curvature = _collapse_jump_rows(curve, kg_vals)
+    curve = SphericalCurve(s, vals[:, 0:3], vals[:, 3:6], marks, normal=vals[:, 6:9],
+                           jumps=profile.jumps)
+    curve.geodesic_curvature = curve.jump_masked(kg(s))
+    _attach_frames(curve, partial(_frames_between, generator, vals.reshape(-1, 3, 3), s))
     return curve
 
 
-def geodesic_curvature_of(curve: SphericalCurve) -> SampledFunction:
-    """<T', V> by per-segment finite differences, masked at jumps."""
+def _attach_frames(curve: SphericalCurve, frames: Callable) -> None:
+    """Set a spherical curve's ``frames_between`` and the ``between`` it implies."""
+    curve.frames_between = frames
+    curve.between = partial(_tangent_row, frames)
+
+
+def geodesic_curvature_of(curve: SphericalCurve) -> np.ndarray:
+    """<T', V> on the curve's rows by per-segment finite differences, NaN on jump rows."""
     dT = curve.segment_derivatives(curve.tangent)
-    return _collapse_jump_rows(curve, np.einsum("ij,ij->i", dT, curve.normal))
+    return curve.jump_masked(np.einsum("ij,ij->i", dT, curve.normal))
 
 
 def _rotated_frames(frames: Callable, r: np.ndarray, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -216,18 +220,16 @@ def _rotated_frames(frames: Callable, r: np.ndarray, rows: np.ndarray, s: np.nda
 def rotate_spherical(curve: SphericalCurve, rotation: np.ndarray) -> SphericalCurve:
     """Image of a spherical curve under a rotation matrix (frame included)."""
     r = np.asarray(rotation, dtype=float)
-    frames = partial(_rotated_frames, curve.frames_between, r)
     out = SphericalCurve(
         curve.s.copy(),
         curve.position @ r.T,
         curve.tangent @ r.T,
         curve.jump_marks.copy(),
-        between=partial(_tangent_row, frames),
         normal=curve.normal @ r.T,
+        geodesic_curvature=curve.geodesic_curvature,
         jumps=curve.jumps,
-        frames_between=frames,
     )
-    out.geodesic_curvature = curve.geodesic_curvature
+    _attach_frames(out, partial(_rotated_frames, curve.frames_between, r))
     return out
 
 
@@ -277,9 +279,9 @@ def _scaled_curve(
 
 def _cone(
     curve: SphericalCurve, config: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray, SampledFunction, SampledCurve, float]:
-    """Per-row R = d/<c,u> and R' = -d <T,u> / <c,u>^2, R on the collapsed grid,
-    the section R c and its speed-identity error.
+) -> tuple[np.ndarray, np.ndarray, SampledCurve, float]:
+    """Per-row R = d/<c,u> and R' = -d <T,u> / <c,u>^2, the section R c and its
+    speed-identity error.
 
     Differentiating R uses only the sampled frame, so jump rows get their
     true one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
@@ -295,56 +297,43 @@ def _cone(
     r_rows = config.d / heights
     dr = -config.d * (curve.tangent @ config.normal) / heights**2
     plane, err = _scaled_curve(curve, r_rows, dr, "projected curve")
-    keep = curve.single_rows  # R is continuous across jumps; keep one row
-    return r_rows, dr, SampledFunction(curve.s[keep], r_rows[keep]), plane, err
+    return r_rows, dr, plane, err
 
 
 def cone_project(
     curve: SphericalCurve, config: ProjectionConfig
-) -> tuple[SampledFunction, SampledCurve]:
+) -> tuple[np.ndarray, SampledCurve]:
     """Intersection of the cone over the curve with the plane <x, u> = d.
 
-    Returns the scaling R (on the collapsed grid, continuous across jumps)
-    and the projected plane curve R(s) c(s) sampled on the curve grid.
+    Returns the scaling R on the curve's rows (both rows of a jump share
+    their position, hence their R) and the projected plane curve R(s) c(s).
     """
-    _, _, r, plane, _ = _cone(curve, config)
+    r, _, plane, _ = _cone(curve, config)
     return r, plane
 
 
-def projected_arclength(
-    r: SampledFunction, boundaries: Sequence[float] = ()
-) -> SampledFunction:
-    """Arc length tau(s) of the projected curve: integral of sqrt(R'^2 + R^2).
+def projected_arclength(curve: SampledCurve, r: np.ndarray) -> np.ndarray:
+    """Arc length tau(s) of the projected curve on ``curve``'s rows: the integral
+    of sqrt(R'^2 + R^2) for R given on those rows.
 
-    ``boundaries`` lists interior parameters where R' may jump (the original
-    curve's tangent jumps); integration restarts there so the one-sided
-    derivatives are respected.
+    Integration restarts at each of the curve's jumps, where R' may jump, so
+    the one-sided derivatives are respected; both rows of a jump get the
+    same tau. DegenerateSpeedError unless tau increases strictly from each
+    grid point to the next.
     """
-    s = r.s_grid
-    splits = [0]
-    for b in boundaries:
-        splits.append(r.index_of(float(b)))
-    splits.append(len(s) - 1)
-    tau = np.empty(len(s))
-    tau[0], base = 0.0, 0.0
-    for a, b in zip(splits, splits[1:]):
-        if b <= a:
-            continue
-        seg = slice(a, b + 1)
-        h = grid_step(s[seg])
-        dr = finite_diff_array(r.values[seg], h, 1)
-        integrand = np.sqrt(dr * dr + r.values[seg] ** 2)
-        cum = cumulative_integral_uniform(integrand, h)
-        tau[seg] = base + cum
-        base = tau[b]
-    out = SampledFunction(s, tau)
-    if not np.all(np.diff(tau) > 0):
+    tau, base = np.empty(len(curve.s)), 0.0
+    for seg in curve.segments():
+        h = grid_step(curve.s[seg])
+        dr = finite_diff_array(r[seg], h, 1)
+        tau[seg] = base + cumulative_integral_uniform(np.sqrt(dr * dr + r[seg] ** 2), h)
+        base = tau[seg.stop - 1]
+    if not np.all(np.delete(np.diff(tau), curve.jump_marks) > 0):
         raise DegenerateSpeedError("projected arc length is not strictly increasing")
-    return out
+    return tau
 
 
-def space_curvature(p: SampledCurve) -> SampledFunction:
-    """Curvature |P' x P''| / |P'|^3 of a 3D sampled curve, masked at jumps."""
+def space_curvature(p: SampledCurve) -> np.ndarray:
+    """Curvature |P' x P''| / |P'|^3 of a 3D sampled curve on its rows, NaN on jump rows."""
     if p.dim != 3:
         raise ProfileError("space_curvature expects a 3D curve")
     if any(seg.stop - seg.start < 5 for seg in p.segments()):
@@ -354,7 +343,7 @@ def space_curvature(p: SampledCurve) -> SampledFunction:
     speed = np.linalg.norm(d1, axis=1)
     if float(np.min(speed)) < 1e-9:
         raise DegenerateSpeedError("vanishing speed in curvature computation")
-    return _collapse_jump_rows(p, np.linalg.norm(np.cross(d1, d2), axis=1) / speed**3)
+    return p.jump_masked(np.linalg.norm(np.cross(d1, d2), axis=1) / speed**3)
 
 
 def closed_form_cross_norm(r, r_prime, r_double_prime, k):
@@ -405,16 +394,17 @@ class ProjectedPair:
     coordinates), ``space_curve`` the companion R(s) c~(s), both on c's rows.
     Both share R and hence the arc length tau, which parametrizes the plane
     comparison on those rows with no resampling; their measured curvatures
-    and transformed jump angles are recorded.
+    and transformed jump angles are recorded. R, tau and the curvatures are
+    (n,) arrays on c's rows (the curvatures NaN on both rows of each jump).
     """
 
     config: ProjectionConfig
-    R: SampledFunction
-    tau: SampledFunction
+    R: np.ndarray
+    tau: np.ndarray
     plane_curve: SampledCurve
     space_curve: SampledCurve
-    plane_curvature: SampledFunction
-    space_curvature: SampledFunction
+    plane_curvature: np.ndarray
+    space_curvature: np.ndarray
     jump_angles_plane: tuple[float, ...]
     jump_angles_space: tuple[float, ...]
     speed_identity_error: float
@@ -445,11 +435,9 @@ def project_pair(
     _require_aligned(c, c_tilde)
     if jump_angles is None:
         jump_angles = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
-    r_rows, dr, r_sf, plane, plane_err = _cone(c, config)
-    # both jump rows of c hold one position, so c's per-row R is already
-    # what expanding the collapsed R onto c~'s (aligned) rows would give
+    r_rows, dr, plane, plane_err = _cone(c, config)
     space, space_err = _scaled_curve(c_tilde, r_rows, dr, "companion projection")
-    tau = projected_arclength(r_sf, [j.location for j in c.jumps])
+    tau = projected_arclength(c, r_rows)
 
     theta_plane, theta_space = [], []
     for i, a, a_t in zip(c.jump_marks, *jump_angles):
@@ -458,7 +446,7 @@ def project_pair(
         theta_space.append(jump_angle_transform(m, p, r, a_t))
     return ProjectedPair(
         config=config,
-        R=r_sf,
+        R=r_rows,
         tau=tau,
         plane_curve=plane,
         space_curve=space,
@@ -483,9 +471,7 @@ def curvature_dominance_check(
     pair: ProjectedPair, tol: float = CURVATURE_TOL
 ) -> DominanceReport:
     """Sample-wise k >= 0 and k >= |k~| for the projected pair."""
-    dominance = worst_dominance(
-        pair.plane_curvature.values, pair.space_curvature.values, pair.plane_curvature.s_grid
-    )
+    dominance = worst_dominance(pair.plane_curvature, pair.space_curvature, pair.plane_curve.s)
     if dominance is None:
         return DominanceReport(True, 0.0, 0.0, None, tol)
     min_dom, location, min_pos = dominance
@@ -520,7 +506,7 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
     if float(np.sum(d)) < 0.0:
         xy[:, 1], txy[:, 1] = -xy[:, 1], -txy[:, 1]
         e2 = -e2
-    tau, s, basis = plane.expand(pair.tau.values), c.s, np.column_stack([e1, e2])
+    tau, s, basis = pair.tau, c.s, np.column_stack([e1, e2])
 
     def velocity(curve: SphericalCurve, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """R' f + R g of ``curve``'s extended frame {f, g, ...} at the s of tau label x[k]."""
@@ -539,10 +525,11 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
         tx, ty = txy[rows].T
         return plane2d.theta[rows] + np.arctan2(tx * vy - ty * vx, tx * vx + ty * vy)
 
-    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks, between=plane_theta)
-    plane2d.theta = theta_from_tangent(plane2d)
-    return plane2d, SampledCurve(tau, space.position, space.tangent, space.jump_marks,
-                                 between=partial(velocity, c_tilde))
+    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
+    plane2d.theta, plane2d.between = theta_from_tangent(plane2d), plane_theta
+    space2 = SampledCurve(tau, space.position, space.tangent, space.jump_marks)
+    space2.between = partial(velocity, c_tilde)
+    return plane2d, space2
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +596,13 @@ class SphericalVerification:
         return self.chords.chord_passed == self.conclusion_passed
 
 
-def auto_projection_config(
-    c: SphericalCurve, epsilon_min: float = 0.1, d: float = 1.0
-) -> ProjectionConfig:
-    """Default plane: mean position direction, offset 1; midpoint fallback."""
+def auto_projection_config(c: SphericalCurve) -> ProjectionConfig:
+    """Default plane: mean position direction with ``ProjectionConfig``'s default
+    offset and horizon guard; midpoint fallback."""
     for direction in (np.mean(c.position, axis=0), c.position[len(c.s) // 2]):
         u = unit(direction)
-        if float(np.min(c.position @ u)) >= epsilon_min:
-            return ProjectionConfig(tuple(u), d, epsilon_min)
+        if float(np.min(c.position @ u)) >= ProjectionConfig.epsilon_min:
+            return ProjectionConfig(tuple(u))
     raise ProjectionError(
         "no admissible projection plane found (curve spans too much of the sphere)"
     )
@@ -651,7 +637,7 @@ def spherical_schur_verify(
         x.geodesic_curvature if x.geodesic_curvature is not None else geodesic_curvature_of(x)
         for x in (c, c_tilde)
     )
-    kg_dominance = worst_dominance(kg_c.values, kg_t.values, kg_c.s_grid)
+    kg_dominance = worst_dominance(kg_c, kg_t, c.s)
     if kg_dominance is None:
         census.add("geodesic_curvature_dominance", None, note="no smooth samples")
         census.add("spherical_convexity", None, note="no smooth samples")
@@ -694,7 +680,7 @@ def spherical_schur_verify(
     window = projected.window(None)
     mono, chords = projected.monotonicity(window), projected.chord(window)
 
-    r0, r1 = float(pair.R.values[0]), float(pair.R.values[-1])
+    r0, r1 = float(pair.R[0]), float(pair.R[-1])
     hinge = hinge_compare(r0, r1, chords.plane_chord, chords.space_chord)
     d_c = float(np.linalg.norm(c.position[-1] - c.position[0]))
     d_t = float(np.linalg.norm(c_tilde.position[-1] - c_tilde.position[0]))

@@ -73,18 +73,18 @@ def test_criterion_02_roundtrip_curvature():
     t0 = time.perf_counter()
     plane = reconstruct_plane(CurvatureProfile(math.pi, k))
     kp = curvature_magnitude(plane)
-    worsts.append(float(np.max(np.abs(kp.values - np.asarray(k(kp.s_grid))))))
+    worsts.append(float(np.max(np.abs(kp - np.asarray(k(plane.s))))))
     times.append(time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     sph = reconstruct_spherical(k, (), math.pi)
     ks = geodesic_curvature_of(sph)
-    worsts.append(float(np.max(np.abs(ks.values - np.asarray(k(ks.s_grid))))))
+    worsts.append(float(np.max(np.abs(ks - np.asarray(k(sph.s))))))
     times.append(time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     mink = reconstruct_timelike_2d(k, math.pi)
-    worsts.append(float(np.max(np.abs(timelike_curvature(mink).values - np.asarray(k(mink.s))))))
+    worsts.append(float(np.max(np.abs(timelike_curvature(mink) - np.asarray(k(mink.s))))))
     times.append(time.perf_counter() - t0)
 
     ok = max(worsts) < 2e-4 and max(times) < 1.0
@@ -185,15 +185,15 @@ def test_criterion_06_projected_dominance():
         worst_dom = min(worst_dom, dom.min_dominance, dom.min_positivity)
 
         r = pair.R
-        h = grid_step(r.s_grid)
-        rp = _central4_first(r.values, h)
-        rpp = _central4_second(r.values, h)
+        h = grid_step(c.s)
+        rp = _central4_first(r, h)
+        rpp = _central4_second(r, h)
         d1 = _central4_first(pair.plane_curve.position, h)
         d2 = _central4_second(pair.plane_curve.position, h)
         cross_sq = np.einsum("ij,ij->i", np.cross(d1, d2), np.cross(d1, d2))
         inner = slice(2, -2)
         closed = closed_form_cross_norm(
-            r.values[inner], rp, rpp, np.asarray(kg(r.s_grid[inner]))
+            r[inner], rp, rpp, np.asarray(kg(c.s[inner]))
         )
         rel = np.abs(closed - cross_sq) / np.abs(cross_sq)
         worst_rel = max(worst_rel, float(np.max(rel)))
@@ -220,9 +220,9 @@ def test_criterion_07_projected_arclength(sphere_polygon_pair):
     for c in fixtures:
         cfg = auto_projection_config(c)
         r, p = cone_project(c, cfg)
-        tau = projected_arclength(r, [j.location for j in c.jumps])
+        tau = projected_arclength(c, r)
         poly = float(np.sum(np.linalg.norm(np.diff(p.position, axis=0), axis=1)))
-        worst = max(worst, abs(tau.values[-1] - poly))
+        worst = max(worst, abs(tau[-1] - poly))
     report(7, "projected-arclength", worst <= 1e-5, f"worst |tau(L)-polyline|={worst:.2e}")
 
 

@@ -653,6 +653,28 @@ def test_sweep_grid_over_window_budget_exit_2(tmp_path, specs, monkeypatch, caps
         main([*argv, "--grid", str(n)])
 
 
+def test_verify_pairs_over_budget_exit_2(tmp_path, specs, monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def build_pair(*args):  # curves are built before the expansion pairs are drawn
+        raise Built
+
+    def expansion(*args):
+        raise AssertionError("expansion pairs drawn for a refused --pairs")
+
+    monkeypatch.setattr(cli, "_build_pair", build_pair)
+    monkeypatch.setattr(schurkit.schur.ComparisonPair, "expansion", expansion)
+    rep = tmp_path / "rep.json"
+    argv = ["verify", "--theorem", "chord", specs["circle"], specs["helix"], "--report", str(rep)]
+    for pairs in ("1000000000000", str(cli.MAX_ROWS + 1)):
+        assert main([*argv, "--pairs", pairs]) == 2
+        assert "budget" in capsys.readouterr().err
+    assert not rep.exists()
+    with pytest.raises(Built):
+        main([*argv, "--pairs", str(cli.MAX_ROWS)])
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -724,13 +746,11 @@ def test_main_builds_the_parser_once(tmp_path, specs, capsys):
 
 def test_verify_without_smooth_samples_is_not_verified(tmp_path, specs, monkeypatch):
     import schurkit.schur
-    from schurkit.numerics import SampledFunction
 
     measure = schurkit.schur.curvature_magnitude
 
     def blind(curve):
-        k = measure(curve)
-        return SampledFunction(k.s_grid, np.full(len(k), np.nan))
+        return np.full(len(measure(curve)), np.nan)
 
     monkeypatch.setattr(schurkit.schur, "curvature_magnitude", blind)
     rep = tmp_path / "rep.json"

@@ -171,8 +171,8 @@ def run(command, spec, spec_t, flags) -> tuple[int, str, list]:
 
 @settings(max_examples=150, deadline=None)
 @given(command_lines())
-# two jumps one double apart: a segment too short for distinct RK4 steps (a GridError,
-# where SampledFunction's ValueError used to leak)
+# two jumps one double apart: a segment too short for distinct RK4 steps (the RK4
+# grid's GridError; a ValueError from a grid check once leaked here)
 @example(("reconstruct", {"geometry": "plane", "length": 1.0,
                           "curvature": {"preset": "constant", "value": 1.0},
                           "jumps": [[0.050044957972271556, 1e-10], [0.05004495797227156, 0.0]]},

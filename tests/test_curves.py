@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_frenet_helix_curvature():
     # a = b = 1: curvature a/(a^2+b^2) = 1/2, torsion 1/2
     c = reconstruct_space_frenet(constant_curvature(0.5), constant_curvature(0.5), math.pi)
     k = curvature_magnitude(c)
-    assert np.max(np.abs(k.values - 0.5)) < 1e-5
+    assert np.max(np.abs(k - 0.5)) < 1e-5
     c.validate()
 
 
@@ -134,7 +135,7 @@ def test_frenet_frame_stays_orthonormal():
         return {(0, 1): 1.0, (1, 2): k(s), (2, 1): -k(s), (2, 3): tau(s), (3, 2): -tau(s)}
 
     y0 = np.concatenate([np.zeros((1, 3)), np.eye(3)])
-    frames = rk4_frames(generator, _frenet_project, y0, (0.0, 3.0)).values
+    _, frames = rk4_frames(generator, _frenet_project, y0, (0.0, 3.0))
     gram = np.einsum("nij,nkj->nik", frames[:, 1:], frames[:, 1:])
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
 
@@ -248,36 +249,34 @@ def test_curvature_circle():
     r = 2.0
     c = reconstruct_plane(CurvatureProfile(math.pi * r, constant_curvature(1.0 / r)))
     k = curvature_magnitude(c)
-    assert np.max(np.abs(k.values - 1.0 / r)) < 1e-4
+    assert np.max(np.abs(k - 1.0 / r)) < 1e-4
 
 
 def test_curvature_straight_line():
     c = reconstruct_plane(CurvatureProfile(2.0, constant_curvature(0.0)))
-    assert np.max(np.abs(curvature_magnitude(c).values)) < 1e-6
+    assert np.max(np.abs(curvature_magnitude(c))) < 1e-6
 
 
 def test_curvature_helix(helix_pi):
     k = curvature_magnitude(helix_pi)
-    assert np.max(np.abs(k.values - 0.5)) < 1e-4
+    assert np.max(np.abs(k - 0.5)) < 1e-4
 
 
 def test_curvature_masked_at_jumps(corner_pair):
     c, _ = corner_pair
     k = curvature_magnitude(c)
-    jump_idx = k.index_of(1.0)
-    assert math.isnan(k.values[jump_idx])
-    finite = k.values[np.isfinite(k.values)]
+    jump_idx = c.nearest_row(1.0)
+    assert math.isnan(k[jump_idx])
+    finite = k[np.isfinite(k)]
     assert np.max(np.abs(finite)) < 1e-6
-    # collapsed grid is strictly increasing
-    assert np.all(np.diff(k.s_grid) > 0)
 
 
 def test_roundtrip_smooth_curvature():
     k = sinusoidal_curvature(0.5, 0.3)
     c = reconstruct_plane(CurvatureProfile(math.pi, k))
     measured = curvature_magnitude(c)
-    expect = np.asarray(k(measured.s_grid))
-    assert np.max(np.abs(measured.values - expect)) < 2e-4
+    expect = np.asarray(k(c.s))
+    assert np.max(np.abs(measured - expect)) < 2e-4
 
 
 def test_embed_plane_curve_is_isometric(circle_pi):
@@ -295,15 +294,6 @@ def test_segments_and_grid_shape(corner_pair):
     segs = c.segments()
     assert len(segs) == 2
     assert segs[0].stop == segs[1].start
-
-
-def test_single_rows_expand_roundtrip(corner_pair):
-    c, _ = corner_pair
-    keep = c.single_rows
-    assert int(keep.sum()) == len(c.s) - len(c.jump_marks)
-    assert not keep[c.jump_marks + 1].any()
-    for values in c.position.T:
-        assert np.array_equal(c.expand(values[keep]), values)
 
 
 def test_nearest_row_resolves_jump_rows(corner_pair):
@@ -385,3 +375,118 @@ def test_curve_built_by_hand_has_no_extension():
     c = SampledCurve(s, np.zeros((11, 2)), np.tile([1.0, 0.0], (11, 1)), theta=np.zeros(11))
     with pytest.raises(ProfileError, match="no extension between its rows"):
         c.between(np.array([3]), np.array([0.35]))
+
+
+def test_replaced_copy_has_no_extension():
+    from schurkit.schur import ComparisonPair
+    from schurkit.sphere import reconstruct_spherical
+
+    profile = CurvatureProfile(2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.4),))
+    c = reconstruct_plane(profile)
+    ct = embed_plane_curve(reconstruct_plane(profile))
+    window = (0.31, 1.87)
+    reference = ComparisonPair(c, ct).window(window)
+    assert reference.s_star != c.s[reference.index]  # the pivot lies off the grid
+    copies = {
+        "theta": (ComparisonPair(replace(c, theta=c.theta + 0.0), ct), c),
+        "position": (ComparisonPair(c, replace(ct, position=ct.position + 0.0)), ct),
+    }
+    for name, (pair, original) in copies.items():
+        changed = pair.c if original is c else pair.c_tilde
+        with pytest.raises(ProfileError, match="no extension between its rows"):
+            pair.window(window)
+        changed.between = original.between  # attached explicitly: the rows are unchanged
+        assert pair.window(window).s_star == reference.s_star, name
+    sphere = reconstruct_spherical(sinusoidal_curvature(0.5, 0.3), ((1.1, 0.4),), 2.5)
+    copy = replace(sphere, tangent=sphere.tangent + 0.0)
+    rows, x = np.array([5]), np.array([0.5 * (sphere.s[5] + sphere.s[6])])
+    for extension in (copy.between, copy.frames_between):
+        with pytest.raises(ProfileError, match="no extension between its rows"):
+            extension(rows, x)
+
+
+# ---------------------------------------------------------------------------
+# the row layout: every per-row measurement lives on the curve's own rows
+# ---------------------------------------------------------------------------
+
+def _check_rows(c, measurements):
+    """Each measurement has one entry per row, NaN on both rows of every jump
+    and finite elsewhere."""
+    jump_rows = np.zeros(len(c.s), dtype=bool)
+    jump_rows[c.jump_marks] = jump_rows[c.jump_marks + 1] = True
+    for name, values in measurements.items():
+        assert values.shape == (len(c.s),), name
+        assert np.array_equal(~np.isfinite(values), jump_rows), name
+
+
+def _argmin_s(c, k, k_tilde):
+    return float(c.s[np.nanargmin(k - np.abs(k_tilde))])
+
+
+def test_row_layout_plane_and_space():
+    from schurkit.schur import hypothesis_census
+
+    c = reconstruct_plane(CurvatureProfile(
+        2.0, sinusoidal_curvature(1.0, 0.3, 2.0), (Jump(0.7, 0.5),)))
+    ct = reconstruct_space_profile(
+        CurvatureProfile(2.0, sinusoidal_curvature(0.5, 0.2, 3.0),
+                         (Jump(0.7, 0.3, (0.0, 0.0, 1.0)),), convex=False),
+        linear_curvature(0.3, 0.4))
+    k, k_tilde = curvature_magnitude(c), curvature_magnitude(ct)
+    assert len(c.jump_marks) == 1
+    _check_rows(c, {"k": k, "k_tilde": k_tilde})
+    dominance = hypothesis_census(c, ct).get("curvature_dominance")
+    assert dominance.location == _argmin_s(c, k, k_tilde)
+
+
+def test_row_layout_sphere():
+    from schurkit.sphere import (
+        auto_projection_config,
+        curvature_dominance_check,
+        geodesic_curvature_of,
+        project_pair,
+        reconstruct_spherical,
+        spherical_schur_verify,
+    )
+
+    c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.3), ((0.7, 0.4),), 1.5)
+    ct = reconstruct_spherical(sinusoidal_curvature(0.4, 0.3), ((0.7, 0.2),), 1.5)
+    pair = project_pair(c, ct, auto_projection_config(c))
+    _check_rows(c, {"kg": c.geodesic_curvature, "kg_measured": geodesic_curvature_of(c),
+                    "k_plane": pair.plane_curvature, "k_space": pair.space_curvature})
+    for name in ("R", "tau"):
+        values = getattr(pair, name)
+        assert values.shape == (len(c.s),) and np.isfinite(values).all(), name
+        assert np.array_equal(values[c.jump_marks], values[c.jump_marks + 1]), name
+    dominance = curvature_dominance_check(pair)
+    assert dominance.argmin_s == _argmin_s(c, pair.plane_curvature, pair.space_curvature)
+    census = spherical_schur_verify(c, ct).census.get("geodesic_curvature_dominance")
+    assert census.location == _argmin_s(c, c.geodesic_curvature, ct.geodesic_curvature)
+
+
+def test_row_layout_minkowski():
+    from schurkit.minkowski import (
+        reconstruct_timelike_2d,
+        reconstruct_timelike_3d,
+        timelike_curvature,
+        timelike_monotonicity,
+    )
+
+    c = reconstruct_timelike_2d(sinusoidal_curvature(1.0, 0.2), 1.0)
+    ct = reconstruct_timelike_3d(sinusoidal_curvature(0.5, 0.2, 2.0), linear_curvature(0.0, 1.0),
+                                 1.0)
+    k, k_tilde = timelike_curvature(c), timelike_curvature(ct)
+    _check_rows(c, {"k": k, "k_tilde": k_tilde})
+    dominance = timelike_monotonicity(c, ct, 0.5).census.get("curvature_dominance")
+    assert dominance.location == _argmin_s(c, k, k_tilde)
+
+
+def test_projected_arclength_refuses_a_degenerate_scaling():
+    from schurkit.errors import DegenerateSpeedError
+    from schurkit.sphere import projected_arclength, reconstruct_spherical
+
+    c = reconstruct_spherical(constant_curvature(0.5), ((0.7, 0.4),), 1.5)
+    with pytest.raises(DegenerateSpeedError, match="not strictly increasing"):
+        projected_arclength(c, np.zeros(len(c.s)))
+    tau = projected_arclength(c, np.ones(len(c.s)))  # the jump's repeated tau is not a stall
+    assert np.array_equal(tau[c.jump_marks], tau[c.jump_marks + 1])

@@ -24,7 +24,6 @@ from schurkit.errors import CausalError, IntegrationError
 from schurkit.minkowski import _lorentz_project, minkowski_dot, reconstruct_timelike_3d
 from schurkit.numerics import (
     DEFAULT_CONTROL,
-    SampledFunction,
     StepControl,
     _require_finite,
     _rk4_grid,
@@ -39,12 +38,14 @@ from schurkit.sphere import reconstruct_spherical
 # the per-step reference loop
 # ---------------------------------------------------------------------------
 
-def rk4_integrate(field, y0, span, control=DEFAULT_CONTROL, post_step=None) -> SampledFunction:
+def rk4_integrate(field, y0, span, control=DEFAULT_CONTROL,
+                  post_step=None) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 over ``span``, one step at a time, on ``_rk4_grid``'s grid.
 
     ``post_step(s, y)`` (when given) may repair the state after every step,
     e.g. re-orthonormalize a moving frame; its return value replaces ``y``.
-    The trajectory is sampled at every step point, both endpoints included.
+    Returns the grid and the states at every step point, both endpoints
+    included, as the array drivers do.
     Raises IntegrationError the moment the state stops being finite.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -68,33 +69,32 @@ def rk4_integrate(field, y0, span, control=DEFAULT_CONTROL, post_step=None) -> S
             raise IntegrationError(f"non-finite state at s={s_grid[i + 1]:.9g}")
         out[i + 1] = y
 
-    values = out[:, 0] if scalar else out
-    return SampledFunction(s_grid, values)
+    return s_grid, out[:, 0] if scalar else out
 
 
 CONTROL = StepControl()
 
 
 def test_rk4_exponential():
-    traj = rk4_integrate(lambda s, y: y, 1.0, (0.0, 1.0), CONTROL)
-    assert abs(traj.values[-1] - math.e) < 1e-9
+    _, traj = rk4_integrate(lambda s, y: y, 1.0, (0.0, 1.0), CONTROL)
+    assert abs(traj[-1] - math.e) < 1e-9
 
 
 def test_rk4_zero_field_constant():
-    traj = rk4_integrate(lambda s, y: 0.0 * y, 3.25, (0.0, 2.0), CONTROL)
-    assert np.all(traj.values == 3.25)
+    _, traj = rk4_integrate(lambda s, y: 0.0 * y, 3.25, (0.0, 2.0), CONTROL)
+    assert np.all(traj == 3.25)
 
 
 def test_rk4_rotation_returns_home():
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 2 * math.pi), CONTROL)
-    assert np.linalg.norm(traj.values[-1] - np.array([1.0, 0.0])) < 1e-6
+    _, traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 2 * math.pi), CONTROL)
+    assert np.linalg.norm(traj[-1] - np.array([1.0, 0.0])) < 1e-6
 
 
 def test_rk4_includes_both_endpoints():
-    traj = rk4_integrate(lambda s, y: y, 1.0, (0.25, 1.75), CONTROL)
-    assert traj.s_grid[0] == 0.25
-    assert traj.s_grid[-1] == 1.75
+    s_grid, _ = rk4_integrate(lambda s, y: y, 1.0, (0.25, 1.75), CONTROL)
+    assert s_grid[0] == 0.25
+    assert s_grid[-1] == 1.75
 
 
 def test_rk4_nonfinite_field_names_location():
@@ -114,8 +114,8 @@ def test_rk4_post_step_hook():
     def repair(s, y):
         return y / np.linalg.norm(y)
 
-    traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 10.0), CONTROL, repair)
-    norms = np.linalg.norm(traj.values, axis=1)
+    _, traj = rk4_integrate(lambda s, y: j @ y, np.array([1.0, 0.0]), (0.0, 10.0), CONTROL, repair)
+    norms = np.linalg.norm(traj, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
@@ -160,10 +160,10 @@ def test_angle_driver_matches_loop(family, geometry):
 @pytest.mark.parametrize("geometry", sorted(TRIG))
 def test_angle_blocks_continue_the_running_sums(geometry, monkeypatch):
     args = (FAMILIES["sinusoidal"], [0.3, -0.2, 0.1], (0.0, 3.0))
-    whole = rk4_angle(*args, trig=NP_TRIG[geometry]).values
+    _, whole = rk4_angle(*args, trig=NP_TRIG[geometry])
     assert len(whole) - 1 <= numerics.ANGLE_BLOCK
     monkeypatch.setattr(numerics, "ANGLE_BLOCK", 7)
-    assert np.array_equal(rk4_angle(*args, trig=NP_TRIG[geometry]).values, whole)
+    assert np.array_equal(rk4_angle(*args, trig=NP_TRIG[geometry])[1], whole)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +266,10 @@ def test_frame_driver_matches_loop(geometry):
     build, fld, hook, y0 = FRAME_CASES[geometry]
     control = StepControl()
     curve = build(2.5, control)
-    ref = rk4_integrate(fld, y0.copy(), (0.0, 2.5), control, hook)
+    ref_s, ref = rk4_integrate(fld, y0.copy(), (0.0, 2.5), control, hook)
     states = _curve_states(curve)
-    ref_states = ref.values[:, : states.shape[1]]
-    assert np.array_equal(curve.s, ref.s_grid)
+    ref_states = ref[:, : states.shape[1]]
+    assert np.array_equal(curve.s, ref_s)
     # Lorentz frames grow like cosh of the rapidity: the bound is relative
     assert np.max(np.abs(states - ref_states)) <= 1e-12 * max(1.0, np.max(np.abs(ref_states)))
 
@@ -285,10 +285,10 @@ def test_frame_groups_continue_the_products(geometry, monkeypatch):
     # 2540 steps: 50 full blocks, then a last block of 40 in groups of 6 (40 = 6 * 6 + 4)
     build, fld, hook, y0 = FRAME_CASES[geometry]
     control = StepControl()
-    ref = rk4_integrate(fld, y0.copy(), (0.0, 2.54), control, hook)
+    _, ref = rk4_integrate(fld, y0.copy(), (0.0, 2.54), control, hook)
     _small_groups(monkeypatch)
     states = _curve_states(build(2.54, control))
-    ref_states = ref.values[:, : states.shape[1]]
+    ref_states = ref[:, : states.shape[1]]
     assert np.max(np.abs(states - ref_states)) <= 1e-12 * max(1.0, np.max(np.abs(ref_states)))
 
 

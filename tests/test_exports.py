@@ -10,7 +10,8 @@ import schurkit
 
 MODULES = ("curves", "schur", "sphere", "minkowski")
 RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d",
-           "reparametrize_projected_pair", "companion_project", "CellCubics", "pchip_cells", "pchip")
+           "reparametrize_projected_pair", "companion_project", "CellCubics", "pchip_cells", "pchip",
+           "SampledFunction", "finite_diff", "_collapse_jump_rows")
 
 
 def _package_imports() -> dict[str, list[str]]:
@@ -43,4 +44,8 @@ def test_retired_names_are_gone():
         module = importlib.import_module(f"schurkit.{name}")
         assert [n for n in RETIRED if n in module.__all__ or hasattr(module, n)] == [], name
     assert [n for n in RETIRED if hasattr(schurkit, n)] == []
+    assert [n for n in RETIRED if hasattr(schurkit.numerics, n)] == []
     assert not {n for names in _package_imports().values() for n in names} & set(RETIRED)
+    # retired SampledCurve methods: per-row values live on the curve's own rows
+    assert [n for n in ("single_rows", "expand", "index_of")
+            if hasattr(schurkit.SampledCurve, n)] == []

@@ -13,7 +13,6 @@ from schurkit.curves import (
     sinusoidal_curvature,
 )
 from schurkit.errors import CausalError
-from schurkit.numerics import SampledFunction
 from schurkit.minkowski import (
     boost_curve,
     build_lorentz_inclusion,
@@ -90,7 +89,7 @@ def test_curvature_roundtrip_2d():
     k = sinusoidal_curvature(0.5, 0.3)
     c = reconstruct_timelike_2d(k, math.pi)
     expect = np.asarray(k(c.s))
-    assert np.max(np.abs(timelike_curvature(c).values - expect)) < 2e-4
+    assert np.max(np.abs(timelike_curvature(c) - expect)) < 2e-4
 
 
 def test_rapidity_additivity():
@@ -121,7 +120,7 @@ def test_zero_curvature_straight_regardless_of_spin():
 
 def test_spin_makes_nonplanar_with_prescribed_curvature():
     c = reconstruct_timelike_3d(constant_curvature(0.5), linear_curvature(0.0, 1.0), 1.0)
-    assert np.max(np.abs(timelike_curvature(c).values - 0.5)) < 1e-4
+    assert np.max(np.abs(timelike_curvature(c) - 0.5)) < 1e-4
     assert np.ptp(c.position[:, 2]) > 1e-3  # genuinely non-planar
     assert np.max(np.abs(minkowski_dot(c.tangent, c.tangent) - 1.0)) <= 1e-9
 
@@ -196,7 +195,7 @@ def test_census_without_smooth_samples_is_not_verified(mink_pair, monkeypatch):
 
     def nan_for_ct(curve):  # the companion's measured curvature is NaN on every row
         k = measure(curve)
-        return SampledFunction(k.s_grid, np.full(len(k), np.nan)) if curve is ct else k
+        return np.full(len(k), np.nan) if curve is ct else k
 
     monkeypatch.setattr(minkowski, "timelike_curvature", nan_for_ct)
     rep = timelike_monotonicity(c, ct, 0.5)

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 
 from schurkit.errors import BracketError, DomainError, GridError
 from schurkit.numerics import (
-    SampledFunction,
     StepControl,
     _uniform_runs,
     bisect_monotone,
     cross_rows,
     cumulative_integral_uniform,
-    finite_diff,
+    finite_diff_array,
     grid_step,
     integrate_sampled,
     nearest_index,
@@ -31,15 +30,13 @@ def test_step_control_validation():
         StepControl(step_h=0.0)
     with pytest.raises(ValueError):
         StepControl(tol=-1.0)
-    with pytest.raises(ValueError):
-        StepControl(samples_min=4)
 
 
 def test_segment_steps_bounds():
     ctl = StepControl(step_h=1e-2)
     n = ctl.segment_steps(1.0)
     assert n == 100
-    assert ctl.segment_steps(1e-4) == 16  # samples_min floor
+    assert ctl.segment_steps(1e-4) == 16  # SAMPLES_MIN floor
     # effective step never exceeds step_h
     assert 1.0 / n <= ctl.step_h + 1e-15
 
@@ -132,39 +129,39 @@ def test_bisect_bracket_independence():
 
 
 # ---------------------------------------------------------------------------
-# finite_diff
+# finite differences
 # ---------------------------------------------------------------------------
 
 def test_finite_diff_quadratic():
     s = np.arange(0.0, 1.0 + 1e-9, 1e-3)
-    d = finite_diff(SampledFunction(s, s**2), 1)
-    assert np.max(np.abs(d.values - 2.0 * s)) < 1e-6
+    d = finite_diff_array(s**2, grid_step(s), 1)
+    assert np.max(np.abs(d - 2.0 * s)) < 1e-6
 
 
 def test_finite_diff_constant_is_zero():
     s = np.linspace(0.0, 1.0, 200)
-    d = finite_diff(SampledFunction(s, np.full(200, 7.0)), 1)
-    assert np.max(np.abs(d.values)) < 1e-10
+    d = finite_diff_array(np.full(200, 7.0), grid_step(s), 1)
+    assert np.max(np.abs(d)) < 1e-10
 
 
 def test_finite_diff_second_order_sine():
     s = np.arange(0.0, 1.0 + 1e-9, 1e-3)
-    d2 = finite_diff(SampledFunction(s, np.sin(s)), 2)
-    assert np.max(np.abs(d2.values + np.sin(s))) < 1e-4
+    d2 = finite_diff_array(np.sin(s), grid_step(s), 2)
+    assert np.max(np.abs(d2 + np.sin(s))) < 1e-4
 
 
 def test_finite_diff_rejects_nonuniform():
     s = np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
     with pytest.raises(GridError):
-        finite_diff(SampledFunction(s, s), 1)
+        finite_diff_array(s, grid_step(s), 1)
 
 
 def test_finite_diff_vector_values():
     s = np.linspace(0.0, 1.0, 500)
     vals = np.column_stack([np.cos(s), np.sin(s)])
-    d = finite_diff(SampledFunction(s, vals), 1)
+    d = finite_diff_array(vals, grid_step(s), 1)
     expect = np.column_stack([-np.sin(s), np.cos(s)])
-    assert np.max(np.abs(d.values - expect)) < 1e-5
+    assert np.max(np.abs(d - expect)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +170,9 @@ def test_finite_diff_vector_values():
 
 def test_fundamental_theorem_roundtrip():
     s = np.arange(0.0, 2.0 + 1e-9, 1e-3)
-    f = SampledFunction(s, np.sin(3.0 * s) + s**2)
-    d = finite_diff(f, 1)
-    total = integrate_sampled(d.s_grid, d.values)
-    assert abs(total - (f.values[-1] - f.values[0])) < 1e-6
+    f = np.sin(3.0 * s) + s**2
+    total = integrate_sampled(s, finite_diff_array(f, grid_step(s), 1))
+    assert abs(total - (f[-1] - f[0])) < 1e-6
 
 
 @given(
@@ -188,10 +184,9 @@ def test_fundamental_theorem_roundtrip_cubics(a, b, c):
     # central-difference bias integrates to h^2/6 (f''(b) - f''(a)), so the
     # cubic coefficient is kept small enough for the 1e-6 budget at h = 1e-3
     s = np.linspace(0.0, 1.0, 1001)
-    f = SampledFunction(s, a * s**3 + b * s**2 + c * s)
-    d = finite_diff(f, 1)
-    total = integrate_sampled(d.s_grid, d.values)
-    assert abs(total - (f.values[-1] - f.values[0])) < 1e-6
+    f = a * s**3 + b * s**2 + c * s
+    total = integrate_sampled(s, finite_diff_array(f, grid_step(s), 1))
+    assert abs(total - (f[-1] - f[0])) < 1e-6
 
 
 def test_cumulative_integral_matches_simpson():
@@ -207,13 +202,6 @@ def test_integrate_sampled_piecewise_uniform():
     s = np.concatenate([np.linspace(0.0, 0.5, 251), np.linspace(0.5, 1.0, 501)[1:]])
     total = integrate_sampled(s, s**2)
     assert abs(total - 1.0 / 3.0) < 1e-9
-
-
-def test_sampled_function_validation():
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([0.0, 1.0]), np.zeros(3))
 
 
 def test_grid_step_tolerates_representation_noise():

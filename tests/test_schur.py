@@ -672,9 +672,12 @@ def test_windows_starting_off_a_running_max_record_match_reference(gap_pair):
     theta = c.theta.copy()
     theta[400:405] -= 1e-10 * np.arange(1, 6)
     theta[450] -= 1e-10
-    # the extension keeps stepping from the reconstructed rows; no crossing cell starts
-    # in a dip, where k = 0 and theta does not rise
-    pair = ComparisonPair(replace(c, theta=theta), gap_pair.c_tilde)
+    # the copy is given the original's extension, which steps from the reconstructed
+    # rows; sound because no crossing cell starts in a dip, where k = 0 and theta
+    # does not rise
+    dipped = replace(c, theta=theta)
+    dipped.between = c.between
+    pair = ComparisonPair(dipped, gap_pair.c_tilde)
     assert pair.census.all_passed
     starts = [float(c.s[i]) for i in (*range(398, 407), 449, 450, 451)]
     ranges = [(a, b) for a in starts for b in (0.5, 0.58, 0.7, 0.9, 1.0, 1.3, 2.2, 2.9)]

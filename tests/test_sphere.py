@@ -11,7 +11,7 @@ from schurkit.errors import (
     ProfileError,
     ProjectionError,
 )
-from schurkit.numerics import SampledFunction, finite_diff_array, grid_step
+from schurkit.numerics import finite_diff_array, grid_step
 from schurkit.sphere import (
     ProjectionConfig,
     auto_projection_config,
@@ -117,21 +117,21 @@ def test_bad_initial_frame():
 
 def test_geodesic_curvature_great_circle():
     c = reconstruct_spherical(constant_curvature(0.0), (), 2.0)
-    assert np.max(np.abs(geodesic_curvature_of(c).values)) < 1e-4
+    assert np.max(np.abs(geodesic_curvature_of(c))) < 1e-4
 
 
 def test_geodesic_curvature_latitude():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     k = geodesic_curvature_of(c)
-    assert np.max(np.abs(k.values - 1.0)) < 1e-3
+    assert np.max(np.abs(k - 1.0)) < 1e-3
 
 
 def test_geodesic_curvature_roundtrip():
     kg = sinusoidal_curvature(0.5, 0.3)
     c = reconstruct_spherical(kg, (), math.pi)
     measured = geodesic_curvature_of(c)
-    expect = np.asarray(kg(measured.s_grid))
-    assert np.max(np.abs(measured.values - expect)) < 2e-4
+    expect = np.asarray(kg(c.s))
+    assert np.max(np.abs(measured - expect)) < 2e-4
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_cone_project_latitude_circle():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), 1.0)
     r, p = cone_project(c, cfg)
-    assert np.max(np.abs(r.values - 1.0 / math.cos(RHO))) < 1e-5
+    assert np.max(np.abs(r - 1.0 / math.cos(RHO))) < 1e-5
     radii = np.linalg.norm(p.position - cfg.normal[None, :], axis=1)
     assert np.max(np.abs(radii - math.tan(RHO))) < 1e-5
 
@@ -160,7 +160,7 @@ def test_cone_project_fixed_point_case():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), math.cos(RHO), epsilon_min=0.05)
     r, p = cone_project(c, cfg)
-    assert np.max(np.abs(r.values - 1.0)) < 1e-9
+    assert np.max(np.abs(r - 1.0)) < 1e-9
     assert np.max(np.abs(p.position - c.position)) < 1e-9
 
 
@@ -170,9 +170,8 @@ def test_cone_project_great_arc_pointwise():
     u /= np.linalg.norm(u)
     cfg = ProjectionConfig(tuple(u), 1.0)
     r, _ = cone_project(c, cfg)
-    keep = np.ones(len(c.s), dtype=bool)
     expect = 1.0 / (c.position @ u)
-    assert np.max(np.abs(r.values - expect[keep])) < 1e-9
+    assert np.max(np.abs(r - expect)) < 1e-9
 
 
 def test_cone_project_horizon_refused():
@@ -200,7 +199,7 @@ def test_companion_matches_primary_projection():
     r, p = cone_project(c, cfg)
     pair = project_pair(c, c, cfg)
     q = pair.space_curve
-    assert np.array_equal(pair.R.values, r.values)
+    assert np.array_equal(pair.R, r)
     assert np.max(np.abs(q.position - p.position)) < 1e-9
     assert np.max(np.abs(q.tangent - p.tangent)) < 1e-9
 
@@ -235,35 +234,40 @@ def test_project_pair_curves_match_front_doors(sphere_polygon_pair):
     assert len(arm.jump_marks) == 2
     assert np.array_equal(pair.plane_curve.position, plane.position)
     assert np.array_equal(pair.plane_curve.tangent, plane.tangent)
-    assert np.array_equal(pair.R.values, r.values)
-    assert np.array_equal(pair.space_curve.position, arm.expand(r.values)[:, None] * arm_t.position)
+    assert np.array_equal(pair.R, r)
+    assert np.array_equal(pair.space_curve.position, r[:, None] * arm_t.position)
 
 
 # ---------------------------------------------------------------------------
 # projected arc length
 # ---------------------------------------------------------------------------
 
+def _grid_curve(s: np.ndarray) -> SampledCurve:
+    """A jump-free curve on the rows ``s`` (only its grid is read)."""
+    return SampledCurve(s, np.zeros((len(s), 3)), np.zeros((len(s), 3)))
+
+
 def test_projected_arclength_identity():
     s = np.linspace(0.0, 2.0, 2001)
-    tau = projected_arclength(SampledFunction(s, np.ones_like(s)))
-    assert np.max(np.abs(tau.values - s)) < 1e-12
+    tau = projected_arclength(_grid_curve(s), np.ones_like(s))
+    assert np.max(np.abs(tau - s)) < 1e-12
 
 
 def test_projected_arclength_scaling():
     rho0 = 2.5
     s = np.linspace(0.0, 2.0, 2001)
-    tau = projected_arclength(SampledFunction(s, np.full_like(s, rho0)))
-    assert np.max(np.abs(tau.values - rho0 * s)) < 1e-10
+    tau = projected_arclength(_grid_curve(s), np.full_like(s, rho0))
+    assert np.max(np.abs(tau - rho0 * s)) < 1e-10
 
 
 def test_projected_arclength_matches_polyline():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), 1.0)
     r, p = cone_project(c, cfg)
-    tau = projected_arclength(r)
+    tau = projected_arclength(c, r)
     poly = float(np.sum(np.linalg.norm(np.diff(p.position, axis=0), axis=1)))
-    assert abs(tau.values[-1] - poly) < 1e-5
-    assert np.all(np.diff(tau.values) > 0)
+    assert abs(tau[-1] - poly) < 1e-5
+    assert np.all(np.diff(tau) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +287,7 @@ def test_space_curvature_circle_any_speed():
     phi = u + 0.3 * np.sin(u)  # non-uniform speed along the same circle
     pos = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.zeros_like(phi)])
     k = space_curvature(_synthetic_curve(pos, u))
-    assert np.max(np.abs(k.values - 1.0 / r)) < 1e-3
+    assert np.max(np.abs(k - 1.0 / r)) < 1e-3
 
 
 def test_space_curvature_line_variable_speed():
@@ -291,12 +295,12 @@ def test_space_curvature_line_variable_speed():
     direction = np.array([1.0, 2.0, 0.5]) / math.sqrt(5.25)
     pos = np.outer(u + 0.2 * u**2, direction)
     k = space_curvature(_synthetic_curve(pos, u))
-    assert np.max(np.abs(k.values)) < 1e-6
+    assert np.max(np.abs(k)) < 1e-6
 
 
 def test_space_curvature_helix(helix_pi):
     k = space_curvature(helix_pi)
-    assert np.max(np.abs(k.values - 0.5)) < 1e-3
+    assert np.max(np.abs(k - 0.5)) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +323,13 @@ def test_cross_norm_matches_finite_differences():
     c = reconstruct_spherical(kg, (), 2.0)
     cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
-    h = grid_step(r.s_grid)
-    rp = finite_diff_array(r.values, h, 1)
-    rpp = finite_diff_array(r.values, h, 2)
+    h = grid_step(c.s)
+    rp = finite_diff_array(r, h, 1)
+    rpp = finite_diff_array(r, h, 2)
     d1 = finite_diff_array(p.position, h, 1)
     d2 = finite_diff_array(p.position, h, 2)
     cross_sq = np.einsum("ij,ij->i", np.cross(d1, d2), np.cross(d1, d2))
-    closed = closed_form_cross_norm(r.values, rp, rpp, np.asarray(kg(r.s_grid)))
+    closed = closed_form_cross_norm(r, rp, rpp, np.asarray(kg(c.s)))
     interior = slice(4, -4)
     rel = np.abs(closed[interior] - cross_sq[interior]) / np.abs(cross_sq[interior])
     assert np.max(rel) < 1e-4
@@ -337,15 +341,15 @@ def test_cross_norm_coefficient_choice():
     c = reconstruct_spherical(kg, (), 2.0)
     cfg = auto_projection_config(c)
     r, p = cone_project(c, cfg)
-    h = grid_step(r.s_grid)
-    rp = finite_diff_array(r.values, h, 1)
-    rpp = finite_diff_array(r.values, h, 2)
+    h = grid_step(c.s)
+    rp = finite_diff_array(r, h, 1)
+    rpp = finite_diff_array(r, h, 2)
     d1 = finite_diff_array(p.position, h, 1)
     d2 = finite_diff_array(p.position, h, 2)
     cross_sq = np.einsum("ij,ij->i", np.cross(d1, d2), np.cross(d1, d2))
-    kgv = np.asarray(kg(r.s_grid))
-    doubled = (r.values**4 + (rp * r.values) ** 2) * kgv**2 + (
-        2.0 * rp**2 - 2.0 * r.values * rpp + r.values**2
+    kgv = np.asarray(kg(c.s))
+    doubled = (r**4 + (rp * r) ** 2) * kgv**2 + (
+        2.0 * rp**2 - 2.0 * r * rpp + r**2
     ) ** 2
     interior = slice(4, -4)
     rel = np.abs(doubled[interior] - cross_sq[interior]) / np.abs(cross_sq[interior])
@@ -388,7 +392,7 @@ def test_convexity_transfer():
     c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.6), (), 1.8)
     cfg = auto_projection_config(c)
     pair = project_pair(c, c, cfg)
-    finite = pair.plane_curvature.values[np.isfinite(pair.plane_curvature.values)]
+    finite = pair.plane_curvature[np.isfinite(pair.plane_curvature)]
     assert np.min(finite) >= -1e-6
 
 
@@ -473,9 +477,10 @@ def test_hinge_infeasible_chord():
 
 def test_verify_without_smooth_samples_is_not_verified(sphere_small_great):
     small, great = sphere_small_great
-    kg = geodesic_curvature_of(great)
-    nan_kg = SampledFunction(kg.s_grid, np.full(len(kg), np.nan))
+    nan_kg = np.full(len(great.s), np.nan)
     blind = dataclasses.replace(great, geodesic_curvature=nan_kg)
+    # only the recorded kg differs, so great's frames extend the copy exactly
+    blind.frames_between, blind.between = great.frames_between, great.between
     v = spherical_schur_verify(small, blind)
     for name in ("geodesic_curvature_dominance", "spherical_convexity"):
         assert v.census.get(name).passed is None
@@ -569,7 +574,7 @@ def test_rowwise_pair_is_parametrized_by_tau(sphere_polygon_pair):
     plane2d, space3d = v.monotonicity.pair.c, v.monotonicity.pair.c_tilde
     assert plane2d.dim == 2 and space3d.dim == 3
     for curve in (plane2d, space3d):
-        assert np.array_equal(curve.s, arm.expand(v.pair.tau.values))
+        assert np.array_equal(curve.s, v.pair.tau)
         assert np.array_equal(curve.jump_marks, arm.jump_marks)
         for seg in curve.segments():
             assert np.all(np.diff(curve.s[seg]) > 0)
