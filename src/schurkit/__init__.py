@@ -14,14 +14,12 @@ from .curves import (
     CurvatureProfile,
     Jump,
     SampledCurve,
-    apply_jump,
     check_convex_budget,
     constant_curvature,
     curvature_magnitude,
     embed_plane_curve,
     linear_curvature,
     reconstruct_plane,
-    reconstruct_space_frenet,
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
@@ -39,8 +37,6 @@ from .sphere import (
     ProjectedPair,
     ProjectionConfig,
     SphericalCurve,
-    closed_form_cross_norm,
-    cone_project,
     curvature_dominance_check,
     geodesic_curvature_of,
     hinge_compare,
@@ -51,7 +47,6 @@ from .sphere import (
     spherical_schur_verify,
 )
 from .minkowski import (
-    lorentz_boost,
     minkowski_dot,
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,

@@ -49,9 +49,7 @@ __all__ = [
     "tabulated_curvature",
     "reconstruct_piecewise",
     "reconstruct_plane",
-    "reconstruct_space_frenet",
     "reconstruct_space_profile",
-    "apply_jump",
     "jump_rotation",
     "total_turning",
     "check_convex_budget",
@@ -116,7 +114,7 @@ class CurvatureProfile:
     The jump locations are the interior segment boundaries; smooth segments
     are the intervals between consecutive boundaries. Angles are spherical
     distances between one-sided tangents, so they live in [0, pi]; an angle
-    of exactly pi (tangent reversal) is accepted but flagged.
+    of exactly pi (tangent reversal) is accepted.
     """
 
     length: float
@@ -139,10 +137,6 @@ class CurvatureProfile:
     @property
     def boundaries(self) -> np.ndarray:
         return np.array([0.0, *(j.location for j in self.jumps), self.length])
-
-    @property
-    def has_tangent_reversal(self) -> bool:
-        return any(abs(j.angle - math.pi) <= 1e-12 for j in self.jumps)
 
     def segment_intervals(self) -> list[tuple[float, float]]:
         b = self.boundaries
@@ -254,24 +248,6 @@ class SampledCurve:
         best = s.searchsorted(s[nearest_index(s, value)], side="right" if plus else "left") - plus
         return int(best) if best.ndim == 0 else best
 
-    def validate(self, tol_tangent: float = 1e-5) -> None:
-        """Check unit tangents (to 1e-9) and position'/tangent agreement off the jumps."""
-        norms = np.linalg.norm(self.tangent, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > 1e-9:
-            raise NormalizationError(f"tangent norm drifts by {worst:.3g}")
-        for seg in self.segments():
-            s_seg = self.s[seg]
-            if len(s_seg) < 5:
-                continue
-            h = grid_step(s_seg)
-            dp = finite_diff_array(self.position[seg], h, 1)
-            err = np.linalg.norm(dp - self.tangent[seg], axis=1)
-            if float(np.max(err)) > tol_tangent:
-                raise ProfileError(
-                    f"position derivative deviates from tangent by {np.max(err):.3g}"
-                )
-
 
 def _require_aligned(a: SampledCurve, b: SampledCurve) -> None:
     if len(a.s) != len(b.s) or np.max(np.abs(a.s - b.s)) > 1e-12 * max(1.0, a.length):
@@ -329,30 +305,6 @@ def jump_rotation(tangent: np.ndarray, alpha: float, direction: np.ndarray) -> n
     outer_ee = np.outer(e, e)
     outer_te = np.outer(t, e)
     return eye - outer_tt - outer_ee + c * (outer_tt + outer_ee) + s * (outer_te.T - outer_te)
-
-
-def apply_jump(
-    tangent: np.ndarray, alpha: float, direction: np.ndarray | None = None
-) -> np.ndarray:
-    """One-sided tangent after a jump of angle ``alpha``.
-
-    Plane tangents rotate counterclockwise (the convex orientation). Space
-    tangents rotate toward ``direction`` within the plane they span with it;
-    the direction is required because nothing else pins the rotation plane.
-    """
-    if not -1e-12 <= alpha <= math.pi + 1e-12:
-        raise JumpAngleError(f"jump angle {alpha} outside [0, pi]")
-    t = np.asarray(tangent, dtype=float)
-    if t.shape == (2,):
-        c, s = math.cos(alpha), math.sin(alpha)
-        return np.array([c * t[0] - s * t[1], s * t[0] + c * t[1]])
-    if t.shape == (3,):
-        if alpha <= 1e-15:
-            return t.copy()
-        if direction is None:
-            raise ProfileError("space-curve jumps need an explicit rotation direction")
-        return unit(jump_rotation(t, alpha, direction) @ t)
-    raise ProfileError(f"unsupported tangent shape {t.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +406,6 @@ def _frenet_project(s: np.ndarray, frames: np.ndarray) -> None:
     """Re-orthonormalize (x, T, N, B) frame rows in place: unit T, N made unit
     and orthogonal to T, B = T x N."""
     frames[:, 1], frames[:, 2], frames[:, 3] = orthonormal_rows(frames[:, 1], frames[:, 2])
-
-
-def reconstruct_space_frenet(
-    k: Callable,
-    torsion: Callable,
-    length: float,
-    start: Sequence[float] = (0.0, 0.0, 0.0),
-    frame0: tuple | None = None,
-    control: StepControl = DEFAULT_CONTROL,
-) -> SampledCurve:
-    """Smooth space curve from curvature k(s) >= 0 and torsion via the Frenet system.
-
-    The jump-free case of ``reconstruct_space_profile``. Serves as the
-    generator of comparison space curves with a prescribed |T'|.
-    """
-    probe = np.asarray(k(np.linspace(0.0, length, 257)), dtype=float)
-    if np.min(probe) < -1e-12:
-        raise ProfileError("space-curve curvature magnitude must be non-negative")
-    return reconstruct_space_profile(
-        CurvatureProfile(length, k), torsion, start, frame0, control
-    )
 
 
 def reconstruct_space_profile(

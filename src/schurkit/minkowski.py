@@ -42,8 +42,6 @@ __all__ = [
     "timelike_monotonicity",
     "reversed_chord_inequality",
     "build_lorentz_inclusion",
-    "lorentz_boost",
-    "boost_curve",
 ]
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
@@ -163,36 +161,6 @@ def timelike_curvature(curve: SampledCurve) -> np.ndarray:
         return finite_diff_array(curve.theta, h, 1)
     dT = finite_diff_array(curve.tangent, h, 1)
     return np.sqrt(np.maximum(-minkowski_dot(dT, dT), 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Lorentz transforms
-# ---------------------------------------------------------------------------
-
-def lorentz_boost(rapidity: float, direction: Sequence[float] | None = None, dim: int = 2) -> np.ndarray:
-    """Boost matrix of the given rapidity along a spatial direction.
-
-    2D boosts act on (t, x); 3D boosts take a spatial unit direction
-    (default +x) and leave its orthogonal complement fixed.
-    """
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    if dim == 2:
-        return np.array([[ch, sh], [sh, ch]])
-    if dim != 3:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    n = np.asarray(direction if direction is not None else (1.0, 0.0), dtype=float)
-    n = n / np.linalg.norm(n)
-    out = np.eye(3)
-    out[0, 0] = ch
-    out[0, 1:] = sh * n
-    out[1:, 0] = sh * n
-    out[1:, 1:] = np.eye(2) + (ch - 1.0) * np.outer(n, n)
-    return out
-
-
-def boost_curve(curve: SampledCurve, matrix: np.ndarray) -> SampledCurve:
-    m = np.asarray(matrix, dtype=float)
-    return SampledCurve(curve.s.copy(), curve.position @ m.T, curve.tangent @ m.T)
 
 
 # ---------------------------------------------------------------------------

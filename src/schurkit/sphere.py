@@ -61,10 +61,8 @@ __all__ = [
     "SphericalVerification",
     "reconstruct_spherical",
     "geodesic_curvature_of",
-    "cone_project",
     "projected_arclength",
     "space_curvature",
-    "closed_form_cross_norm",
     "curvature_dominance_check",
     "jump_angle_transform",
     "hinge_compare",
@@ -80,13 +78,14 @@ class SphericalCurve(SampledCurve):
     ``frames_between(rows, s)`` extends the frames as ``between`` extends
     the tangent: lane k's (3, 3) frame {c, T, V} at s[k] by one RK4 step from
     row rows[k]. Like ``between`` it is attached after construction, and a
-    copy made by ``dataclasses.replace`` has none. ``geodesic_curvature`` is
-    the input kg on the rows, NaN on both rows of each jump.
+    copy made by ``dataclasses.replace`` has none. So is
+    ``geodesic_curvature``, the input kg on the rows (NaN on both rows of
+    each jump): a copy has None, and its kg is measured from its own rows.
     """
 
     normal: np.ndarray | None = None
-    geodesic_curvature: np.ndarray | None = None
     jumps: tuple[Jump, ...] = ()
+    geodesic_curvature: np.ndarray | None = field(default=None, init=False)
     frames_between: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
         default=_no_extension, init=False)
 
@@ -226,9 +225,9 @@ def rotate_spherical(curve: SphericalCurve, rotation: np.ndarray) -> SphericalCu
         curve.tangent @ r.T,
         curve.jump_marks.copy(),
         normal=curve.normal @ r.T,
-        geodesic_curvature=curve.geodesic_curvature,
         jumps=curve.jumps,
     )
+    out.geodesic_curvature = curve.geodesic_curvature  # a rotation keeps kg
     _attach_frames(out, partial(_rotated_frames, curve.frames_between, r))
     return out
 
@@ -263,53 +262,43 @@ class ProjectionConfig:
         return np.asarray(self.u, dtype=float)
 
 
+def _cone_section(
+    ct: np.ndarray, config: ProjectionConfig, frames: Sequence[np.ndarray],
+    s: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The cone section of c: R = d/<c,u> and R' = -d <T,u> / <c,u>^2 from c's
+    stacked (n, 2, 3) rows or lanes {c, T}, and the velocity R' f + R g of
+    each given stacked frame {f, g, ...} (c's own for the section R c).
+
+    Differentiating R uses only the frame, so jump rows get their true
+    one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
+    frame-maintenance accuracy rather than finite-difference order. Given
+    the rows' arc lengths ``s``, heights below ``epsilon_min`` are refused.
+    """
+    height, slope = (ct @ config.normal).T  # <c, u> and <T, u>
+    if s is not None:
+        worst = int(np.argmin(height))
+        if height[worst] < config.epsilon_min:
+            raise ProjectionError(
+                f"<c(s), u> = {height[worst]:.6g} < epsilon_min at s={s[worst]:.6g}; "
+                "choose a different plane"
+            )
+    r, dr = config.d / height, -config.d * slope / height**2
+    return r, dr, [dr[:, None] * f[:, 0] + r[:, None] * f[:, 1] for f in frames]
+
+
 def _scaled_curve(
-    curve: SphericalCurve, r_rows: np.ndarray, dr: np.ndarray, name: str
+    curve: SphericalCurve, r: np.ndarray, dr: np.ndarray, velocity: np.ndarray, name: str
 ) -> tuple[SampledCurve, float]:
-    """R(s) c(s) from per-row R and R', and its worst | |P'|^2 - (R'^2 + R^2) |."""
-    velocity = dr[:, None] * curve.position + r_rows[:, None] * curve.tangent
+    """R(s) c(s) on c's rows from its section velocity, and its worst
+    | |P'|^2 - (R'^2 + R^2) |."""
     speed = np.linalg.norm(velocity, axis=1)
     if float(np.min(speed)) < 1e-9:
         raise DegenerateSpeedError(f"{name} has vanishing speed")
-    scaled = SampledCurve(curve.s.copy(), r_rows[:, None] * curve.position,
+    scaled = SampledCurve(curve.s.copy(), r[:, None] * curve.position,
                           velocity / speed[:, None], curve.jump_marks.copy())
     speed_sq = np.einsum("ij,ij->i", velocity, velocity)
-    return scaled, float(np.max(np.abs(speed_sq - (dr**2 + r_rows**2))))
-
-
-def _cone(
-    curve: SphericalCurve, config: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray, SampledCurve, float]:
-    """Per-row R = d/<c,u> and R' = -d <T,u> / <c,u>^2, the section R c and its
-    speed-identity error.
-
-    Differentiating R uses only the sampled frame, so jump rows get their
-    true one-sided values and the speed identity |P'|^2 = R'^2 + R^2 holds to
-    frame-maintenance accuracy rather than finite-difference order.
-    """
-    heights = curve.position @ config.normal
-    worst = int(np.argmin(heights))
-    if heights[worst] < config.epsilon_min:
-        raise ProjectionError(
-            f"<c(s), u> = {heights[worst]:.6g} < epsilon_min at s={curve.s[worst]:.6g}; "
-            "choose a different plane"
-        )
-    r_rows = config.d / heights
-    dr = -config.d * (curve.tangent @ config.normal) / heights**2
-    plane, err = _scaled_curve(curve, r_rows, dr, "projected curve")
-    return r_rows, dr, plane, err
-
-
-def cone_project(
-    curve: SphericalCurve, config: ProjectionConfig
-) -> tuple[np.ndarray, SampledCurve]:
-    """Intersection of the cone over the curve with the plane <x, u> = d.
-
-    Returns the scaling R on the curve's rows (both rows of a jump share
-    their position, hence their R) and the projected plane curve R(s) c(s).
-    """
-    r, _, plane, _ = _cone(curve, config)
-    return r, plane
+    return scaled, float(np.max(np.abs(speed_sq - (dr**2 + r**2))))
 
 
 def projected_arclength(curve: SampledCurve, r: np.ndarray) -> np.ndarray:
@@ -344,24 +333,6 @@ def space_curvature(p: SampledCurve) -> np.ndarray:
     if float(np.min(speed)) < 1e-9:
         raise DegenerateSpeedError("vanishing speed in curvature computation")
     return p.jump_masked(np.linalg.norm(np.cross(d1, d2), axis=1) / speed**3)
-
-
-def closed_form_cross_norm(r, r_prime, r_double_prime, k):
-    """|P' x P''|^2 for a projected curve, in terms of R, R', R'' and the
-    geodesic curvature of the underlying spherical curve.
-
-    Expanding P = R c with the spherical frame equations gives
-    P' x P'' = R^2 k c - R R' k T + (2 R'^2 - R R'' + R^2) V, hence the
-    squared norm below. The bracket coefficient of the R R'' term was fixed
-    by an independent symbolic expansion and is validated against finite
-    differences in the test suite; it is common to both curves of a pair, so
-    dominance only ever depends on the k^2 factor.
-    """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(r_prime, dtype=float)
-    rpp = np.asarray(r_double_prime, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return (r**4 + (rp * r) ** 2) * k**2 + (2.0 * rp**2 - r * rpp + r**2) ** 2
 
 
 def jump_angle_transform(
@@ -435,8 +406,10 @@ def project_pair(
     _require_aligned(c, c_tilde)
     if jump_angles is None:
         jump_angles = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
-    r_rows, dr, plane, plane_err = _cone(c, config)
-    space, space_err = _scaled_curve(c_tilde, r_rows, dr, "companion projection")
+    rows, rows_t = (np.stack([x.position, x.tangent], axis=1) for x in (c, c_tilde))
+    r_rows, dr, (v_plane, v_space) = _cone_section(rows, config, (rows, rows_t), c.s)
+    plane, plane_err = _scaled_curve(c, r_rows, dr, v_plane, "projected curve")
+    space, space_err = _scaled_curve(c_tilde, r_rows, dr, v_space, "companion projection")
     tau = projected_arclength(c, r_rows)
 
     theta_plane, theta_space = [], []
@@ -487,8 +460,9 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
     attached; the companion stays in 3D. R scales both, so tau is their
     common arc length and nothing is resampled. Off the rows, a tau label in
     the cell of row i is mapped linearly onto s in [s_i, s_i+1], and both
-    curves there are the exact cone sections of c's and c~'s extended frames:
-    R = d/<c, u> and the tangent along R' c + R T (R' c~ + R T~).
+    curves there are the exact cone sections of c's and c~'s extended frames,
+    from the same ``_cone_section`` as on the rows: R = d/<c, u> and the
+    tangent along R' c + R T (R' c~ + R T~).
     """
     plane, space = pair.plane_curve, pair.space_curve
     u, offset = pair.config.normal, pair.config.d
@@ -513,11 +487,8 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
         s0 = s[rows]
         at = s0 + (x - tau[rows]) * ((s[rows + 1] - s0) / (tau[rows + 1] - tau[rows]))
         frame = c.frames_between(rows, at)
-        height, slope = (frame[:, :2] @ u).T  # <c, u> and <T, u>
-        r, dr = offset / height, -offset * slope / height**2
-        if curve is not c:
-            frame = curve.frames_between(rows, at)
-        return dr[:, None] * frame[:, 0] + r[:, None] * frame[:, 1]
+        other = frame if curve is c else curve.frames_between(rows, at)
+        return _cone_section(frame[:, :2], pair.config, (other,))[2][0]
 
     def plane_theta(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The projected curve's tangent angle, lifted from row rows[k]'s."""
@@ -590,10 +561,6 @@ class SphericalVerification:
     @property
     def passed(self) -> bool:
         return self.census.all_passed and self.conclusion_passed
-
-    @property
-    def signs_consistent(self) -> bool:
-        return self.chords.chord_passed == self.conclusion_passed
 
 
 def auto_projection_config(c: SphericalCurve) -> ProjectionConfig:

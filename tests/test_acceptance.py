@@ -20,8 +20,6 @@ from schurkit.curves import (
     total_turning,
 )
 from schurkit.minkowski import (
-    boost_curve,
-    lorentz_boost,
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
@@ -32,8 +30,6 @@ from schurkit.numerics import StepControl, grid_step
 from schurkit.schur import ComparisonPair
 from schurkit.sphere import (
     auto_projection_config,
-    closed_form_cross_norm,
-    cone_project,
     curvature_dominance_check,
     geodesic_curvature_of,
     jump_angle_transform,
@@ -43,7 +39,7 @@ from schurkit.sphere import (
     rotate_spherical,
     spherical_schur_verify,
 )
-from conftest import random_rotation
+from conftest import boost_curve, closed_form_cross_norm, lorentz_boost, random_rotation
 
 from schurkit.curves import linear_curvature
 
@@ -219,7 +215,8 @@ def test_criterion_07_projected_arclength(sphere_polygon_pair):
 
     for c in fixtures:
         cfg = auto_projection_config(c)
-        r, p = cone_project(c, cfg)
+        section = project_pair(c, c, cfg)
+        r, p = section.R, section.plane_curve
         tau = projected_arclength(c, r)
         poly = float(np.sum(np.linalg.norm(np.diff(p.position, axis=0), axis=1)))
         worst = max(worst, abs(tau[-1] - poly))

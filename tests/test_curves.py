@@ -3,13 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
     SampledCurve,
-    apply_jump,
     check_convex_budget,
     constant_curvature,
     curvature_magnitude,
@@ -17,7 +15,6 @@ from schurkit.curves import (
     jump_rotation,
     linear_curvature,
     reconstruct_plane,
-    reconstruct_space_frenet,
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
@@ -25,6 +22,7 @@ from schurkit.curves import (
 )
 from schurkit.errors import JumpAngleError, ProfileError
 from schurkit.numerics import StepControl
+from conftest import assert_valid_curve
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,9 +42,11 @@ def test_profile_validation():
         CurvatureProfile(1.0, constant_curvature(1.0), (Jump(0.5, 3.5),))
 
 
-def test_profile_flags_tangent_reversal():
+def test_profile_accepts_tangent_reversal():
     p = CurvatureProfile(2.0, constant_curvature(0.0), (Jump(1.0, math.pi),))
-    assert p.has_tangent_reversal
+    c = reconstruct_plane(p)
+    i = c.jump_marks[0]
+    assert np.max(np.abs(c.tangent[i + 1] + c.tangent[i])) < 1e-15
 
 
 def test_tabulated_curvature_interpolates():
@@ -61,7 +61,7 @@ def test_tabulated_curvature_interpolates():
 def test_plane_circle_closes():
     c = reconstruct_plane(CurvatureProfile(TWO_PI, constant_curvature(1.0)))
     assert np.linalg.norm(c.position[-1] - c.position[0]) <= 1e-5
-    c.validate()
+    assert_valid_curve(c)
 
 
 def test_plane_square_closes_exactly():
@@ -93,35 +93,28 @@ def test_plane_theta_non_decreasing_for_convex(wobbly_plane_pi):
 
 def test_frenet_helix_curvature():
     # a = b = 1: curvature a/(a^2+b^2) = 1/2, torsion 1/2
-    c = reconstruct_space_frenet(constant_curvature(0.5), constant_curvature(0.5), math.pi)
+    c = reconstruct_space_profile(
+        CurvatureProfile(math.pi, constant_curvature(0.5)), constant_curvature(0.5)
+    )
     k = curvature_magnitude(c)
     assert np.max(np.abs(k - 0.5)) < 1e-5
-    c.validate()
+    assert_valid_curve(c)
 
 
 def test_frenet_zero_torsion_is_planar():
-    c = reconstruct_space_frenet(constant_curvature(1.0), constant_curvature(0.0), TWO_PI)
+    c = reconstruct_space_profile(
+        CurvatureProfile(TWO_PI, constant_curvature(1.0)), constant_curvature(0.0)
+    )
     assert np.ptp(c.position[:, 2]) < 1e-6
     assert np.linalg.norm(c.position[-1] - c.position[0]) < 1e-5
 
 
 def test_frenet_zero_curvature_is_straight():
     length = 2.5
-    c = reconstruct_space_frenet(constant_curvature(0.0), constant_curvature(0.3), length)
+    c = reconstruct_space_profile(
+        CurvatureProfile(length, constant_curvature(0.0)), constant_curvature(0.3)
+    )
     assert abs(np.linalg.norm(c.position[-1] - c.position[0]) - length) < 1e-9
-
-
-def test_frenet_is_jump_free_profile():
-    k, tau = sinusoidal_curvature(0.8, 0.5, 2.0), sinusoidal_curvature(0.2, 0.4, 3.0)
-    a = reconstruct_space_frenet(k, tau, 2.5)
-    b = reconstruct_space_profile(CurvatureProfile(2.5, k), tau)
-    for name in ("s", "position", "tangent", "jump_marks"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-
-
-def test_frenet_rejects_negative_curvature():
-    with pytest.raises(ProfileError):
-        reconstruct_space_frenet(constant_curvature(-0.1), constant_curvature(0.0), 1.0)
 
 
 def test_frenet_frame_stays_orthonormal():
@@ -150,49 +143,14 @@ def test_space_profile_jump_needs_direction():
 # jumps
 # ---------------------------------------------------------------------------
 
-def test_apply_jump_identity():
-    t = np.array([0.6, 0.8])
-    assert np.allclose(apply_jump(t, 0.0), t)
-
-
-def test_apply_jump_quarter_turn():
-    out = apply_jump(np.array([1.0, 0.0]), math.pi / 2)
-    assert np.allclose(out, [0.0, 1.0], atol=1e-15)
-
-
-def test_apply_jump_space_angle():
-    t = np.array([1.0, 0.0, 0.0])
-    out = apply_jump(t, math.pi / 3, np.array([0.3, 0.9, 0.1]))
-    angle = math.acos(float(np.clip(t @ out, -1.0, 1.0)))
-    assert abs(angle - math.pi / 3) < 1e-9
-
-
-def test_apply_jump_range_check():
-    with pytest.raises(JumpAngleError):
-        apply_jump(np.array([1.0, 0.0]), 3.5)
-
-
-def test_apply_jump_space_needs_direction():
-    with pytest.raises(ProfileError):
-        apply_jump(np.array([1.0, 0.0, 0.0]), 0.5)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=math.pi),
-    st.floats(min_value=0.0, max_value=TWO_PI),
-)
-def test_apply_jump_preserves_norm(alpha, direction_angle):
-    t = np.array([math.cos(direction_angle), math.sin(direction_angle)])
-    out = apply_jump(t, alpha)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-    assert abs(float(np.clip(t @ out, -1, 1)) - math.cos(alpha)) < 1e-12
-
-
 def test_jump_rotation_rotates_whole_frame():
     t = np.array([1.0, 0.0, 0.0])
     rot = jump_rotation(t, 0.4, np.array([0.0, 1.0, 0.0]))
     assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-12
     assert abs(np.linalg.det(rot) - 1.0) < 1e-12
+    # a direction not orthogonal to the tangent: the tangent still turns by alpha
+    out = jump_rotation(t, math.pi / 3, np.array([0.3, 0.9, 0.1])) @ t
+    assert abs(math.acos(float(np.clip(t @ out, -1.0, 1.0))) - math.pi / 3) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +290,7 @@ def test_nearest_row_of_an_array_matches_scalar_lookups():
 def test_coarse_control_still_valid():
     ctl = StepControl(step_h=1e-2)
     c = reconstruct_plane(CurvatureProfile(math.pi, constant_curvature(1.0)), control=ctl)
-    c.validate(tol_tangent=1e-3)
+    assert_valid_curve(c, tol_tangent=1e-3)
 
 
 def test_tangent_angle_total_matches_profile():

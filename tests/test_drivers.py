@@ -13,10 +13,11 @@ import pytest
 
 from schurkit import numerics
 from schurkit.curves import (
+    CurvatureProfile,
     constant_curvature,
     linear_curvature,
     reconstruct_piecewise,
-    reconstruct_space_frenet,
+    reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
 )
@@ -32,6 +33,7 @@ from schurkit.numerics import (
     unit,
 )
 from schurkit.sphere import reconstruct_spherical
+from conftest import assert_valid_curve
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ FRAME0 = np.concatenate([np.zeros(3), np.eye(3).ravel()])
 # geometry -> (reconstruction through the driver, reference field, reference hook, y0)
 FRAME_CASES = {
     "space3": (
-        lambda L, ctl: reconstruct_space_frenet(K, SPIN, L, control=ctl),
+        lambda L, ctl: reconstruct_space_profile(CurvatureProfile(L, K), SPIN, control=ctl),
         _frenet_field(K, SPIN), _frenet_post_step, FRAME0,
     ),
     "sphere": (
@@ -364,10 +366,12 @@ def test_sphere_high_curvature_keeps_frame():
 
 
 def test_space3_high_curvature_validates():
-    curve = reconstruct_space_frenet(constant_curvature(40.0), constant_curvature(3.0), 3.0)
+    curve = reconstruct_space_profile(
+        CurvatureProfile(3.0, constant_curvature(40.0)), constant_curvature(3.0)
+    )
     # the unit-tangent bound (1e-9) is under test; the finite-difference
     # check of x' = T carries a truncation error of about h^2 k^2 / 6 = 2.7e-4
-    curve.validate(tol_tangent=1e-3)
+    assert_valid_curve(curve, tol_tangent=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ import schurkit
 MODULES = ("curves", "schur", "sphere", "minkowski")
 RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "embed_timelike_2d",
            "reparametrize_projected_pair", "companion_project", "CellCubics", "pchip_cells", "pchip",
-           "SampledFunction", "finite_diff", "_collapse_jump_rows")
+           "SampledFunction", "finite_diff", "_collapse_jump_rows", "apply_jump",
+           "reconstruct_space_frenet", "cone_project", "closed_form_cross_norm", "lorentz_boost",
+           "boost_curve")
 
 
 def _package_imports() -> dict[str, list[str]]:
@@ -47,5 +49,7 @@ def test_retired_names_are_gone():
     assert [n for n in RETIRED if hasattr(schurkit.numerics, n)] == []
     assert not {n for names in _package_imports().values() for n in names} & set(RETIRED)
     # retired SampledCurve methods: per-row values live on the curve's own rows
-    assert [n for n in ("single_rows", "expand", "index_of")
+    assert [n for n in ("single_rows", "expand", "index_of", "validate")
             if hasattr(schurkit.SampledCurve, n)] == []
+    assert not hasattr(schurkit.CurvatureProfile, "has_tangent_reversal")
+    assert not hasattr(schurkit.sphere.SphericalVerification, "signs_consistent")

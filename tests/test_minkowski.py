@@ -14,9 +14,7 @@ from schurkit.curves import (
 )
 from schurkit.errors import CausalError
 from schurkit.minkowski import (
-    boost_curve,
     build_lorentz_inclusion,
-    lorentz_boost,
     minkowski_dot,
     minkowski_norm,
     reconstruct_timelike_2d,
@@ -25,6 +23,7 @@ from schurkit.minkowski import (
     timelike_curvature,
     timelike_monotonicity,
 )
+from conftest import boost_curve, lorentz_boost
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from schurkit.curves import (
     constant_curvature,
     embed_plane_curve,
     reconstruct_plane,
-    reconstruct_space_frenet,
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
@@ -203,7 +202,9 @@ def test_monotone_I_when_slack_nonnegative(circle_pi, line_pi):
 
 def test_monotonicity_census_catches_violation(circle_pi):
     # a space curve with larger curvature must be censused, not raised
-    bad = reconstruct_space_frenet(constant_curvature(2.0), constant_curvature(0.5), math.pi)
+    bad = reconstruct_space_profile(
+        CurvatureProfile(math.pi, constant_curvature(2.0)), constant_curvature(0.5)
+    )
     pair = ComparisonPair(circle_pi, bad)
     report = pair.monotonicity(pair.window(None))
     check = report.census.get("curvature_dominance")
@@ -244,7 +245,9 @@ def test_chord_circle_vs_line(circle_pi, line_pi):
 
 def test_chord_circle_arc_two_vs_helix():
     c = reconstruct_plane(CurvatureProfile(2.0, constant_curvature(1.0)))
-    ct = reconstruct_space_frenet(constant_curvature(0.5), constant_curvature(0.5), 2.0)
+    ct = reconstruct_space_profile(
+        CurvatureProfile(2.0, constant_curvature(0.5)), constant_curvature(0.5)
+    )
     pair = ComparisonPair(c, ct)
     rep = pair.chord(pair.window(None))
     assert abs(rep.plane_chord - 1.682941969615793) < 1e-5  # 2 sin(1)
@@ -338,7 +341,9 @@ def test_full_range_auto_records_choice(circle_pi, helix_pi):
 
 def test_full_range_budget_violation_raises():
     c = reconstruct_plane(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
-    ct = reconstruct_space_frenet(constant_curvature(0.0), constant_curvature(0.0), 2 * math.pi)
+    ct = reconstruct_space_profile(
+        CurvatureProfile(2 * math.pi, constant_curvature(0.0)), constant_curvature(0.0)
+    )
     with pytest.raises(ProfileError):
         ComparisonPair(c, ct).full_range(math.pi / 4)  # second arc exceeds pi
 
@@ -348,7 +353,9 @@ def test_full_range_budget_violation_raises():
 # ---------------------------------------------------------------------------
 
 def test_inclusion_limit_identifies_tangents(wobbly_plane_pi):
-    ct = reconstruct_space_frenet(constant_curvature(0.5), constant_curvature(0.5), math.pi)
+    ct = reconstruct_space_profile(
+        CurvatureProfile(math.pi, constant_curvature(0.5)), constant_curvature(0.5)
+    )
     width = 1e-2
     worst = 0.0
     for s0 in (0.4, 1.1, 2.0, 2.6):
@@ -423,7 +430,7 @@ def test_schur_on_random_dominated_fixtures():
         tors = PchipInterpolator(knots, rng.uniform(-1.0, 1.0, 5))
         torsion = lambda s, f=tors, L=length: np.asarray(f(np.clip(s, 0, L)), dtype=float)
         c = reconstruct_plane(CurvatureProfile(length, k), control=fast)
-        ct = reconstruct_space_frenet(kt, torsion, length, control=fast)
+        ct = reconstruct_space_profile(CurvatureProfile(length, kt), torsion, control=fast)
         anchors = np.linspace(0.0, length, 5)
         pair = ComparisonPair(c, ct, curvature_tol=1e-4)
         for i, a in enumerate(anchors):

@@ -15,8 +15,6 @@ from schurkit.numerics import finite_diff_array, grid_step
 from schurkit.sphere import (
     ProjectionConfig,
     auto_projection_config,
-    closed_form_cross_norm,
-    cone_project,
     curvature_dominance_check,
     geodesic_curvature_of,
     hinge_compare,
@@ -28,7 +26,7 @@ from schurkit.sphere import (
     space_curvature,
     spherical_schur_verify,
 )
-from conftest import random_rotation
+from conftest import closed_form_cross_norm, random_rotation
 
 RHO = math.pi / 4  # colatitude of the kg = 1 latitude circle
 
@@ -138,10 +136,16 @@ def test_geodesic_curvature_roundtrip():
 # cone projection
 # ---------------------------------------------------------------------------
 
+def cone_section(c, cfg):
+    """R on c's rows and the section R c, read off c's projected self-pair."""
+    pair = project_pair(c, c, cfg)
+    return pair.R, pair.plane_curve
+
+
 def test_cone_project_latitude_circle():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), 1.0)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     assert np.max(np.abs(r - 1.0 / math.cos(RHO))) < 1e-5
     radii = np.linalg.norm(p.position - cfg.normal[None, :], axis=1)
     assert np.max(np.abs(radii - math.tan(RHO))) < 1e-5
@@ -150,7 +154,7 @@ def test_cone_project_latitude_circle():
 def test_cone_project_stays_in_plane():
     c = reconstruct_spherical(sinusoidal_curvature(0.9, 0.4), (), 1.5)
     cfg = auto_projection_config(c)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     heights = p.position @ cfg.normal
     assert np.max(np.abs(heights - cfg.d)) < 1e-9
 
@@ -159,7 +163,7 @@ def test_cone_project_fixed_point_case():
     # plane offset equal to the constant height: R is identically 1
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), math.cos(RHO), epsilon_min=0.05)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     assert np.max(np.abs(r - 1.0)) < 1e-9
     assert np.max(np.abs(p.position - c.position)) < 1e-9
 
@@ -169,7 +173,7 @@ def test_cone_project_great_arc_pointwise():
     u = np.array([0.2, 0.3, 0.95])
     u /= np.linalg.norm(u)
     cfg = ProjectionConfig(tuple(u), 1.0)
-    r, _ = cone_project(c, cfg)
+    r, _ = cone_section(c, cfg)
     expect = 1.0 / (c.position @ u)
     assert np.max(np.abs(r - expect)) < 1e-9
 
@@ -177,7 +181,7 @@ def test_cone_project_great_arc_pointwise():
 def test_cone_project_horizon_refused():
     c = reconstruct_spherical(constant_curvature(0.0), (), math.pi)
     with pytest.raises(ProjectionError) as err:
-        cone_project(c, ProjectionConfig((1.0, 0.0, 0.0), 1.0))
+        cone_section(c, ProjectionConfig((1.0, 0.0, 0.0), 1.0))
     assert "s=" in str(err.value)
 
 
@@ -196,10 +200,8 @@ def test_auto_projection_refuses_long_great_arc():
 def test_companion_matches_primary_projection():
     c = reconstruct_spherical(sinusoidal_curvature(0.9, 0.3), (), 1.5)
     cfg = auto_projection_config(c)
-    r, p = cone_project(c, cfg)
     pair = project_pair(c, c, cfg)
-    q = pair.space_curve
-    assert np.array_equal(pair.R, r)
+    p, q = pair.plane_curve, pair.space_curve
     assert np.max(np.abs(q.position - p.position)) < 1e-9
     assert np.max(np.abs(q.tangent - p.tangent)) < 1e-9
 
@@ -230,7 +232,7 @@ def test_project_pair_curves_match_front_doors(sphere_polygon_pair):
     arm, arm_t = sphere_polygon_pair
     cfg = auto_projection_config(arm)
     pair = project_pair(arm, arm_t, cfg)
-    r, plane = cone_project(arm, cfg)
+    r, plane = cone_section(arm, cfg)
     assert len(arm.jump_marks) == 2
     assert np.array_equal(pair.plane_curve.position, plane.position)
     assert np.array_equal(pair.plane_curve.tangent, plane.tangent)
@@ -263,7 +265,7 @@ def test_projected_arclength_scaling():
 def test_projected_arclength_matches_polyline():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     cfg = ProjectionConfig(tuple(latitude_axis()), 1.0)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     tau = projected_arclength(c, r)
     poly = float(np.sum(np.linalg.norm(np.diff(p.position, axis=0), axis=1)))
     assert abs(tau[-1] - poly) < 1e-5
@@ -322,7 +324,7 @@ def test_cross_norm_matches_finite_differences():
     kg = sinusoidal_curvature(0.8, 0.4, 1.3, 0.2)
     c = reconstruct_spherical(kg, (), 2.0)
     cfg = auto_projection_config(c)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     h = grid_step(c.s)
     rp = finite_diff_array(r, h, 1)
     rpp = finite_diff_array(r, h, 2)
@@ -340,7 +342,7 @@ def test_cross_norm_coefficient_choice():
     kg = sinusoidal_curvature(0.8, 0.4, 1.3, 0.2)
     c = reconstruct_spherical(kg, (), 2.0)
     cfg = auto_projection_config(c)
-    r, p = cone_project(c, cfg)
+    r, p = cone_section(c, cfg)
     h = grid_step(c.s)
     rp = finite_diff_array(r, h, 1)
     rpp = finite_diff_array(r, h, 2)
@@ -477,14 +479,25 @@ def test_hinge_infeasible_chord():
 
 def test_verify_without_smooth_samples_is_not_verified(sphere_small_great):
     small, great = sphere_small_great
-    nan_kg = np.full(len(great.s), np.nan)
-    blind = dataclasses.replace(great, geodesic_curvature=nan_kg)
+    blind = dataclasses.replace(great)
+    blind.geodesic_curvature = np.full(len(great.s), np.nan)
     # only the recorded kg differs, so great's frames extend the copy exactly
     blind.frames_between, blind.between = great.frames_between, great.between
     v = spherical_schur_verify(small, blind)
     for name in ("geodesic_curvature_dominance", "spherical_convexity"):
         assert v.census.get(name).passed is None
     assert not v.census.all_passed and not v.passed
+
+
+def test_copy_with_new_rows_measures_its_own_geodesic_curvature(sphere_small_great):
+    small, great = sphere_small_great
+    copy = dataclasses.replace(small, position=great.position, tangent=great.tangent,
+                               normal=great.normal)
+    assert copy.geodesic_curvature is None  # the recorded kg belongs to small's rows
+    copy.frames_between, copy.between = great.frames_between, great.between
+    check = spherical_schur_verify(copy, small).census.get("geodesic_curvature_dominance")
+    assert check.passed is False
+    assert abs(check.worst_slack + 1.0) < 1e-6  # measured kg 0 against kg 1
 
 
 def test_verify_measures_jump_angles_once_per_curve(sphere_polygon_pair, monkeypatch):
@@ -516,7 +529,7 @@ def test_verify_polygon_arms(sphere_polygon_pair):
     assert v.census.all_passed
     assert v.conclusion_slack >= -1e-6
     assert v.passed
-    assert v.signs_consistent
+    assert v.chords.chord_passed == v.conclusion_passed
     # transformed jump angles dominate pairwise
     for tp, ts in zip(v.pair.jump_angles_plane, v.pair.jump_angles_space):
         assert tp >= ts - 1e-9
@@ -529,7 +542,7 @@ def test_verify_small_circle_vs_great_arc(sphere_small_great):
     assert abs(v.spherical_chord - 1.267162131330799) < 1e-5
     assert abs(v.spherical_chord_tilde - 1.4142135623730951) < 1e-5
     assert v.hinge.ordered
-    assert v.signs_consistent
+    assert v.chords.chord_passed == v.conclusion_passed
 
 
 def test_verify_rotation_invariance(sphere_polygon_pair):
@@ -582,7 +595,7 @@ def test_rowwise_pair_is_parametrized_by_tau(sphere_polygon_pair):
         assert np.max(np.abs(np.linalg.norm(curve.tangent, axis=1) - 1.0)) < 1e-12
     assert np.min(np.diff(plane2d.theta)) >= -1e-12  # straight arms: rounding only
     assert v.census.all_passed
-    assert v.conclusion_passed and v.passed and v.signs_consistent
+    assert v.conclusion_passed and v.passed and v.chords.chord_passed == v.conclusion_passed
     assert v.chords.chord_passed and v.monotonicity.conclusion_passed
 
 
@@ -629,7 +642,7 @@ def test_verify_curved_segments_with_jumps():
     v = spherical_schur_verify(c, ct)
     assert v.census.all_passed
     assert v.passed
-    assert v.signs_consistent
+    assert v.chords.chord_passed == v.conclusion_passed
     for tp, ts in zip(v.pair.jump_angles_plane, v.pair.jump_angles_space):
         assert tp >= ts - 1e-9
 

@@ -1,8 +1,9 @@
-"""Byte-identity corpus: 71 seeded CLI jobs, one digest line each.
+"""Byte-identity corpus: 73 seeded CLI jobs, one digest line each.
 
-Runs verify-mix jobs 0..23 at seeds 7 and 8, export-tables jobs 0..11 at
-seed 7, and sweep-dense jobs 0..2 at seed 7 and 0..5 at seed 8 (the job
-generators of ``bench/workloads.py``), plus two jobs that cross a
+Runs verify-mix jobs 0..23 and 28 at seeds 7 and 8 (job 28 is a spherical
+verify whose s* search evaluates the cone section off the rows),
+export-tables jobs 0..11 at seed 7, and sweep-dense jobs 0..2 at seed 7 and
+0..5 at seed 8 (the job generators of ``bench/workloads.py``), plus two jobs that cross a
 ``schur.WINDOW_BLOCK`` boundary: sweep-dense seed 7 job 0 with ``--grid 60``
 (1770 windows) and seed 7 job 1, a chord verify, with ``--pairs 1500``. The
 extra arguments follow the job's own, so they override it, and the job's
@@ -42,8 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = (  # workload, seed, job indices, extra arguments
-    ("verify-mix", 7, range(24), ()),
-    ("verify-mix", 8, range(24), ()),
+    ("verify-mix", 7, (*range(24), 28), ()),
+    ("verify-mix", 8, (*range(24), 28), ()),
     ("export-tables", 7, range(12), ()),
     ("sweep-dense", 7, range(3), ()),
     ("sweep-dense", 8, range(6), ()),
