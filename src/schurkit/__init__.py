@@ -10,11 +10,9 @@ from .numerics import (
     bisect_monotone,
 )
 from .curves import (
-    BudgetResult,
     CurvatureProfile,
     Jump,
     SampledCurve,
-    check_convex_budget,
     constant_curvature,
     curvature_magnitude,
     embed_plane_curve,
@@ -23,21 +21,18 @@ from .curves import (
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
-    total_turning,
 )
 from .schur import (
     ChordReport,
     ComparisonPair,
     IsometricInclusion,
     MonotonicityReport,
-    arc_length_budget_check,
     build_inclusion,
 )
 from .sphere import (
     ProjectedPair,
     ProjectionConfig,
     SphericalCurve,
-    curvature_dominance_check,
     geodesic_curvature_of,
     hinge_compare,
     jump_angle_transform,

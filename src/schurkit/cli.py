@@ -46,7 +46,6 @@ from . import __version__
 from .curves import (
     CurvatureProfile,
     Jump,
-    check_convex_budget,
     constant_curvature,
     curvature_magnitude,
     embed_plane_curve,
@@ -531,6 +530,13 @@ def write_report(report: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _unevaluated_notes(census: Census) -> list[str]:
+    """The report note of a census that does not hold: violated, or not verified."""
+    if any(check.passed is False for check in census):
+        return ["hypotheses violated; conclusion not evaluated"]
+    return [] if census.all_passed else ["hypotheses not verified; conclusion not evaluated"]
+
+
 def _conclusion_dict(checks: list[tuple], evaluated: bool) -> dict:
     entries = [
         {"name": n, "passed": bool(p), "slack": _json_float(s), "location": _json_float(loc)}
@@ -744,9 +750,9 @@ def cmd_verify(args) -> int:
         census.add("convex_flag", built_c.profile.convex)
 
         def conclusion():
-            budget = check_convex_budget(built_c.profile, args.tol, control)
-            report["notes"].append(f"total turning = {budget.total:.12g}")
-            return [("turning_budget", budget.passed, budget.slack, None)]
+            total, passed, slack = schur.turning_budget(c.theta, args.tol)
+            report["notes"].append(f"total turning = {total:.12g}")
+            return [("turning_budget", passed, slack, None)]
 
     elif theorem == "spherical":
         config = _parse_plane(args.plane) if args.plane else "auto"
@@ -788,16 +794,18 @@ def cmd_verify(args) -> int:
 
     else:  # plane-versus-space family: one pair, and one window for every windowed check
         pair = ComparisonPair(c, ct, args.tol)
-        if theorem == "global-monotonicity":
-            mono = pair.full_range("auto" if s_star is None else s_star)
-        else:
-            window = pair.window(s_range)
-            mono = pair.monotonicity(window)
         census = pair.census
-        if mono.note:
-            report["notes"].append(mono.note)
 
         def conclusion():
+            # the pivot assumes the hypotheses (convexity, the turning budget), so it
+            # is derived only once they hold
+            if theorem == "global-monotonicity":
+                mono = pair.full_range("auto" if s_star is None else s_star)
+                if mono.note:
+                    report["notes"].append(mono.note)
+            else:
+                window = pair.window(s_range)
+                mono = pair.monotonicity(window)
             checks = [("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s)]
             if theorem in ("monotonicity", "chord"):
                 chord = pair.chord(window)
@@ -816,10 +824,7 @@ def cmd_verify(args) -> int:
             return checks
 
     report["hypotheses"] = census.to_list()
-    if any(check.passed is False for check in census):
-        report["notes"].append("hypotheses violated; conclusion not evaluated")
-    elif not census.all_passed:
-        report["notes"].append("hypotheses not verified; conclusion not evaluated")
+    report["notes"] += _unevaluated_notes(census)
     checks = conclusion() if census.all_passed else []
     report["conclusion"] = _conclusion_dict(checks, census.all_passed)
     write_report(report, args.report)
@@ -861,13 +866,14 @@ def cmd_sweep(args) -> int:
     c, ct = _comparison_curves(built_c, built_t)
 
     pair = ComparisonPair(c, ct, args.tol)
+    hypotheses_ok = pair.census.all_passed
     anchors = np.linspace(0.0, built_c.length, args.grid)
     snapped = np.unique(c.s[c.nearest_row(anchors, side="minus")])
     # the windows are the anchor pairs in ``np.triu_indices`` order: row i holds
-    # (i, j) for j > i and starts at window first[i]
+    # (i, j) for j > i and starts at window first[i]; none unless the hypotheses hold
     n = len(snapped)
     first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    total = int(first[-1])
+    total = int(first[-1]) if hypotheses_ok else 0
     worst_mono = worst_chord = None
     mono_passed = chord_passed = all_passed = True
 
@@ -895,7 +901,8 @@ def cmd_sweep(args) -> int:
               "plane_chord", "space_chord", "chord_slack", "bound_slack", "passed"]
     write_csv(args.out, header, blocks())
 
-    hypotheses_ok = pair.census.all_passed
+    checks = [("worst_monotonicity_slack", mono_passed, worst_mono, None),
+              ("worst_chord_slack", chord_passed, worst_chord, None)] if hypotheses_ok else []
     report = {
         "check": f"sweep:{args.theorem}",
         "tool": {"name": "schurkit", "version": __version__},
@@ -904,20 +911,12 @@ def cmd_sweep(args) -> int:
             "spec_c": args.spec_c, "spec_c_tilde": args.spec_c_tilde,
         },
         "hypotheses": pair.census.to_list(),
-        "conclusion": _conclusion_dict(
-            [
-                ("worst_monotonicity_slack", mono_passed, worst_mono, None),
-                ("worst_chord_slack", chord_passed, worst_chord, None),
-            ],
-            hypotheses_ok,
-        ),
-        "notes": [f"pairs evaluated: {total}"],
+        "conclusion": _conclusion_dict(checks, hypotheses_ok),
+        "notes": [f"pairs evaluated: {total}", *_unevaluated_notes(pair.census)],
     }
     if args.report:
         write_report(report, args.report)
-    if not hypotheses_ok:
-        return 0
-    if not all_passed:
+    if not all_passed:  # never without windows, so never when the hypotheses fail
         print(
             f"schurkit: CONCLUSION FAILED in sweep with hypotheses satisfied: "
             f"worst monotonicity slack {worst_mono:.3e}, worst chord slack "

@@ -29,7 +29,6 @@ from .numerics import (
     angle_step,
     finite_diff_array,
     grid_step,
-    integrate_sampled,
     nearest_index,
     orthonormal_rows,
     rk4_angle,
@@ -42,7 +41,6 @@ __all__ = [
     "Jump",
     "CurvatureProfile",
     "SampledCurve",
-    "BudgetResult",
     "constant_curvature",
     "linear_curvature",
     "sinusoidal_curvature",
@@ -51,8 +49,6 @@ __all__ = [
     "reconstruct_plane",
     "reconstruct_space_profile",
     "jump_rotation",
-    "total_turning",
-    "check_convex_budget",
     "curvature_magnitude",
     "theta_from_tangent",
     "embed_plane_curve",
@@ -473,38 +469,8 @@ def embed_plane_curve(curve: SampledCurve) -> SampledCurve:
 
 
 # ---------------------------------------------------------------------------
-# turning and curvature measurements
+# curvature measurements
 # ---------------------------------------------------------------------------
-
-def total_turning(profile: CurvatureProfile, control: StepControl = DEFAULT_CONTROL) -> float:
-    """Integral of curvature over the smooth segments plus the jump angles."""
-    total = 0.0
-    for a, b in profile.segment_intervals():
-        n = control.segment_steps(b - a)
-        grid = np.linspace(a, b, n + 1)
-        total += integrate_sampled(grid, np.asarray(profile.curvature(grid), dtype=float))
-    return total + sum(j.angle for j in profile.jumps)
-
-
-@dataclass(frozen=True)
-class BudgetResult:
-    passed: bool
-    total: float
-    slack: float
-
-
-def check_convex_budget(
-    profile: CurvatureProfile,
-    tol: float | None = None,
-    control: StepControl = DEFAULT_CONTROL,
-) -> BudgetResult:
-    """Turning budget of an embedded convex curve: total turning <= 2*pi."""
-    if not profile.convex:
-        raise ProfileError("budget check applies to profiles flagged convex")
-    tol = control.tol if tol is None else tol
-    total = total_turning(profile, control)
-    return BudgetResult(total <= TWO_PI + tol, total, TWO_PI - total)
-
 
 def curvature_magnitude(curve: SampledCurve) -> np.ndarray:
     """|T'| on the curve's rows by per-segment finite differences, NaN on jump rows."""

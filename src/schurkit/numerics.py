@@ -2,7 +2,7 @@
 
 Fixed-step RK4 (two array drivers that take all steps of a segment at
 once, and single steps of any length that extend a solution between its
-grid points), composite Simpson quadrature on sampled grids, monotone
+grid points), one cumulative quadrature on uniform grids, monotone
 bisection (one bracket, or many lane by lane), and finite-difference
 derivatives. All routines are pure functions of their inputs: two runs
 (and the two curves of a comparison pair) see bit-identical grids, so
@@ -398,50 +398,6 @@ def rk4_frames(
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _uniform_runs(s: np.ndarray):
-    """Yield (i0, i1) index ranges of maximal constant-spacing runs.
-
-    The splitting threshold tolerates representation noise of the values so
-    a nominally uniform grid never shatters into micro-runs. A grid whose
-    every spacing is within the first run's threshold of the first spacing is
-    one run, found by one array test instead of the loop.
-    """
-    d = np.diff(s)
-    allow = 8.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-    if len(d) and not (np.abs(d - d[0]) > max(1e-12 * abs(d[0]), allow)).any():
-        yield 0, len(d)
-        return
-    start = 0
-    for i in range(1, len(d)):
-        if abs(d[i] - d[start]) > max(1e-12 * abs(d[start]), allow):
-            yield start, i
-            start = i
-    yield start, len(d)
-
-
-def _simpson_uniform(v: np.ndarray, h: float) -> float:
-    """Composite Simpson on a uniform grid; 3/8 rule absorbs an odd tail."""
-    n = len(v) - 1
-    if n <= 0:
-        return 0.0
-    if n == 1:
-        return 0.5 * h * (v[0] + v[1])
-    if n % 2 == 0:
-        return (h / 3.0) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum())
-    head = _simpson_uniform(v[: n - 2], h) if n > 3 else 0.0
-    tail = (3.0 * h / 8.0) * (v[-4] + 3.0 * v[-3] + 3.0 * v[-2] + v[-1])
-    return head + tail
-
-
-def integrate_sampled(s: np.ndarray, v: np.ndarray) -> float:
-    """Integrate samples over their full (piecewise-uniform) grid."""
-    total = 0.0
-    h_all = np.diff(s)
-    for i0, i1 in _uniform_runs(s):
-        total += _simpson_uniform(v[i0 : i1 + 1], float(h_all[i0]))
-    return total
-
-
 def cumulative_integral_uniform(v: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral on a uniform grid, 4th order (cubic cell weights).
 
@@ -456,10 +412,7 @@ def cumulative_integral_uniform(v: np.ndarray, h: float) -> np.ndarray:
         cells = np.empty(n - 1)
         cells[0] = h * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3]) / 24.0
         cells[-1] = h * (v[-4] - 5.0 * v[-3] + 19.0 * v[-2] + 9.0 * v[-1]) / 24.0
-        if n > 3:
-            cells[1:-1] = (
-                h * (-v[:-3] + 13.0 * v[1:-2] + 13.0 * v[2:-1] - v[3:]) / 24.0
-            )
+        cells[1:-1] = h * (-v[:-3] + 13.0 * v[1:-2] + 13.0 * v[2:-1] - v[3:]) / 24.0
     out = np.empty(n)
     out[0] = 0.0
     np.cumsum(cells, out=out[1:])

@@ -31,7 +31,8 @@ from .numerics import (
     TWO_PI,
     bisect_lanes,
     bisect_monotone,
-    integrate_sampled,
+    cumulative_integral_uniform,
+    grid_step,
     orthonormal_complement,
     row_dots,
     unit,
@@ -46,10 +47,9 @@ __all__ = [
     "ChordReport",
     "NestedChordReport",
     "ExpansionReport",
-    "ArcBudgetResult",
     "build_inclusion",
-    "arc_length_budget_check",
     "hypothesis_census",
+    "turning_budget",
 ]
 
 DEFAULT_TOL = DEFAULT_CONTROL.tol
@@ -242,48 +242,16 @@ class _Lanes:
 
 
 # ---------------------------------------------------------------------------
-# arc budget
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArcBudgetResult:
-    passed: bool
-    length_first: float
-    length_second: float
-
-
-def arc_length_budget_check(
-    c: SampledCurve,
-    s_first: float,
-    s_second: float,
-    s_star,
-    tol: float = DEFAULT_TOL,
-) -> ArcBudgetResult:
-    """Both tangent arcs on either side of the pivot must fit in a half turn.
-
-    Arc lengths are turning angles (curvature integral plus jump angles),
-    read off the cumulative tangent angle; a jump-interior pivot contributes
-    its partial gap angles to both sides. ``s_star`` is a parameter, or one
-    window (``PivotWindow.row``) whose lifted chord angle is read.
-    """
-    if c.theta is None:
-        raise ProfileError("arc budget needs a plane curve with tangent-angle data")
-    i0 = c.nearest_row(s_first, side="plus")
-    i1 = c.nearest_row(s_second, side="minus")
-    if isinstance(s_star, PivotWindow):
-        theta_star = s_star.chord_angle
-    else:
-        theta_star = float(c.theta[c.nearest_row(float(s_star), side="minus")])
-    len1 = theta_star - float(c.theta[i0])
-    len2 = float(c.theta[i1]) - theta_star
-    return ArcBudgetResult(
-        len1 <= math.pi + tol and len2 <= math.pi + tol, len1, len2
-    )
-
-
-# ---------------------------------------------------------------------------
 # hypothesis census
 # ---------------------------------------------------------------------------
+
+def turning_budget(theta: np.ndarray, tol: float) -> tuple[float, bool, float]:
+    """The turning-budget rule on a plane curve's tangent angle: the total turning
+    theta[-1] - theta[0] (the RK4 integral of the curvature, jump angles included),
+    whether it is at most 2 pi + ``tol``, and the slack 2 pi - total."""
+    total = float(theta[-1] - theta[0])
+    return total, total <= TWO_PI + tol, TWO_PI - total
+
 
 def hypothesis_census(
     c: SampledCurve,
@@ -316,8 +284,8 @@ def hypothesis_census(
         dth = np.diff(c.theta)
         worst = float(np.min(dth)) if dth.size else 0.0
         census.add("convexity", worst >= -tol, worst)
-        total = float(c.theta[-1] - c.theta[0])
-        census.add("turning_budget", total <= TWO_PI + tol, TWO_PI - total)
+        _, passed, slack = turning_budget(c.theta, tol)
+        census.add("turning_budget", passed, slack)
     else:
         census.add("convexity", False, note="no tangent-angle data")
 
@@ -505,30 +473,30 @@ class ComparisonPair:
         """Whole-curve monotonicity with a freely chosen pivot.
 
         Any pivot whose two complementary tangent arcs each fit in a half turn
-        works; "auto" picks the smallest grid parameter satisfying that budget
-        (the turning budget guarantees one exists) and records the choice.
+        works. The arcs are turning angles read off theta: theta(s*) - theta(0)
+        and theta(L) - theta(s*), jumps included. "auto" picks the smallest
+        grid parameter where both are at most pi (the turning budget
+        guarantees one exists) and records the choice; an explicit pivot,
+        snapped to its minus-side row, is refused unless both are at most
+        pi + tol there.
         """
         c, ct = self.c, self.c_tilde
         if c.theta is None:
             raise ProfileError("full-range monotonicity needs a convex plane curve")
+        first, second = c.theta - c.theta[0], c.theta[-1] - c.theta
         note = ""
         if isinstance(s_star, str) and s_star == "auto":
-            th = c.theta
-            ok = (th - th[0] <= math.pi + 1e-12) & (th[-1] - th <= math.pi + 1e-12)
-            idx = np.flatnonzero(ok)
+            idx = np.flatnonzero((first <= math.pi + 1e-12) & (second <= math.pi + 1e-12))
             if idx.size == 0:
                 raise ProfileError("no pivot satisfies the half-turn arc budget")
             row = int(idx[0])
             note = f"auto pivot: smallest grid parameter with both arcs <= pi (s*={c.s[row]:.9g})"
         else:
             row = c.nearest_row(float(s_star), side="minus")
-            budget = arc_length_budget_check(
-                c, float(c.s[0]), float(c.s[-1]), float(s_star), self.tol
-            )
-            if not budget.passed:
+            if not (first[row] <= math.pi + self.tol and second[row] <= math.pi + self.tol):
                 raise ProfileError(
                     f"pivot s*={float(s_star):.9g} violates the arc budget: "
-                    f"lengths ({budget.length_first:.6g}, {budget.length_second:.6g}) must be <= pi"
+                    f"lengths ({first[row]:.6g}, {second[row]:.6g}) must be <= pi"
                 )
         clen = float(np.linalg.norm(c.position[-1] - c.position[0]))
         report = self.monotonicity(PivotWindow(
@@ -730,7 +698,14 @@ class ExpansionReport:
 # ---------------------------------------------------------------------------
 
 def integral_consistency(report: MonotonicityReport) -> float:
-    """|I(s'') - I(s') - integral of the derivative slack| over the window."""
+    """|I(s'') - I(s') - integral of the derivative slack| over the window.
+
+    The slack is integrated piece by piece between the window's jumps (where
+    ``s`` repeats), each piece on its own uniform grid.
+    """
     increase = float(report.I_samples[-1] - report.I_samples[0])
-    quad = integrate_sampled(report.s, report.derivative_slack)
+    cuts = np.flatnonzero(np.diff(report.s) == 0) + 1
+    quad = sum(float(cumulative_integral_uniform(v, grid_step(s))[-1])
+               for s, v in zip(np.split(report.s, cuts), np.split(report.derivative_slack, cuts))
+               if len(s) > 1)
     return abs(increase - quad)

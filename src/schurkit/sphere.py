@@ -57,13 +57,11 @@ __all__ = [
     "ProjectionConfig",
     "ProjectedPair",
     "HingeResult",
-    "DominanceReport",
     "SphericalVerification",
     "reconstruct_spherical",
     "geodesic_curvature_of",
     "projected_arclength",
     "space_curvature",
-    "curvature_dominance_check",
     "jump_angle_transform",
     "hinge_compare",
     "spherical_schur_verify",
@@ -84,7 +82,6 @@ class SphericalCurve(SampledCurve):
     """
 
     normal: np.ndarray | None = None
-    jumps: tuple[Jump, ...] = ()
     geodesic_curvature: np.ndarray | None = field(default=None, init=False)
     frames_between: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
         default=_no_extension, init=False)
@@ -192,8 +189,7 @@ def reconstruct_spherical(
         turn,
         control,
     )
-    curve = SphericalCurve(s, vals[:, 0:3], vals[:, 3:6], marks, normal=vals[:, 6:9],
-                           jumps=profile.jumps)
+    curve = SphericalCurve(s, vals[:, 0:3], vals[:, 3:6], marks, normal=vals[:, 6:9])
     curve.geodesic_curvature = curve.jump_masked(kg(s))
     _attach_frames(curve, partial(_frames_between, generator, vals.reshape(-1, 3, 3), s))
     return curve
@@ -225,7 +221,6 @@ def rotate_spherical(curve: SphericalCurve, rotation: np.ndarray) -> SphericalCu
         curve.tangent @ r.T,
         curve.jump_marks.copy(),
         normal=curve.normal @ r.T,
-        jumps=curve.jumps,
     )
     out.geodesic_curvature = curve.geodesic_curvature  # a rotation keeps kg
     _attach_frames(out, partial(_rotated_frames, curve.frames_between, r))
@@ -431,26 +426,6 @@ def project_pair(
     )
 
 
-@dataclass
-class DominanceReport:
-    passed: bool
-    min_positivity: float
-    min_dominance: float
-    argmin_s: float | None
-    tol: float
-
-
-def curvature_dominance_check(
-    pair: ProjectedPair, tol: float = CURVATURE_TOL
-) -> DominanceReport:
-    """Sample-wise k >= 0 and k >= |k~| for the projected pair."""
-    dominance = worst_dominance(pair.plane_curvature, pair.space_curvature, pair.plane_curve.s)
-    if dominance is None:
-        return DominanceReport(True, 0.0, 0.0, None, tol)
-    min_dom, location, min_pos = dominance
-    return DominanceReport(min_dom >= -tol and min_pos >= -tol, min_pos, min_dom, location, tol)
-
-
 def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
                   c_tilde: SphericalCurve) -> tuple[SampledCurve, SampledCurve]:
     """Both projected curves on c's rows, parametrized by their shared tau.
@@ -473,14 +448,16 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
         [(plane.position - origin) @ e1, (plane.position - origin) @ e2]
     )
     txy = np.column_stack([plane.tangent @ e1, plane.tangent @ e2])
-    # orient the basis so the convex projected curve turns counterclockwise:
-    # total turning (wrapped angle increments, jump gaps included) must be >= 0
-    raw = np.arctan2(txy[:, 1], txy[:, 0])
-    d = np.mod(np.diff(raw) + math.pi, 2.0 * math.pi) - math.pi
-    if float(np.sum(d)) < 0.0:
-        xy[:, 1], txy[:, 1] = -xy[:, 1], -txy[:, 1]
-        e2 = -e2
-    tau, s, basis = pair.tau, c.s, np.column_stack([e1, e2])
+    tau, s = pair.tau, c.s
+    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
+    plane2d.theta = theta_from_tangent(plane2d)
+    if plane2d.theta[-1] < plane2d.theta[0]:
+        # orient the basis so the convex projected curve turns counterclockwise
+        flip = np.array([1.0, -1.0])
+        e2, xy, txy = -e2, xy * flip, txy * flip
+        plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
+        plane2d.theta = theta_from_tangent(plane2d)
+    basis = np.column_stack([e1, e2])
 
     def velocity(curve: SphericalCurve, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """R' f + R g of ``curve``'s extended frame {f, g, ...} at the s of tau label x[k]."""
@@ -496,8 +473,7 @@ def _rowwise_pair(pair: ProjectedPair, c: SphericalCurve,
         tx, ty = txy[rows].T
         return plane2d.theta[rows] + np.arctan2(tx * vy - ty * vx, tx * vx + ty * vy)
 
-    plane2d = SampledCurve(tau, xy, txy, plane.jump_marks)
-    plane2d.theta, plane2d.between = theta_from_tangent(plane2d), plane_theta
+    plane2d.between = plane_theta
     space2 = SampledCurve(tau, space.position, space.tangent, space.jump_marks)
     space2.between = partial(velocity, c_tilde)
     return plane2d, space2
@@ -544,7 +520,6 @@ class SphericalVerification:
     config: ProjectionConfig
     auto_plane: bool
     pair: ProjectedPair
-    dominance: DominanceReport
     jump_slack: float | None
     monotonicity: MonotonicityReport
     chords: ChordReport
@@ -624,9 +599,12 @@ def spherical_schur_verify(
         config = auto_projection_config(c)
 
     pair = project_pair(c, c_tilde, config, (alphas, alphas_t))
-    dominance = curvature_dominance_check(pair, curvature_tol)
-    census.add("projected_curvature_dominance", dominance.passed, dominance.min_dominance,
-               dominance.argmin_s)
+    dominance = worst_dominance(pair.plane_curvature, pair.space_curvature, c.s)
+    if dominance is None:
+        census.add("projected_curvature_dominance", None, note="no smooth samples")
+    else:
+        census.add("projected_curvature_dominance", dominance[0] >= -curvature_tol,
+                   *dominance[:2])
     if pair.jump_angles_plane:
         jump_slack = min(
             tp - ts for tp, ts in zip(pair.jump_angles_plane, pair.jump_angles_space)
@@ -642,7 +620,7 @@ def spherical_schur_verify(
 
     # the projected pair takes the spherical census above: the plane hypothesis
     # census needs a uniform grid, and tau rows are not one
-    projected = ComparisonPair(*_rowwise_pair(pair, c, c_tilde), tol, curvature_tol)
+    projected = ComparisonPair(*_rowwise_pair(pair, c, c_tilde), tol)
     projected.census = census
     window = projected.window(None)
     mono, chords = projected.monotonicity(window), projected.chord(window)
@@ -656,7 +634,6 @@ def spherical_schur_verify(
         config=config,
         auto_plane=auto,
         pair=pair,
-        dominance=dominance,
         jump_slack=jump_slack,
         monotonicity=mono,
         chords=chords,

@@ -12,12 +12,10 @@ from schurkit.cli import main
 from schurkit.curves import (
     CurvatureProfile,
     Jump,
-    check_convex_budget,
     constant_curvature,
     curvature_magnitude,
     reconstruct_plane,
     sinusoidal_curvature,
-    total_turning,
 )
 from schurkit.minkowski import (
     reconstruct_timelike_2d,
@@ -27,10 +25,10 @@ from schurkit.minkowski import (
     timelike_monotonicity,
 )
 from schurkit.numerics import StepControl, grid_step
-from schurkit.schur import ComparisonPair
+from schurkit.reports import worst_dominance
+from schurkit.schur import ComparisonPair, turning_budget
 from schurkit.sphere import (
     auto_projection_config,
-    curvature_dominance_check,
     geodesic_curvature_of,
     jump_angle_transform,
     project_pair,
@@ -126,21 +124,23 @@ def test_criterion_04_nested_and_expansion(circle_pi, line_pi, helix_pi):
 
 
 def test_criterion_05_turning_budget():
-    circle = check_convex_budget(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
-    square_profile = CurvatureProfile(
+    def budget(profile):  # (total, passed, slack), read off the reconstructed theta
+        return turning_budget(reconstruct_plane(profile).theta, 1e-6)
+
+    _, circle_passed, circle_slack = budget(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
+    square_total = budget(CurvatureProfile(
         4.0, constant_curvature(0.0),
         tuple(Jump(x, math.pi / 2) for x in (0.5, 1.5, 2.5, 3.5)),
-    )
-    square_total = total_turning(square_profile)
-    overturned = check_convex_budget(CurvatureProfile(3 * math.pi, constant_curvature(1.0)))
+    ))[0]
+    overturned = budget(CurvatureProfile(3 * math.pi, constant_curvature(1.0)))[1]
     ok = (
-        circle.passed and abs(circle.slack) <= 1e-8
+        circle_passed and abs(circle_slack) <= 1e-8
         and square_total == 2 * math.pi
-        and not overturned.passed
+        and not overturned
     )
     report(5, "turning-budget", ok,
-           f"circle slack={circle.slack:.2e}, square total={square_total!r}, "
-           f"overturned rejected={not overturned.passed}")
+           f"circle slack={circle_slack:.2e}, square total={square_total!r}, "
+           f"overturned rejected={not overturned}")
 
 
 def _random_spline(rng, length, lo, hi):
@@ -177,8 +177,9 @@ def test_criterion_06_projected_dominance():
         ct = reconstruct_spherical(kg_t, (), length, control=FAST)
         cfg = auto_projection_config(c)
         pair = project_pair(c, ct, cfg)
-        dom = curvature_dominance_check(pair)
-        worst_dom = min(worst_dom, dom.min_dominance, dom.min_positivity)
+        min_dominance, _, min_curvature = worst_dominance(
+            pair.plane_curvature, pair.space_curvature, c.s)
+        worst_dom = min(worst_dom, min_dominance, min_curvature)
 
         r = pair.R
         h = grid_step(c.s)

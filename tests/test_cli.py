@@ -201,6 +201,45 @@ def test_verify_hypothesis_violation_censused(tmp_path, specs):
     assert "curvature_dominance" in names
 
 
+def _constant_pair(tmp_path, k, k_tilde, length):
+    """Spec paths of a plane c and a space3 c~ with constant curvatures k and k~."""
+    return (
+        write_spec(tmp_path / "c.json", {"geometry": "plane", "length": length,
+                                         "curvature": {"preset": "constant", "value": k}}),
+        write_spec(tmp_path / "t.json", {"geometry": "space3", "length": length,
+                                         "curvature": {"preset": "constant", "value": k_tilde}}),
+    )
+
+
+# inputs whose window or pivot cannot exist (c turns clockwise; c turns 7.5 > 2 pi)
+@pytest.mark.parametrize("theorem, k, length, violated", [
+    ("monotonicity", -0.5, 1.5, "convexity"),
+    ("chord", -0.5, 1.5, "convexity"),
+    ("global-monotonicity", 2.5, 3.0, "turning_budget"),
+])
+def test_verify_census_comes_before_the_pivot(tmp_path, theorem, k, length, violated):
+    spec_c, spec_t = _constant_pair(tmp_path, k, 0.2, length)
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", theorem, spec_c, spec_t, "--report", str(rep), *STEP]) == 0
+    data = json.loads(rep.read_text())
+    assert violated in [h["name"] for h in data["hypotheses"] if h["passed"] is False]
+    assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
+    assert data["notes"] == ["hypotheses violated; conclusion not evaluated"]
+
+
+def test_sweep_census_comes_before_the_windows(tmp_path):
+    spec_c, spec_t = _constant_pair(tmp_path, -0.5, 0.2, 1.5)
+    out, rep = tmp_path / "sweep.csv", tmp_path / "agg.json"
+    code = main(["sweep", "--theorem", "chord", spec_c, spec_t, "--grid", "4",
+                 "-o", str(out), "--report", str(rep), *STEP])
+    assert code == 0
+    assert read_csv(out)[1] == []  # the header only: no window was derived
+    data = json.loads(rep.read_text())
+    assert [h["name"] for h in data["hypotheses"] if h["passed"] is False] == ["convexity"]
+    assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
+    assert data["notes"] == ["pairs evaluated: 0", "hypotheses violated; conclusion not evaluated"]
+
+
 def test_verify_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"geometry": "plane", "length": 1, "curvature": {"preset": "constant"}, "bogus": 1}')
@@ -760,6 +799,23 @@ def test_verify_without_smooth_samples_is_not_verified(tmp_path, specs, monkeypa
     data = json.loads(rep.read_text())
     dominance = next(h for h in data["hypotheses"] if h["name"] == "curvature_dominance")
     assert dominance["passed"] is None and dominance["note"] == "no smooth samples"
+    assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
+    assert data["notes"] == ["hypotheses not verified; conclusion not evaluated"]
+
+
+def test_verify_projected_dominance_without_smooth_samples(tmp_path, specs, monkeypatch):
+    import schurkit.sphere
+
+    measure = schurkit.sphere.space_curvature
+    monkeypatch.setattr(schurkit.sphere, "space_curvature",
+                        lambda p: np.full(len(measure(p)), np.nan))
+    rep = tmp_path / "rep.json"
+    code = main(["verify", "--theorem", "spherical", specs["sphere_small"],
+                 specs["sphere_great"], "--report", str(rep), *STEP])
+    assert code == 0
+    data = json.loads(rep.read_text())
+    entry = next(h for h in data["hypotheses"] if h["name"] == "projected_curvature_dominance")
+    assert entry["passed"] is None and entry["note"] == "no smooth samples"
     assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
     assert data["notes"] == ["hypotheses not verified; conclusion not evaluated"]
 

@@ -8,7 +8,6 @@ from schurkit.curves import (
     CurvatureProfile,
     Jump,
     SampledCurve,
-    check_convex_budget,
     constant_curvature,
     curvature_magnitude,
     embed_plane_curve,
@@ -18,10 +17,10 @@ from schurkit.curves import (
     reconstruct_space_profile,
     sinusoidal_curvature,
     tabulated_curvature,
-    total_turning,
 )
 from schurkit.errors import JumpAngleError, ProfileError
 from schurkit.numerics import StepControl
+from schurkit.schur import turning_budget
 from conftest import assert_valid_curve
 
 TWO_PI = 2.0 * math.pi
@@ -157,46 +156,45 @@ def test_jump_rotation_rotates_whole_frame():
 # turning and budget
 # ---------------------------------------------------------------------------
 
+def _budget(profile):
+    """The turning-budget rule's (total, passed, slack), read off the reconstructed theta."""
+    return turning_budget(reconstruct_plane(profile).theta, 1e-6)
+
+
 def test_total_turning_circle():
     p = CurvatureProfile(TWO_PI, constant_curvature(1.0))
-    assert abs(total_turning(p) - TWO_PI) < 1e-8
+    assert abs(_budget(p)[0] - TWO_PI) < 1e-8
 
 
 def test_total_turning_square_exact():
     # closed square traversal starting mid-side: four interior right angles
     jumps = tuple(Jump(x, math.pi / 2) for x in (0.5, 1.5, 2.5, 3.5))
     p = CurvatureProfile(4.0, constant_curvature(0.0), jumps)
-    assert total_turning(p) == TWO_PI
+    assert _budget(p)[0] == TWO_PI
 
 
 def test_total_turning_arc_plus_jump():
     p = CurvatureProfile(math.pi / 2, constant_curvature(1.0), (Jump(0.7, math.pi / 4),))
-    assert abs(total_turning(p) - 3.0 * math.pi / 4.0) < 1e-8
+    assert abs(_budget(p)[0] - 3.0 * math.pi / 4.0) < 1e-8
 
 
 def test_budget_circle():
-    res = check_convex_budget(CurvatureProfile(TWO_PI, constant_curvature(1.0)))
-    assert res.passed
-    assert abs(res.slack) < 1e-8
+    _, passed, slack = _budget(CurvatureProfile(TWO_PI, constant_curvature(1.0)))
+    assert passed
+    assert abs(slack) < 1e-8
 
 
 def test_budget_overturned():
-    res = check_convex_budget(CurvatureProfile(3.0 * math.pi, constant_curvature(1.0)))
-    assert not res.passed
-    assert res.slack < -math.pi + 1e-8
+    _, passed, slack = _budget(CurvatureProfile(3.0 * math.pi, constant_curvature(1.0)))
+    assert not passed
+    assert slack < -math.pi + 1e-8
 
 
 def test_budget_semicircle_with_jumps():
     jumps = (Jump(1.0, math.pi / 4), Jump(2.0, math.pi / 4))
-    res = check_convex_budget(CurvatureProfile(math.pi, constant_curvature(1.0), jumps))
-    assert res.passed
-    assert abs(res.slack - math.pi / 2) < 1e-8
-
-
-def test_budget_requires_convex_flag():
-    p = CurvatureProfile(1.0, constant_curvature(1.0), convex=False)
-    with pytest.raises(ProfileError):
-        check_convex_budget(p)
+    _, passed, slack = _budget(CurvatureProfile(math.pi, constant_curvature(1.0), jumps))
+    assert passed
+    assert abs(slack - math.pi / 2) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +295,8 @@ def test_tangent_angle_total_matches_profile():
     jumps = (Jump(0.9, 0.4), Jump(1.8, 0.3))
     profile = CurvatureProfile(math.pi, sinusoidal_curvature(0.8, 0.2), jumps)
     c = reconstruct_plane(profile)
-    assert abs(float(c.theta[-1] - c.theta[0]) - total_turning(profile)) < 1e-6
+    # the integral of 0.8 + 0.2 sin s over [0, pi], plus the jump angles
+    assert abs(float(c.theta[-1] - c.theta[0]) - (0.8 * math.pi + 0.4 + 0.7)) < 1e-6
     assert np.all(np.diff(c.theta) >= -1e-12)
 
 
@@ -400,7 +399,6 @@ def test_row_layout_plane_and_space():
 def test_row_layout_sphere():
     from schurkit.sphere import (
         auto_projection_config,
-        curvature_dominance_check,
         geodesic_curvature_of,
         project_pair,
         reconstruct_spherical,
@@ -416,10 +414,11 @@ def test_row_layout_sphere():
         values = getattr(pair, name)
         assert values.shape == (len(c.s),) and np.isfinite(values).all(), name
         assert np.array_equal(values[c.jump_marks], values[c.jump_marks + 1]), name
-    dominance = curvature_dominance_check(pair)
-    assert dominance.argmin_s == _argmin_s(c, pair.plane_curvature, pair.space_curvature)
-    census = spherical_schur_verify(c, ct).census.get("geodesic_curvature_dominance")
-    assert census.location == _argmin_s(c, c.geodesic_curvature, ct.geodesic_curvature)
+    census = spherical_schur_verify(c, ct).census
+    assert census.get("projected_curvature_dominance").location == _argmin_s(
+        c, pair.plane_curvature, pair.space_curvature)
+    assert census.get("geodesic_curvature_dominance").location == _argmin_s(
+        c, c.geodesic_curvature, ct.geodesic_curvature)
 
 
 def test_row_layout_minkowski():

@@ -1,6 +1,7 @@
 """The public names: every ``__all__`` entry exists, and the package re-exports only listed names."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -13,7 +14,9 @@ RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "emb
            "reparametrize_projected_pair", "companion_project", "CellCubics", "pchip_cells", "pchip",
            "SampledFunction", "finite_diff", "_collapse_jump_rows", "apply_jump",
            "reconstruct_space_frenet", "cone_project", "closed_form_cross_norm", "lorentz_boost",
-           "boost_curve")
+           "boost_curve", "total_turning", "check_convex_budget", "BudgetResult",
+           "integrate_sampled", "_uniform_runs", "_simpson_uniform", "arc_length_budget_check",
+           "ArcBudgetResult", "curvature_dominance_check", "DominanceReport")
 
 
 def _package_imports() -> dict[str, list[str]]:
@@ -53,3 +56,7 @@ def test_retired_names_are_gone():
             if hasattr(schurkit.SampledCurve, n)] == []
     assert not hasattr(schurkit.CurvatureProfile, "has_tangent_reversal")
     assert not hasattr(schurkit.sphere.SphericalVerification, "signs_consistent")
+    # retired fields: the projected dominance is a census entry, and no code read the jumps
+    for cls, name in ((schurkit.sphere.SphericalVerification, "dominance"),
+                      (schurkit.SphericalCurve, "jumps")):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, name

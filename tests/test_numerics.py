@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from schurkit.errors import BracketError, DomainError, GridError
 from schurkit.numerics import (
     StepControl,
-    _uniform_runs,
     bisect_monotone,
     cross_rows,
     cumulative_integral_uniform,
     finite_diff_array,
     grid_step,
-    integrate_sampled,
     nearest_index,
     orthonormal_rows,
 )
@@ -42,59 +40,33 @@ def test_segment_steps_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Simpson quadrature
+# quadrature
 # ---------------------------------------------------------------------------
 
-def test_simpson_sine():
+def _integral(s, v):
+    """The integral of samples over a uniform grid: the last cumulative value."""
+    return cumulative_integral_uniform(v, grid_step(s))[-1]
+
+
+def test_cumulative_integral_sine():
     s = np.linspace(0.0, math.pi, 3143)
-    assert abs(integrate_sampled(s, np.sin(s)) - 2.0) < 1e-8
+    assert abs(_integral(s, np.sin(s)) - 2.0) < 1e-8
 
 
-def test_simpson_zero():
+def test_cumulative_integral_zero():
     s = np.linspace(0.0, 1.0, 101)
-    assert integrate_sampled(s, np.zeros(101)) == 0.0
+    assert _integral(s, np.zeros(101)) == 0.0
 
 
-def test_simpson_constant_is_length():
+def test_cumulative_integral_constant_is_length():
     length = 2.7
     s = np.linspace(0.0, length, 1001)
-    val = integrate_sampled(s, np.ones(1001))
-    assert abs(val - length) < 1e-13
+    assert abs(_integral(s, np.ones(1001)) - length) < 1e-13
 
 
-def test_simpson_odd_interval_count():
-    s = np.linspace(0.0, 1.0, 100)  # 99 intervals, 3/8 rule absorbs the tail
-    assert abs(integrate_sampled(s, np.exp(s)) - (math.e - 1.0)) < 1e-9
-
-
-def _uniform_runs_loop(s):
-    """The run split spacing by spacing: the reference for ``_uniform_runs``."""
-    d = np.diff(s)
-    allow = 8.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-    start = 0
-    for i in range(1, len(d)):
-        if abs(d[i] - d[start]) > max(1e-12 * abs(d[start]), allow):
-            yield start, i
-            start = i
-    yield start, len(d)
-
-
-@pytest.mark.parametrize("kind", ["uniform", "offset-uniform", "piecewise", "drifting", "short"])
-def test_uniform_runs_match_the_loop(kind):
-    if kind == "uniform":
-        grids = [np.linspace(0.0, math.pi, 3143), 0.25 + 1e-3 * np.arange(2001)]
-    elif kind == "offset-uniform":  # spacings wobble by a few ulps of the values
-        grids = [1e4 + np.linspace(0.0, 1.0, 997), np.linspace(-7.0, -3.0, 4001)]
-    elif kind == "piecewise":
-        a = np.linspace(0.0, 1.0, 501)
-        grids = [np.concatenate((a, 1.0 + np.linspace(0.0, 2.0, 301)[1:], [3.5, 3.5 + 1e-9]))]
-    elif kind == "drifting":  # splits once the drift passes the threshold, or never
-        grids = [np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 3e-13 * np.arange(4000))))),
-                 np.cumsum(np.concatenate(([0.0], 1e-3 * (1.0 + 1e-15 * np.arange(4000)))))]
-    else:
-        grids = [np.array([0.0]), np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.5])]
-    for s in grids:
-        assert list(_uniform_runs(s)) == list(_uniform_runs_loop(s))
+def test_cumulative_integral_odd_interval_count():
+    s = np.linspace(0.0, 1.0, 100)  # 99 intervals: the cell weights need no parity
+    assert abs(_integral(s, np.exp(s)) - (math.e - 1.0)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +143,7 @@ def test_finite_diff_vector_values():
 def test_fundamental_theorem_roundtrip():
     s = np.arange(0.0, 2.0 + 1e-9, 1e-3)
     f = np.sin(3.0 * s) + s**2
-    total = integrate_sampled(s, finite_diff_array(f, grid_step(s), 1))
+    total = _integral(s, finite_diff_array(f, grid_step(s), 1))
     assert abs(total - (f[-1] - f[0])) < 1e-6
 
 
@@ -185,7 +157,7 @@ def test_fundamental_theorem_roundtrip_cubics(a, b, c):
     # cubic coefficient is kept small enough for the 1e-6 budget at h = 1e-3
     s = np.linspace(0.0, 1.0, 1001)
     f = a * s**3 + b * s**2 + c * s
-    total = integrate_sampled(s, finite_diff_array(f, grid_step(s), 1))
+    total = _integral(s, finite_diff_array(f, grid_step(s), 1))
     assert abs(total - (f[-1] - f[0])) < 1e-6
 
 
@@ -195,13 +167,6 @@ def test_cumulative_integral_matches_simpson():
     cum = cumulative_integral_uniform(vals, 1e-3)
     assert abs(cum[-1] - (math.e - 1.0)) < 1e-11
     assert np.max(np.abs(cum - (np.exp(s) - 1.0))) < 1e-10
-
-
-def test_integrate_sampled_piecewise_uniform():
-    # two uniform pieces of different step joined at 0.5
-    s = np.concatenate([np.linspace(0.0, 0.5, 251), np.linspace(0.5, 1.0, 501)[1:]])
-    total = integrate_sampled(s, s**2)
-    assert abs(total - 1.0 / 3.0) < 1e-9
 
 
 def test_grid_step_tolerates_representation_noise():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from schurkit.schur import (
     ComparisonPair,
     PivotWindow,
     _jump_angle,
-    arc_length_budget_check,
     build_inclusion,
     hypothesis_census,
     integral_consistency,
@@ -75,27 +75,34 @@ def test_s_star_subwindow(circle_pi):
 # arc budget
 # ---------------------------------------------------------------------------
 
+def _arcs(c, s_star):
+    """The two tangent arcs around an accepted pivot, (first, second): the
+    turning off theta on either side of the pivot's row."""
+    row = c.nearest_row(s_star, side="minus")
+    return c.theta[row] - c.theta[0], c.theta[-1] - c.theta[row]
+
+
 def test_arc_budget_semicircle(circle_pi):
     star = ComparisonPair(circle_pi, circle_pi).window(None)
-    res = arc_length_budget_check(circle_pi, 0.0, math.pi, star)
-    assert res.passed
-    assert abs(res.length_first - math.pi / 2) < 1e-9
-    assert abs(res.length_second - math.pi / 2) < 1e-9
+    rep = ComparisonPair(circle_pi, embed_plane_curve(circle_pi)).full_range(star.s_star)
+    first, second = _arcs(circle_pi, rep.s_star)  # pi/2 is a grid row
+    assert abs(first - math.pi / 2) < 1e-9
+    assert abs(second - math.pi / 2) < 1e-9
 
 
 def test_arc_budget_full_circle_boundary_case():
     c = reconstruct_plane(CurvatureProfile(2 * math.pi, constant_curvature(1.0)))
-    res = arc_length_budget_check(c, 0.0, 2 * math.pi, math.pi)
-    assert res.passed
-    assert abs(res.length_first - math.pi) < 1e-9
+    rep = ComparisonPair(c, embed_plane_curve(c)).full_range(math.pi)  # accepted
+    assert abs(_arcs(c, rep.s_star)[0] - math.pi) < 1e-9
 
 
 def test_arc_budget_violation():
     # total turning 2*pi packed left of the pivot
     c = reconstruct_plane(CurvatureProfile(2.0, constant_curvature(math.pi)))
-    res = arc_length_budget_check(c, 0.0, 2.0, 1.5)
-    assert not res.passed
-    assert res.length_first > math.pi
+    with pytest.raises(ProfileError, match="violates the arc budget") as refused:
+        ComparisonPair(c, embed_plane_curve(c)).full_range(1.5)
+    first = float(re.search(r"lengths \(([^,]+),", str(refused.value)).group(1))
+    assert first > math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,20 @@ def test_monotonicity_integral_consistency(circle_pi, helix_pi):
     pair = ComparisonPair(circle_pi, helix_pi)
     report = pair.monotonicity(pair.window(None))
     assert integral_consistency(report) < 1e-5
+
+
+def test_integral_consistency_across_two_jump_rows():
+    # the derivative slack is integrated piece by piece between the jumps
+    c = reconstruct_plane(CurvatureProfile(
+        3.0, sinusoidal_curvature(0.5, 0.1), (Jump(1.0, 0.3), Jump(2.0, 0.2))))
+    ct = reconstruct_space_profile(CurvatureProfile(
+        3.0, constant_curvature(0.3),
+        (Jump(1.0, 0.2, (0.0, 1.0, 0.0)), Jump(2.0, 0.1, (0.0, 0.0, 1.0))), convex=False,
+    ), constant_curvature(0.2))
+    pair = ComparisonPair(c, ct)
+    report = pair.monotonicity(pair.window((0.5, 2.5)))
+    assert np.count_nonzero(np.diff(report.s) == 0) == 2  # both jumps inside the window
+    assert integral_consistency(report) < 1e-10
 
 
 def test_monotone_I_when_slack_nonnegative(circle_pi, line_pi):

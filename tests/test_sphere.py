@@ -15,7 +15,6 @@ from schurkit.numerics import finite_diff_array, grid_step
 from schurkit.sphere import (
     ProjectionConfig,
     auto_projection_config,
-    curvature_dominance_check,
     geodesic_curvature_of,
     hinge_compare,
     jump_angle_transform,
@@ -362,32 +361,30 @@ def test_cross_norm_coefficient_choice():
 # curvature dominance
 # ---------------------------------------------------------------------------
 
+def _projected_dominance(c, ct):
+    """The projected pair's curvature-dominance census entry (auto plane)."""
+    return spherical_schur_verify(c, ct).census.get("projected_curvature_dominance")
+
+
 def test_dominance_equal_curves():
     c = reconstruct_spherical(constant_curvature(0.8), (), 1.5)
-    cfg = auto_projection_config(c)
-    pair = project_pair(c, c, cfg)
-    rep = curvature_dominance_check(pair)
-    assert rep.passed
-    assert abs(rep.min_dominance) < 1e-9
+    entry = _projected_dominance(c, c)
+    assert entry.passed
+    assert abs(entry.worst_slack) < 1e-9
 
 
 def test_dominance_small_vs_great(sphere_small_great):
-    small, great = sphere_small_great
-    cfg = auto_projection_config(small)
-    pair = project_pair(small, great, cfg)
-    rep = curvature_dominance_check(pair)
-    assert rep.passed
-    assert rep.min_dominance >= -1e-4
+    entry = _projected_dominance(*sphere_small_great)
+    assert entry.passed
+    assert entry.worst_slack >= -1e-4
 
 
 def test_dominance_sinusoidal_companion():
     c = reconstruct_spherical(constant_curvature(1.0), (), 2.0)
     ct = reconstruct_spherical(sinusoidal_curvature(0.0, 0.8), (), 2.0)
-    cfg = auto_projection_config(c)
-    pair = project_pair(c, ct, cfg)
-    rep = curvature_dominance_check(pair)
-    assert rep.passed
-    assert rep.min_dominance >= -1e-4
+    entry = _projected_dominance(c, ct)
+    assert entry.passed
+    assert entry.worst_slack >= -1e-4
 
 
 def test_convexity_transfer():

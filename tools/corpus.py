@@ -1,11 +1,13 @@
-"""Byte-identity corpus: 73 seeded CLI jobs, one digest line each.
+"""Byte-identity corpus: 76 seeded CLI jobs, one digest line each.
 
 Runs verify-mix jobs 0..23 and 28 at seeds 7 and 8 (job 28 is a spherical
 verify whose s* search evaluates the cone section off the rows),
 export-tables jobs 0..11 at seed 7, and sweep-dense jobs 0..2 at seed 7 and
 0..5 at seed 8 (the job generators of ``bench/workloads.py``), plus two jobs that cross a
 ``schur.WINDOW_BLOCK`` boundary: sweep-dense seed 7 job 0 with ``--grid 60``
-(1770 windows) and seed 7 job 1, a chord verify, with ``--pairs 1500``. The
+(1770 windows) and seed 7 job 1, a chord verify, with ``--pairs 1500``, and
+three explicit pivots: verify-mix job 3, a global-monotonicity verify, with
+``--s-star 1.5`` at seeds 7 and 8 and with ``--s-star 1.0`` at seed 7. The
 extra arguments follow the job's own, so they override it, and the job's
 kind names them (``sweep:chord+grid=60``). The jobs run in-process through
 ``schurkit.cli.main``, with the benchmark's own job runner
@@ -50,6 +52,9 @@ JOBS = (  # workload, seed, job indices, extra arguments
     ("sweep-dense", 8, range(6), ()),
     ("sweep-dense", 7, (0,), ("--grid", "60")),
     ("sweep-dense", 7, (1,), ("--pairs", "1500")),
+    ("verify-mix", 7, (3,), ("--s-star", "1.5")),
+    ("verify-mix", 8, (3,), ("--s-star", "1.5")),
+    ("verify-mix", 7, (3,), ("--s-star", "1.0")),
 )
 
 
