@@ -60,6 +60,7 @@ from .minkowski import (
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
+    timelike_census,
     timelike_curvature,
     timelike_monotonicity,
 )
@@ -555,7 +556,7 @@ def _control(args) -> StepControl:
     for flag, value in (("--step", args.step), ("--tol", args.tol)):
         if not (math.isfinite(value) and value > 0):
             raise SpecError(f"{flag} must be a finite positive number, got {value!r}")
-    return StepControl(step_h=args.step, tol=args.tol)
+    return StepControl(step_h=args.step)
 
 
 def cmd_reconstruct(args) -> int:
@@ -779,11 +780,11 @@ def cmd_verify(args) -> int:
             ]
 
     elif theorem == "minkowski":
-        pivot = built_c.length / 2 if s_star is None else s_star
-        mono = timelike_monotonicity(c, ct, pivot, args.tol)
-        census = mono.census
+        census = timelike_census(c, ct)
 
         def conclusion():
+            pivot = built_c.length / 2 if s_star is None else s_star
+            mono = timelike_monotonicity(c, ct, pivot, args.tol)
             chord = reversed_chord_inequality(c, ct, args.tol)
             return [
                 ("monotonicity", mono.conclusion_passed, mono.min_slack, mono.argmin_s),

@@ -23,13 +23,14 @@ from .errors import AlignmentError, CausalError, NormalizationError, ProfileErro
 from .numerics import (
     CURVATURE_TOL,
     DEFAULT_CONTROL,
+    DEFAULT_TOL,
     StepControl,
     finite_diff_array,
     grid_step,
     rk4_angle,
     rk4_frames,
 )
-from .reports import Census, worst_dominance
+from .reports import Census
 
 __all__ = [
     "TimelikeMonotonicityReport",
@@ -38,13 +39,12 @@ __all__ = [
     "minkowski_norm",
     "reconstruct_timelike_2d",
     "reconstruct_timelike_3d",
+    "timelike_census",
     "timelike_curvature",
     "timelike_monotonicity",
     "reversed_chord_inequality",
     "build_lorentz_inclusion",
 ]
-
-DEFAULT_TOL = DEFAULT_CONTROL.tol
 
 
 def minkowski_dot(u, v) -> float | np.ndarray:
@@ -207,21 +207,18 @@ def build_lorentz_inclusion(t_plane, t_space) -> np.ndarray:
 # verification
 # ---------------------------------------------------------------------------
 
-def _timelike_census(c: SampledCurve, c_tilde: SampledCurve) -> Census:
+def timelike_census(c: SampledCurve, c_tilde: SampledCurve) -> Census:
+    """The hypotheses of the time-like comparison: unit and future-directed
+    tangents, curvature dominance and convexity (c's curvature at least 0)."""
+    _require_aligned(c, c_tilde)
     census, future = Census(), True
     for name, curve in (("unit_tangent_c", c), ("unit_tangent_c_tilde", c_tilde)):
         drift = float(np.max(np.abs(minkowski_dot(curve.tangent, curve.tangent) - 1.0)))
         census.add(name, drift <= 1e-9, 1e-9 - drift)
         future = future and bool(np.all(curve.tangent[:, 0] > 0))
     census.add("future_directed", future)
-    dominance = worst_dominance(timelike_curvature(c), timelike_curvature(c_tilde), c.s)
-    if dominance is None:
-        census.add("curvature_dominance", None, note="no smooth samples")
-        census.add("convexity", None, note="no smooth samples")
-    else:
-        slack, location, k_min = dominance
-        census.add("curvature_dominance", slack >= -CURVATURE_TOL, slack, location)
-        census.add("convexity", k_min >= -CURVATURE_TOL, k_min)
+    census.dominance("curvature_dominance", timelike_curvature(c), timelike_curvature(c_tilde),
+                     c.s, CURVATURE_TOL, convexity="convexity")
     return census
 
 
@@ -240,17 +237,12 @@ class TimelikeMonotonicityReport:
     derivative_slack: np.ndarray
     min_slack: float
     argmin_s: float
-    census: Census
     inclusion: np.ndarray
     tol: float
 
     @property
     def conclusion_passed(self) -> bool:
         return self.min_slack >= -self.tol
-
-    @property
-    def passed(self) -> bool:
-        return self.census.all_passed and self.conclusion_passed
 
 
 def timelike_monotonicity(
@@ -259,11 +251,11 @@ def timelike_monotonicity(
     s_star: float,
     tol: float = DEFAULT_TOL,
 ) -> TimelikeMonotonicityReport:
-    """Monotonicity of the pivot-aligned displacement, any pivot allowed."""
+    """Monotonicity of the pivot-aligned displacement, any pivot allowed, under the
+    hypotheses of ``timelike_census`` (the inclusion refuses other tangents)."""
     _require_aligned(c, c_tilde)
     if c.dim != 2:
         raise ProfileError("the convex-side curve must live in the Minkowski plane")
-    census = _timelike_census(c, c_tilde)
     row = c.nearest_row(float(s_star))
     n2, n3 = c.tangent[row], c_tilde.tangent[row]
     slack = minkowski_dot(c.tangent, np.broadcast_to(n2, c.tangent.shape)) - minkowski_dot(
@@ -280,7 +272,6 @@ def timelike_monotonicity(
         derivative_slack=np.asarray(slack),
         min_slack=float(slack[w]),
         argmin_s=float(c.s[w]),
-        census=census,
         inclusion=iota,
         tol=tol,
     )

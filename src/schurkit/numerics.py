@@ -36,18 +36,14 @@ class StepControl:
     ``step_h`` is an upper bound on the integration step: a smooth segment of
     length ``ell`` is covered with ``n = max(SAMPLES_MIN, ceil(ell/step_h))``
     uniform steps, so the effective step divides the segment exactly and is
-    never larger than ``step_h``. ``tol`` is the slack tolerance used by the
-    inequality checks downstream.
+    never larger than ``step_h``.
     """
 
     step_h: float = 1e-3
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not self.step_h > 0:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
     def segment_steps(self, length: float) -> int:
         """Number of uniform RK4 steps used to cover one smooth segment."""
@@ -57,6 +53,9 @@ class StepControl:
 
 
 DEFAULT_CONTROL = StepControl()
+
+# Default slack tolerance of the inequality checks.
+DEFAULT_TOL = 1e-6
 
 # Default tolerance of the measured-curvature comparisons; finite differences
 # of sampled curves carry O(h^2) noise that the 1e-6 slack tolerance does not.

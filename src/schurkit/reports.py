@@ -64,22 +64,26 @@ class Census:
     def to_list(self) -> list[dict]:
         return [c.to_dict() for c in self.checks]
 
+    def dominance(self, name: str, k: np.ndarray, k_tilde: np.ndarray, s: np.ndarray,
+                  tol: float, convexity: str | None = None) -> None:
+        """The one curvature-dominance rule, over the samples where k and k~ are finite.
 
-def worst_dominance(
-    k: np.ndarray, k_tilde: np.ndarray, s_grid: np.ndarray
-) -> tuple[float, float, float] | None:
-    """The one curvature-dominance rule: ``(slack, location, k_min)`` over finite samples.
-
-    ``slack`` is the smallest ``k - |k~|``, ``location`` its ``s_grid`` value and
-    ``k_min`` the smallest ``k``, all over the samples where both are finite;
-    None when there are none (every row masked).
-    """
-    mask = np.isfinite(k) & np.isfinite(k_tilde)
-    if not mask.any():
-        return None
-    diff = k[mask] - np.abs(k_tilde[mask])
-    w = int(np.argmin(diff))
-    return float(diff[w]), float(s_grid[mask][w]), float(np.min(k[mask]))
+        Entry ``name`` holds the smallest ``k - |k~|``, passed at ``-tol``, and
+        its ``s`` value; entry ``convexity``, when named, the smallest ``k``,
+        passed at ``-tol``. Both are not verified when no sample is finite
+        (every row masked).
+        """
+        mask = np.isfinite(k) & np.isfinite(k_tilde)
+        if not mask.any():
+            for entry in (name,) if convexity is None else (name, convexity):
+                self.add(entry, None, note="no smooth samples")
+            return
+        diff = k[mask] - np.abs(k_tilde[mask])
+        w = int(np.argmin(diff))
+        self.add(name, diff[w] >= -tol, float(diff[w]), float(s[mask][w]))
+        if convexity is not None:
+            k_min = float(np.min(k[mask]))
+            self.add(convexity, k_min >= -tol, k_min)
 
 
 def _json_float(x) -> float | None:

@@ -27,7 +27,7 @@ from .errors import (
     SchurkitError,
 )
 from .numerics import (
-    DEFAULT_CONTROL,
+    DEFAULT_TOL,
     TWO_PI,
     bisect_lanes,
     bisect_monotone,
@@ -37,7 +37,7 @@ from .numerics import (
     row_dots,
     unit,
 )
-from .reports import Census, worst_dominance
+from .reports import Census
 
 __all__ = [
     "ComparisonPair",
@@ -49,10 +49,10 @@ __all__ = [
     "ExpansionReport",
     "build_inclusion",
     "hypothesis_census",
+    "jump_dominance",
     "turning_budget",
 ]
 
-DEFAULT_TOL = DEFAULT_CONTROL.tol
 ANGLE_TOL = 1e-9  # angular slack of the s* search: lifting the chord angle, landing on a row
 S_STAR_TOL = 1e-13  # bisection tolerance of an off-grid s*
 # Windows derived together by ``ComparisonPair.windows``; the engine's
@@ -253,6 +253,17 @@ def turning_budget(theta: np.ndarray, tol: float) -> tuple[float, bool, float]:
     return total, total <= TWO_PI + tol, TWO_PI - total
 
 
+def jump_dominance(census: Census, c: SampledCurve, c_tilde: SampledCurve, tol: float) -> None:
+    """The one jump rule: at each of c's jump rows, c's turning angle minus c~'s,
+    the worst passed at ``-tol`` and located at its jump; "no jumps" passes."""
+    if len(c.jump_marks):
+        gaps = [(_jump_angle(c, i) - _jump_angle(c_tilde, i), float(c.s[i])) for i in c.jump_marks]
+        worst, loc = min(gaps, key=lambda gap: gap[0])
+        census.add("jump_dominance", worst >= -tol, worst, loc)
+    else:
+        census.add("jump_dominance", True, note="no jumps")
+
+
 def hypothesis_census(
     c: SampledCurve,
     c_tilde: SampledCurve,
@@ -264,21 +275,10 @@ def hypothesis_census(
     Curvatures are measured back from the samples on both sides so the check
     is honest about what the grids actually contain.
     """
-    curvature_tol = tol if curvature_tol is None else curvature_tol
     census = Census()
-
-    dominance = worst_dominance(curvature_magnitude(c), curvature_magnitude(c_tilde), c.s)
-    if dominance is None:
-        census.add("curvature_dominance", None, note="no smooth samples")
-    else:
-        census.add("curvature_dominance", dominance[0] >= -curvature_tol, *dominance[:2])
-
-    if len(c.jump_marks):
-        gaps = [(_jump_angle(c, i) - _jump_angle(c_tilde, i), float(c.s[i])) for i in c.jump_marks]
-        worst, loc = min(gaps, key=lambda gap: gap[0])
-        census.add("jump_dominance", worst >= -tol, worst, loc)
-    else:
-        census.add("jump_dominance", True, note="no jumps")
+    census.dominance("curvature_dominance", curvature_magnitude(c), curvature_magnitude(c_tilde),
+                     c.s, tol if curvature_tol is None else curvature_tol)
+    jump_dominance(census, c, c_tilde, tol)
 
     if c.theta is not None:
         dth = np.diff(c.theta)
@@ -447,7 +447,7 @@ class ComparisonPair:
         return MonotonicityReport(
             s_star=w.s_star, jump_interior=w.jump_interior, window=w.window,
             s=c.s[sl].copy(), I_samples=i_samples, derivative_slack=slack,
-            min_slack=float(slack[k]), argmin_s=float(c.s[sl][k]), pair=self, inclusion=inclusion,
+            min_slack=float(slack[k]), argmin_s=float(c.s[sl][k]), inclusion=inclusion,
             pivot_plane=w.pivot_plane, pivot_space=w.pivot_space, tol=self.tol,
         )
 
@@ -600,7 +600,6 @@ class MonotonicityReport:
     derivative_slack: np.ndarray
     min_slack: float
     argmin_s: float
-    pair: ComparisonPair
     inclusion: IsometricInclusion
     pivot_plane: np.ndarray
     pivot_space: np.ndarray
@@ -608,17 +607,8 @@ class MonotonicityReport:
     note: str = ""
 
     @property
-    def census(self) -> Census:
-        """The pair's hypothesis census, taken on first read."""
-        return self.pair.census
-
-    @property
     def conclusion_passed(self) -> bool:
         return self.min_slack >= -self.tol
-
-    @property
-    def passed(self) -> bool:
-        return self.census.all_passed and self.conclusion_passed
 
 
 # ---------------------------------------------------------------------------

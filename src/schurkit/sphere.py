@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
 from .numerics import (
     CURVATURE_TOL,
     DEFAULT_CONTROL,
+    DEFAULT_TOL,
     StepControl,
     cumulative_integral_uniform,
     finite_diff_array,
@@ -49,8 +50,15 @@ from .numerics import (
     rk4_frames,
     unit,
 )
-from .reports import Census, worst_dominance
-from .schur import ChordReport, ComparisonPair, MonotonicityReport
+from .reports import Census
+from .schur import (
+    ChordReport,
+    ComparisonPair,
+    MonotonicityReport,
+    PivotWindow,
+    _jump_angle,
+    jump_dominance,
+)
 
 __all__ = [
     "SphericalCurve",
@@ -376,31 +384,11 @@ class ProjectedPair:
     speed_identity_error: float
 
 
-def _measured_jump_angles(curve: SampledCurve) -> tuple[float, ...]:
-    return tuple(
-        float(
-            np.arccos(
-                np.clip(np.dot(curve.tangent[i], curve.tangent[i + 1]), -1.0, 1.0)
-            )
-        )
-        for i in curve.jump_marks
-    )
-
-
 def project_pair(
-    c: SphericalCurve,
-    c_tilde: SphericalCurve,
-    config: ProjectionConfig,
-    jump_angles: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
+    c: SphericalCurve, c_tilde: SphericalCurve, config: ProjectionConfig
 ) -> ProjectedPair:
-    """Project both curves of a spherical pair with c's scaling R(s).
-
-    ``jump_angles`` are the measured jump angles of c and c~ when the caller
-    has them already; by default they are measured here.
-    """
+    """Project both curves of a spherical pair with c's scaling R(s)."""
     _require_aligned(c, c_tilde)
-    if jump_angles is None:
-        jump_angles = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
     rows, rows_t = (np.stack([x.position, x.tangent], axis=1) for x in (c, c_tilde))
     r_rows, dr, (v_plane, v_space) = _cone_section(rows, config, (rows, rows_t), c.s)
     plane, plane_err = _scaled_curve(c, r_rows, dr, v_plane, "projected curve")
@@ -408,10 +396,10 @@ def project_pair(
     tau = projected_arclength(c, r_rows)
 
     theta_plane, theta_space = [], []
-    for i, a, a_t in zip(c.jump_marks, *jump_angles):
+    for i in c.jump_marks:
         m, p, r = float(dr[i]), float(dr[i + 1]), float(r_rows[i])
-        theta_plane.append(jump_angle_transform(m, p, r, a))
-        theta_space.append(jump_angle_transform(m, p, r, a_t))
+        theta_plane.append(jump_angle_transform(m, p, r, _jump_angle(c, i)))
+        theta_space.append(jump_angle_transform(m, p, r, _jump_angle(c_tilde, i)))
     return ProjectedPair(
         config=config,
         R=r_rows,
@@ -516,18 +504,41 @@ def hinge_compare(r_a: float, r_b: float, chord_first: float, chord_second: floa
 
 @dataclass
 class SphericalVerification:
+    """A spherical pair's census and projection. ``projected`` is the plane comparison
+    on c's rows, parametrized by tau; the conclusion assumes the hypotheses (the s*
+    search needs a convex projected curve), so it is derived on first read."""
+
     census: Census
     config: ProjectionConfig
     auto_plane: bool
     pair: ProjectedPair
-    jump_slack: float | None
-    monotonicity: MonotonicityReport
-    chords: ChordReport
-    hinge: HingeResult
+    projected: ComparisonPair
     spherical_chord: float
     spherical_chord_tilde: float
-    conclusion_slack: float
     tol: float
+
+    @cached_property
+    def window(self) -> PivotWindow:
+        return self.projected.window(None)
+
+    @cached_property
+    def monotonicity(self) -> MonotonicityReport:
+        return self.projected.monotonicity(self.window)
+
+    @cached_property
+    def chords(self) -> ChordReport:
+        return self.projected.chord(self.window)
+
+    @cached_property
+    def hinge(self) -> HingeResult:
+        """The projected triangles share the side lengths R(0) and R(L), so the
+        ordered chords order the apex angles and with them the spherical chords."""
+        return hinge_compare(float(self.pair.R[0]), float(self.pair.R[-1]),
+                             self.chords.plane_chord, self.chords.space_chord)
+
+    @property
+    def conclusion_slack(self) -> float:
+        return self.spherical_chord_tilde - self.spherical_chord
 
     @property
     def conclusion_passed(self) -> bool:
@@ -554,18 +565,16 @@ def spherical_schur_verify(
     c: SphericalCurve,
     c_tilde: SphericalCurve,
     config: ProjectionConfig | str = "auto",
-    tol: float = DEFAULT_CONTROL.tol,
-    curvature_tol: float = CURVATURE_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> SphericalVerification:
     """End-to-end spherical chord comparison through the cone projection.
 
-    Censuses the spherical hypotheses, projects the pair, checks curvature
-    and jump-angle dominance of the projections, runs the plane machinery on
-    c's rows parametrized by the shared projected arc length tau (R scales
-    both curves, so tau is common to them and nothing is resampled), and
-    closes with the hinge argument: the projected triangles share the side
-    lengths R(0) and R(L), so the ordered chords order the apex angles and
-    with them the spherical chords.
+    Censuses the spherical hypotheses, projects the pair, censuses curvature
+    and jump-angle dominance of the projections, and sets up the plane
+    machinery on c's rows parametrized by the shared projected arc length
+    tau (R scales both curves, so tau is common to them and nothing is
+    resampled). The plane comparison and the hinge argument are derived on
+    first read of the result's ``monotonicity``, ``chords`` or ``hinge``.
     """
     _require_aligned(c, c_tilde)
     census = Census()
@@ -579,54 +588,23 @@ def spherical_schur_verify(
         x.geodesic_curvature if x.geodesic_curvature is not None else geodesic_curvature_of(x)
         for x in (c, c_tilde)
     )
-    kg_dominance = worst_dominance(kg_c, kg_t, c.s)
-    if kg_dominance is None:
-        census.add("geodesic_curvature_dominance", None, note="no smooth samples")
-        census.add("spherical_convexity", None, note="no smooth samples")
-    else:
-        slack, location, kg_min = kg_dominance
-        census.add("geodesic_curvature_dominance", slack >= -curvature_tol, slack, location)
-        census.add("spherical_convexity", kg_min >= -curvature_tol, kg_min)
-    alphas, alphas_t = _measured_jump_angles(c), _measured_jump_angles(c_tilde)
-    if alphas:
-        gaps = [a - b for a, b in zip(alphas, alphas_t)]
-        census.add("jump_dominance", min(gaps) >= -tol, min(gaps))
-    else:
-        census.add("jump_dominance", True, note="no jumps")
+    census.dominance("geodesic_curvature_dominance", kg_c, kg_t, c.s, CURVATURE_TOL,
+                     convexity="spherical_convexity")
+    jump_dominance(census, c, c_tilde, tol)
 
     auto = isinstance(config, str)
     if auto:
         config = auto_projection_config(c)
 
-    pair = project_pair(c, c_tilde, config, (alphas, alphas_t))
-    dominance = worst_dominance(pair.plane_curvature, pair.space_curvature, c.s)
-    if dominance is None:
-        census.add("projected_curvature_dominance", None, note="no smooth samples")
-    else:
-        census.add("projected_curvature_dominance", dominance[0] >= -curvature_tol,
-                   *dominance[:2])
+    pair = project_pair(c, c_tilde, config)
+    census.dominance("projected_curvature_dominance", pair.plane_curvature,
+                     pair.space_curvature, c.s, CURVATURE_TOL)
     if pair.jump_angles_plane:
-        jump_slack = min(
-            tp - ts for tp, ts in zip(pair.jump_angles_plane, pair.jump_angles_space)
-        )
+        jump_slack = min(tp - ts for tp, ts in zip(pair.jump_angles_plane, pair.jump_angles_space))
         census.add("projected_jump_dominance", jump_slack >= -tol, jump_slack)
-    else:
-        jump_slack = None
-    census.add(
-        "projected_speed_identity",
-        pair.speed_identity_error <= 1e-6,
-        1e-6 - pair.speed_identity_error,
-    )
+    census.add("projected_speed_identity", pair.speed_identity_error <= 1e-6,
+               1e-6 - pair.speed_identity_error)
 
-    # the projected pair takes the spherical census above: the plane hypothesis
-    # census needs a uniform grid, and tau rows are not one
-    projected = ComparisonPair(*_rowwise_pair(pair, c, c_tilde), tol)
-    projected.census = census
-    window = projected.window(None)
-    mono, chords = projected.monotonicity(window), projected.chord(window)
-
-    r0, r1 = float(pair.R[0]), float(pair.R[-1])
-    hinge = hinge_compare(r0, r1, chords.plane_chord, chords.space_chord)
     d_c = float(np.linalg.norm(c.position[-1] - c.position[0]))
     d_t = float(np.linalg.norm(c_tilde.position[-1] - c_tilde.position[0]))
     return SphericalVerification(
@@ -634,12 +612,8 @@ def spherical_schur_verify(
         config=config,
         auto_plane=auto,
         pair=pair,
-        jump_slack=jump_slack,
-        monotonicity=mono,
-        chords=chords,
-        hinge=hinge,
+        projected=ComparisonPair(*_rowwise_pair(pair, c, c_tilde), tol),
         spherical_chord=d_c,
         spherical_chord_tilde=d_t,
-        conclusion_slack=d_t - d_c,
         tol=tol,
     )

@@ -21,11 +21,12 @@ from schurkit.minkowski import (
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
+    timelike_census,
     timelike_curvature,
     timelike_monotonicity,
 )
-from schurkit.numerics import StepControl, grid_step
-from schurkit.reports import worst_dominance
+from schurkit.numerics import CURVATURE_TOL, StepControl, grid_step
+from schurkit.reports import Census
 from schurkit.schur import ComparisonPair, turning_budget
 from schurkit.sphere import (
     auto_projection_config,
@@ -98,7 +99,7 @@ def test_criterion_03_schur_sweep(circle_pi, line_pi, helix_pi):
                 mono, chord = pair.monotonicity(window), pair.chord(window)
                 worst_mono = min(worst_mono, mono.min_slack)
                 worst_chord = min(worst_chord, chord.chord_slack)
-                all_pass &= mono.passed and chord.passed
+                all_pass &= pair.census.all_passed and mono.conclusion_passed and chord.passed
     elapsed = time.perf_counter() - t0
     ok = all_pass and worst_mono >= -1e-6 and elapsed < 10.0
     report(3, "schur-sweep-10x10", ok,
@@ -177,9 +178,10 @@ def test_criterion_06_projected_dominance():
         ct = reconstruct_spherical(kg_t, (), length, control=FAST)
         cfg = auto_projection_config(c)
         pair = project_pair(c, ct, cfg)
-        min_dominance, _, min_curvature = worst_dominance(
-            pair.plane_curvature, pair.space_curvature, c.s)
-        worst_dom = min(worst_dom, min_dominance, min_curvature)
+        census = Census()
+        census.dominance("dominance", pair.plane_curvature, pair.space_curvature, c.s,
+                         CURVATURE_TOL, convexity="convexity")
+        worst_dom = min(worst_dom, *(entry.worst_slack for entry in census))
 
         r = pair.R
         h = grid_step(c.s)
@@ -274,11 +276,11 @@ def test_criterion_09_spherical_end_to_end(sphere_polygon_pair, sphere_small_gre
 def test_criterion_10_minkowski():
     c = reconstruct_timelike_2d(constant_curvature(1.0), 1.0)
     ct = reconstruct_timelike_3d(constant_curvature(0.5), linear_curvature(0.0, 1.0), 1.0)
+    assert timelike_census(c, ct).all_passed
     worst = math.inf
     for s_star in (0.0, 0.25, 0.5, 1.0):
         rep = timelike_monotonicity(c, ct, s_star)
         worst = min(worst, rep.min_slack)
-        assert rep.census.all_passed
     chord = reversed_chord_inequality(c, ct)
 
     b2 = lorentz_boost(0.8, dim=2)

@@ -240,6 +240,35 @@ def test_sweep_census_comes_before_the_windows(tmp_path):
     assert data["notes"] == ["pairs evaluated: 0", "hypotheses violated; conclusion not evaluated"]
 
 
+def _curve(geometry, length, curvature):
+    return {"geometry": geometry, "length": length, "curvature": curvature}
+
+
+# inputs whose conclusion cannot be derived: a spherical c whose kg turns negative (the
+# projected chord lies outside the tangent range), and a Minkowski pair whose tangents
+# drift off the unit hyperboloid (the inclusion refuses the pivot's tangents)
+@pytest.mark.parametrize("theorem, c, c_tilde, extra, violated", [
+    ("spherical", _curve("sphere", 0.5, {"samples": [[0, 0.4], [0.5, -0.7]]}),
+     _curve("sphere", 0.5, {"preset": "constant", "value": 0.0}), [],
+     ["geodesic_curvature_dominance", "spherical_convexity"]),
+    ("minkowski", _curve("minkowski2", 3, {"preset": "constant", "value": 5}),
+     _curve("minkowski3", 3, {"preset": "constant", "value": 4.5}), ["--s-star", "2.9"],
+     ["unit_tangent_c", "unit_tangent_c_tilde"]),
+    ("minkowski", _curve("minkowski2", 3, {"preset": "constant", "value": 5}),
+     _curve("minkowski3", 3, {"preset": "constant", "value": 4.5}), ["--s-star", "3.0"],
+     ["unit_tangent_c", "unit_tangent_c_tilde"]),
+])
+def test_verify_census_comes_before_the_conclusion(tmp_path, theorem, c, c_tilde, extra,
+                                                   violated):
+    spec_c, spec_t = write_spec(tmp_path / "c.json", c), write_spec(tmp_path / "t.json", c_tilde)
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", theorem, spec_c, spec_t, "--report", str(rep), *extra]) == 0
+    data = json.loads(rep.read_text())
+    assert [h["name"] for h in data["hypotheses"] if h["passed"] is False] == violated
+    assert data["conclusion"] == {"evaluated": False, "checks": [], "passed": None}
+    assert data["notes"] == ["hypotheses violated; conclusion not evaluated"]
+
+
 def test_verify_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"geometry": "plane", "length": 1, "curvature": {"preset": "constant"}, "bogus": 1}')

@@ -425,8 +425,8 @@ def test_row_layout_minkowski():
     from schurkit.minkowski import (
         reconstruct_timelike_2d,
         reconstruct_timelike_3d,
+        timelike_census,
         timelike_curvature,
-        timelike_monotonicity,
     )
 
     c = reconstruct_timelike_2d(sinusoidal_curvature(1.0, 0.2), 1.0)
@@ -434,7 +434,7 @@ def test_row_layout_minkowski():
                                  1.0)
     k, k_tilde = timelike_curvature(c), timelike_curvature(ct)
     _check_rows(c, {"k": k, "k_tilde": k_tilde})
-    dominance = timelike_monotonicity(c, ct, 0.5).census.get("curvature_dominance")
+    dominance = timelike_census(c, ct).get("curvature_dominance")
     assert dominance.location == _argmin_s(c, k, k_tilde)
 
 

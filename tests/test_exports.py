@@ -16,7 +16,8 @@ RETIRED = ("SStarResult", "TimelikeCurve", "TangentAngle", "tangent_angle", "emb
            "reconstruct_space_frenet", "cone_project", "closed_form_cross_norm", "lorentz_boost",
            "boost_curve", "total_turning", "check_convex_budget", "BudgetResult",
            "integrate_sampled", "_uniform_runs", "_simpson_uniform", "arc_length_budget_check",
-           "ArcBudgetResult", "curvature_dominance_check", "DominanceReport")
+           "ArcBudgetResult", "curvature_dominance_check", "DominanceReport", "worst_dominance",
+           "_measured_jump_angles", "_timelike_census")
 
 
 def _package_imports() -> dict[str, list[str]]:
@@ -49,14 +50,23 @@ def test_retired_names_are_gone():
         module = importlib.import_module(f"schurkit.{name}")
         assert [n for n in RETIRED if n in module.__all__ or hasattr(module, n)] == [], name
     assert [n for n in RETIRED if hasattr(schurkit, n)] == []
-    assert [n for n in RETIRED if hasattr(schurkit.numerics, n)] == []
+    for module in (schurkit.numerics, schurkit.reports):
+        assert [n for n in RETIRED if hasattr(module, n)] == [], module.__name__
     assert not {n for names in _package_imports().values() for n in names} & set(RETIRED)
     # retired SampledCurve methods: per-row values live on the curve's own rows
     assert [n for n in ("single_rows", "expand", "index_of", "validate")
             if hasattr(schurkit.SampledCurve, n)] == []
     assert not hasattr(schurkit.CurvatureProfile, "has_tangent_reversal")
     assert not hasattr(schurkit.sphere.SphericalVerification, "signs_consistent")
-    # retired fields: the projected dominance is a census entry, and no code read the jumps
+    # retired fields: the projected dominance is a census entry, no code read the jumps,
+    # the census belongs to the comparison rather than to a conclusion report, and the
+    # step policy carries no slack tolerance
     for cls, name in ((schurkit.sphere.SphericalVerification, "dominance"),
-                      (schurkit.SphericalCurve, "jumps")):
+                      (schurkit.sphere.SphericalVerification, "jump_slack"),
+                      (schurkit.SphericalCurve, "jumps"),
+                      (schurkit.MonotonicityReport, "pair"),
+                      (schurkit.minkowski.TimelikeMonotonicityReport, "census"),
+                      (schurkit.StepControl, "tol")):
         assert name not in {f.name for f in dataclasses.fields(cls)}, name
+    for cls in (schurkit.MonotonicityReport, schurkit.minkowski.TimelikeMonotonicityReport):
+        assert not hasattr(cls, "census") and not hasattr(cls, "passed"), cls.__name__

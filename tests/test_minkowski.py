@@ -20,6 +20,7 @@ from schurkit.minkowski import (
     reconstruct_timelike_2d,
     reconstruct_timelike_3d,
     reversed_chord_inequality,
+    timelike_census,
     timelike_curvature,
     timelike_monotonicity,
 )
@@ -197,24 +198,24 @@ def test_census_without_smooth_samples_is_not_verified(mink_pair, monkeypatch):
         return np.full(len(k), np.nan) if curve is ct else k
 
     monkeypatch.setattr(minkowski, "timelike_curvature", nan_for_ct)
-    rep = timelike_monotonicity(c, ct, 0.5)
+    census = timelike_census(c, ct)
     for name in ("curvature_dominance", "convexity"):
-        assert rep.census.get(name).passed is None
-    assert not rep.census.all_passed and not rep.passed
+        assert census.get(name).passed is None
+    assert not census.all_passed
 
 
 def test_monotonicity_planar_copy():
     c = reconstruct_timelike_2d(sinusoidal_curvature(0.6, 0.2), 1.5)
     rep = timelike_monotonicity(c, embed_plane_curve(c), 0.75)
     assert np.max(np.abs(rep.derivative_slack)) < 1e-12
-    assert rep.census.all_passed
+    assert timelike_census(c, embed_plane_curve(c)).all_passed
 
 
 def test_monotonicity_free_pivot(mink_pair):
     c, ct = mink_pair
+    assert timelike_census(c, ct).all_passed
     for s_star in (0.0, 0.25, 0.5, 1.0):
         rep = timelike_monotonicity(c, ct, s_star)
-        assert rep.census.all_passed
         assert rep.min_slack >= -1e-6, s_star
         assert np.min(np.diff(rep.I_samples)) >= -1e-6
 
@@ -232,8 +233,7 @@ def test_monotonicity_cosh_oracle(mink_pair):
 def test_monotonicity_census_violation(mink_pair):
     c, _ = mink_pair
     steep = reconstruct_timelike_3d(constant_curvature(2.0), linear_curvature(0.0, 1.0), 1.0)
-    rep = timelike_monotonicity(c, steep, 0.5)
-    assert not rep.census.get("curvature_dominance").passed
+    assert not timelike_census(c, steep).get("curvature_dominance").passed
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ CONTROL = StepControl()
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(step_h=0.0)
-    with pytest.raises(ValueError):
-        StepControl(tol=-1.0)
 
 
 def test_segment_steps_bounds():

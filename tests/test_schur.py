@@ -156,7 +156,7 @@ def test_orthonormal_complement_is_deterministic():
 def test_monotonicity_identical_curves(circle_pi):
     pair = ComparisonPair(circle_pi, embed_plane_curve(circle_pi))
     report = pair.monotonicity(pair.window(None))
-    assert report.census.all_passed
+    assert pair.census.all_passed
     assert np.max(np.abs(report.derivative_slack)) < 1e-9
     assert np.ptp(report.I_samples) < 1e-9
 
@@ -164,7 +164,7 @@ def test_monotonicity_identical_curves(circle_pi):
 def test_monotonicity_circle_vs_line(circle_pi, line_pi):
     pair = ComparisonPair(circle_pi, line_pi)
     report = pair.monotonicity(pair.window(None))
-    assert report.passed
+    assert pair.census.all_passed and report.conclusion_passed
     assert report.min_slack >= 0.0
     # I strictly increases away from s_star on this fixture
     assert report.I_samples[-1] > report.I_samples[0]
@@ -173,7 +173,7 @@ def test_monotonicity_circle_vs_line(circle_pi, line_pi):
 def test_monotonicity_circle_vs_helix(circle_pi, helix_pi):
     pair = ComparisonPair(circle_pi, helix_pi)
     report = pair.monotonicity(pair.window(None))
-    assert report.passed
+    assert pair.census.all_passed and report.conclusion_passed
     assert report.min_slack >= -1e-6
 
 
@@ -227,8 +227,8 @@ def test_monotonicity_census_catches_violation(circle_pi):
         CurvatureProfile(math.pi, constant_curvature(2.0)), constant_curvature(0.5)
     )
     pair = ComparisonPair(circle_pi, bad)
-    report = pair.monotonicity(pair.window(None))
-    check = report.census.get("curvature_dominance")
+    pair.monotonicity(pair.window(None))
+    check = pair.census.get("curvature_dominance")
     assert not check.passed
     assert check.worst_slack < -0.5
 
@@ -237,7 +237,7 @@ def test_monotonicity_on_corner_pair(corner_pair):
     c, ct = corner_pair
     pair = ComparisonPair(c, ct)
     report = pair.monotonicity(pair.window(None))
-    assert report.passed
+    assert pair.census.all_passed and report.conclusion_passed
     assert report.jump_interior
     # slack is |chord| (cos(pi/8) - cos(pi/4)) on both sides
     expect = math.sqrt(2.0) * (math.cos(math.pi / 8) - math.cos(math.pi / 4))
@@ -344,8 +344,9 @@ def test_full_range_identical(circle_pi):
 
 
 def test_full_range_midpoint(circle_pi, line_pi):
-    rep = ComparisonPair(circle_pi, line_pi).full_range(math.pi / 2)
-    assert rep.passed
+    pair = ComparisonPair(circle_pi, line_pi)
+    rep = pair.full_range(math.pi / 2)
+    assert pair.census.all_passed and rep.conclusion_passed
     assert rep.min_slack >= -1e-12
 
 
@@ -355,9 +356,10 @@ def test_full_range_quarter_pivot(circle_pi, line_pi):
 
 
 def test_full_range_auto_records_choice(circle_pi, helix_pi):
-    rep = ComparisonPair(circle_pi, helix_pi).full_range("auto")
+    pair = ComparisonPair(circle_pi, helix_pi)
+    rep = pair.full_range("auto")
     assert "auto pivot" in rep.note
-    assert rep.passed
+    assert pair.census.all_passed and rep.conclusion_passed
 
 
 def test_full_range_budget_violation_raises():
@@ -458,7 +460,7 @@ def test_schur_on_random_dominated_fixtures():
             for b in anchors[i + 1 :]:
                 window = pair.window((a, b))
                 mono, chord = pair.monotonicity(window), pair.chord(window)
-                assert mono.census.all_passed
+                assert pair.census.all_passed
                 assert mono.min_slack >= -1e-6
                 assert chord.passed
                 checked += 1
@@ -488,7 +490,7 @@ def test_monotonicity_subwindow_with_interior_jump(corner_pair):
     rep = pair.monotonicity(pair.window((0.5, 1.5)))
     assert rep.jump_interior
     assert rep.s_star == 1.0
-    assert rep.census.all_passed
+    assert pair.census.all_passed
     assert rep.min_slack >= -1e-9
 
 
@@ -503,9 +505,10 @@ def test_full_range_auto_pivot_at_jump_row():
         convex=False,
     )
     ct = reconstruct_space_profile(prof_t, constant_curvature(0.0))
-    rep = ComparisonPair(c, ct).full_range("auto")
+    pair = ComparisonPair(c, ct)
+    rep = pair.full_range("auto")
     assert rep.s_star == 1.0
-    assert rep.census.all_passed
+    assert pair.census.all_passed
     assert rep.min_slack >= -1e-9
     assert np.min(np.diff(rep.I_samples)) >= -1e-9
 

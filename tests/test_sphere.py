@@ -7,6 +7,7 @@ import pytest
 from schurkit.curves import SampledCurve, constant_curvature, sinusoidal_curvature
 from schurkit.errors import (
     DegenerateTriangleError,
+    HypothesisViolationError,
     NormalizationError,
     ProfileError,
     ProjectionError,
@@ -497,20 +498,6 @@ def test_copy_with_new_rows_measures_its_own_geodesic_curvature(sphere_small_gre
     assert abs(check.worst_slack + 1.0) < 1e-6  # measured kg 0 against kg 1
 
 
-def test_verify_measures_jump_angles_once_per_curve(sphere_polygon_pair, monkeypatch):
-    import schurkit.sphere as sphere
-
-    arm, arm_t = sphere_polygon_pair
-    measured, calls = sphere._measured_jump_angles, []
-    monkeypatch.setattr(sphere, "_measured_jump_angles",
-                        lambda curve: calls.append(curve) or measured(curve))
-    v = spherical_schur_verify(arm, arm_t)
-    assert [id(curve) for curve in calls] == [id(arm), id(arm_t)]
-    alone = project_pair(arm, arm_t, v.config)  # measures them itself
-    assert (v.pair.jump_angles_plane, v.pair.jump_angles_space) == (alone.jump_angles_plane,
-                                                                    alone.jump_angles_space)
-
-
 def test_verify_rotation_gives_equality():
     c = reconstruct_spherical(sinusoidal_curvature(1.0, 0.4), (), 1.5)
     rot = random_rotation(np.random.default_rng(2))
@@ -527,9 +514,19 @@ def test_verify_polygon_arms(sphere_polygon_pair):
     assert v.conclusion_slack >= -1e-6
     assert v.passed
     assert v.chords.chord_passed == v.conclusion_passed
-    # transformed jump angles dominate pairwise
+    # the verification's census is the spherical one, its jump entry located like the plane's
+    assert [entry.name for entry in v.census] == [
+        "unit_position_c", "unit_position_c_tilde", "length_within_pi",
+        "geodesic_curvature_dominance", "spherical_convexity", "jump_dominance",
+        "projected_curvature_dominance", "projected_jump_dominance", "projected_speed_identity"]
+    jump = v.census.get("jump_dominance")
+    assert jump.location == 0.7 and abs(jump.worst_slack - 0.3) < 1e-12
+    # transformed jump angles dominate pairwise, and equal a projection's own
     for tp, ts in zip(v.pair.jump_angles_plane, v.pair.jump_angles_space):
         assert tp >= ts - 1e-9
+    alone = project_pair(arm, arm_t, v.config)
+    assert (v.pair.jump_angles_plane, v.pair.jump_angles_space) == (alone.jump_angles_plane,
+                                                                    alone.jump_angles_space)
 
 
 def test_verify_small_circle_vs_great_arc(sphere_small_great):
@@ -558,16 +555,21 @@ def test_verify_censuses_dominance_violation(sphere_small_great):
     assert not v.census.get("geodesic_curvature_dominance").passed
 
 
-def test_projected_pair_takes_the_spherical_census(sphere_polygon_pair):
-    v = spherical_schur_verify(*sphere_polygon_pair)
-    assert v.monotonicity.census is v.census
-    assert v.monotonicity.passed is True
+def test_verify_derives_no_window_before_the_census():
+    # a convexity violation: the projected chord cannot be lifted into the tangent range
+    c = reconstruct_spherical(lambda s: 0.4 - 2.2 * s, (), 0.5)
+    v = spherical_schur_verify(c, reconstruct_spherical(constant_curvature(0.0), (), 0.5))
+    assert v.census.get("spherical_convexity").passed is False
+    assert v.passed is False  # the census fails first; the conclusion is never read
+    assert "window" not in vars(v)
+    with pytest.raises(HypothesisViolationError):
+        _ = v.monotonicity
 
 
 @pytest.mark.parametrize("fixture", ["sphere_polygon_pair", "sphere_small_great"])
 def test_rowwise_pair_extends_its_rows_through_the_cone_section(request, fixture):
     v = spherical_schur_verify(*request.getfixturevalue(fixture))
-    plane2d, space3d = v.monotonicity.pair.c, v.monotonicity.pair.c_tilde
+    plane2d, space3d = v.projected.c, v.projected.c_tilde
     tau = plane2d.s
     rows = np.arange(len(tau) - 1)
     rows = rows[tau[rows + 1] > tau[rows]]
@@ -581,7 +583,7 @@ def test_rowwise_pair_extends_its_rows_through_the_cone_section(request, fixture
 def test_rowwise_pair_is_parametrized_by_tau(sphere_polygon_pair):
     arm, arm_t = sphere_polygon_pair
     v = spherical_schur_verify(arm, arm_t)
-    plane2d, space3d = v.monotonicity.pair.c, v.monotonicity.pair.c_tilde
+    plane2d, space3d = v.projected.c, v.projected.c_tilde
     assert plane2d.dim == 2 and space3d.dim == 3
     for curve in (plane2d, space3d):
         assert np.array_equal(curve.s, v.pair.tau)

@@ -1,4 +1,4 @@
-"""Byte-identity corpus: 76 seeded CLI jobs, one digest line each.
+"""Byte-identity corpus: 78 seeded CLI jobs, one digest line each.
 
 Runs verify-mix jobs 0..23 and 28 at seeds 7 and 8 (job 28 is a spherical
 verify whose s* search evaluates the cone section off the rows),
@@ -6,8 +6,10 @@ export-tables jobs 0..11 at seed 7, and sweep-dense jobs 0..2 at seed 7 and
 0..5 at seed 8 (the job generators of ``bench/workloads.py``), plus two jobs that cross a
 ``schur.WINDOW_BLOCK`` boundary: sweep-dense seed 7 job 0 with ``--grid 60``
 (1770 windows) and seed 7 job 1, a chord verify, with ``--pairs 1500``, and
-three explicit pivots: verify-mix job 3, a global-monotonicity verify, with
-``--s-star 1.5`` at seeds 7 and 8 and with ``--s-star 1.0`` at seed 7. The
+five explicit pivots: verify-mix job 3, a global-monotonicity verify, with
+``--s-star 1.5`` at seeds 7 and 8 and with ``--s-star 1.0`` at seed 7, and
+two Minkowski verifies, verify-mix job 5 at seed 7 and job 11 at seed 8,
+with ``--s-star 0.3``. The
 extra arguments follow the job's own, so they override it, and the job's
 kind names them (``sweep:chord+grid=60``). The jobs run in-process through
 ``schurkit.cli.main``, with the benchmark's own job runner
@@ -55,6 +57,8 @@ JOBS = (  # workload, seed, job indices, extra arguments
     ("verify-mix", 7, (3,), ("--s-star", "1.5")),
     ("verify-mix", 8, (3,), ("--s-star", "1.5")),
     ("verify-mix", 7, (3,), ("--s-star", "1.0")),
+    ("verify-mix", 7, (5,), ("--s-star", "0.3")),
+    ("verify-mix", 8, (11,), ("--s-star", "0.3")),
 )
 
 
